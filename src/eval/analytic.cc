@@ -65,10 +65,10 @@ bool BlockTerminal(const std::vector<LStmtPtr>& block) {
   return false;
 }
 
-// Deterministic expression evaluation over a slot frame: the exact mirror
-// of FastExecution::Eval minus tracing (the analytic engines never run
-// under a trace sink) and minus interface calls (rejected by the analysis
-// in deterministic positions). Shares ApplyBinary / ApplyUnary /
+// Deterministic expression evaluation over a slot frame: the lowered-IR
+// mirror of the tree walk's Eval minus tracing (the analytic engines never
+// run under a trace sink) and minus interface calls (rejected by the
+// analysis in deterministic positions). Shares ApplyBinary / ApplyUnary /
 // ApplyBuiltin with both interpreters, so values are bit-identical.
 Result<Value> EvalDet(const LExpr& e, const std::vector<Value>& frame) {
   switch (e.kind) {
@@ -121,9 +121,9 @@ Result<Value> EvalDet(const LExpr& e, const std::vector<Value>& frame) {
   return InternalError("unknown expression kind");
 }
 
-// Resolved support for one draw, mirroring FastExecution::ExecEcv's
-// resolution order: profile override first, then static error, static
-// support, dynamic parameters. All values and probabilities are produced by
+// Resolved support for one draw, in the interpreters' resolution order:
+// profile override first, then static error, static support, dynamic
+// parameters. All values and probabilities are produced by
 // the same code paths the interpreters use (EcvSupport::Bernoulli / Make),
 // so they are bit-identical. Failures here are anomalies — the enumeration
 // fallback reproduces the precise status and message.

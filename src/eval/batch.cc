@@ -222,7 +222,7 @@ class SamplingDrawer : public LaneDrawer {
 };
 
 // ---------------------------------------------------------------------------
-// The vector interpreter: FastExecution's statement walk over columns.
+// The vector interpreter: the lowered IR's statement walk over columns.
 //
 // Correctness rests on two rules: (1) abort (`return false`) the moment the
 // pass cannot be proven bit-identical to running every lane alone on the
@@ -750,32 +750,21 @@ bool ColumnJoules(const BatchColumn& c, size_t width,
 BatchPlan::BatchPlan(const Evaluator& evaluator, std::string interface_name)
     : evaluator_(&evaluator), interface_name_(std::move(interface_name)) {}
 
-Result<BatchLaneFold> BatchPlan::ScalarLaneFold(
+Result<ExactFold> BatchPlan::ScalarLaneFold(
     const std::vector<Value>& args, const EcvProfile& profile,
     const EnergyCalibration* calibration) const {
-  // The scalar reference fold: identical to Evaluator::FoldShared's
-  // enumerate + OutcomeJoules + Categorical + Mean path, so fallback lanes
-  // share bits (and error codes) with single dispatch.
+  // The scalar reference: single dispatch's enumeration and fold, so
+  // fallback lanes share bits (and error codes) with it.
   ECLARITY_ASSIGN_OR_RETURN(
       Evaluator::SharedOutcomes outcomes,
       evaluator_->EnumerateShared(interface_name_, args, profile));
-  std::vector<Atom> atoms;
-  atoms.reserve(outcomes->size());
-  for (const WeightedOutcome& o : *outcomes) {
-    ECLARITY_ASSIGN_OR_RETURN(double joules,
-                              OutcomeJoules(o.value, calibration));
-    atoms.push_back({joules, o.probability});
-  }
-  ECLARITY_ASSIGN_OR_RETURN(Distribution dist,
-                            Distribution::Categorical(std::move(atoms)));
-  const double mean = dist.Mean();
-  return BatchLaneFold{std::move(dist), mean};
+  return FoldOutcomes(*outcomes, calibration);
 }
 
-std::vector<Result<BatchLaneFold>> BatchPlan::EnumerateFold(
+std::vector<Result<ExactFold>> BatchPlan::EnumerateFold(
     const std::vector<const std::vector<Value>*>& lane_args,
     const EcvProfile& profile, const EnergyCalibration* calibration) const {
-  std::vector<Result<BatchLaneFold>> results;
+  std::vector<Result<ExactFold>> results;
   results.reserve(lane_args.size());
   if (lane_args.empty()) {
     return results;
@@ -797,7 +786,7 @@ std::vector<Result<BatchLaneFold>> BatchPlan::EnumerateFold(
     // scalar engine (the reference), so values, error codes, and messages
     // are reproduced exactly.
     bool vectored = false;
-    std::vector<BatchLaneFold> tile_folds;
+    std::vector<ExactFold> tile_folds;
     if (vector_capable) {
       vectored = [&]() -> bool {
         std::vector<BatchColumn> arg_columns;
@@ -839,14 +828,14 @@ std::vector<Result<BatchLaneFold>> BatchPlan::EnumerateFold(
             return false;
           }
           const double mean = dist->Mean();
-          tile_folds.push_back(BatchLaneFold{*std::move(dist), mean});
+          tile_folds.push_back(ExactFold{*std::move(dist), mean});
         }
         return true;
       }();
     }
     if (vectored) {
       BatchCounters::Get().passes.Increment();
-      for (BatchLaneFold& fold : tile_folds) {
+      for (ExactFold& fold : tile_folds) {
         results.emplace_back(std::move(fold));
       }
     } else {

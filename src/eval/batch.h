@@ -30,16 +30,13 @@
 #include <string>
 #include <vector>
 
-#include "src/dist/distribution.h"
 #include "src/eval/ecv_profile.h"
+#include "src/eval/interp.h"
 #include "src/lang/value.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
 namespace eclarity {
-
-class EnergyCalibration;
-class Evaluator;
 
 // One value column: `width` lanes of a single frame slot. Uniform columns
 // carry one scalar for every lane (constants, shared ECV draws); number and
@@ -67,14 +64,6 @@ struct BatchFrame {
   std::vector<BatchColumn> slots;
 };
 
-// One lane's folded exact answer: the enumeration folded through the same
-// canonical (OutcomeJoules -> Distribution::Categorical -> Mean) path the
-// scalar fold uses, so batch answers share bits with single dispatch.
-struct BatchLaneFold {
-  Distribution distribution;
-  double mean = 0.0;
-};
-
 class BatchPlan {
  public:
   // Binds the plan to `evaluator` (must outlive the plan) and an entry
@@ -89,8 +78,9 @@ class BatchPlan {
   // Lanes are processed in SoA tiles; a tile that cannot be vector-served
   // falls back lane by lane to the scalar enumeration. Results align
   // positionally with `lane_args` and are bit-identical — values, error
-  // codes and messages — to folding each lane through the scalar engine.
-  std::vector<Result<BatchLaneFold>> EnumerateFold(
+  // codes and messages — to folding each lane's scalar enumeration through
+  // FoldOutcomes.
+  std::vector<Result<ExactFold>> EnumerateFold(
       const std::vector<const std::vector<Value>*>& lane_args,
       const EcvProfile& profile, const EnergyCalibration* calibration) const;
 
@@ -111,7 +101,7 @@ class BatchPlan {
   static constexpr size_t kTileLanes = 64;
 
  private:
-  Result<BatchLaneFold> ScalarLaneFold(
+  Result<ExactFold> ScalarLaneFold(
       const std::vector<Value>& args, const EcvProfile& profile,
       const EnergyCalibration* calibration) const;
 

@@ -1,6 +1,6 @@
 // Register bytecode for energy interfaces.
 //
-// The third execution engine (see DESIGN.md, "Bytecode VM"): LoweredProgram
+// The serving execution engine (see DESIGN.md, "Bytecode VM"): LoweredProgram
 // is compiled once into a flat register-based instruction buffer — constant
 // pool, pre-resolved call targets (direct code offsets instead of
 // LoweredInterface* chasing), pre-rendered error statuses, and
@@ -16,13 +16,13 @@
 // from the already-lowered IR without re-lowering and never block readers.
 //
 // Parity contract: the bytecode engine is observationally identical to the
-// tree walk and the lowered-tree fast path — same values, probability bits,
-// draw order, error codes *and messages*, and byte-identical trace events
-// (tests/fastpath_test.cc, tests/bytecode_test.cc, and the differential
-// harness hold the line). Compilation is total for every program the
-// lowerer accepts except degenerate register pressure (> 65535 live
-// registers in one interface), where Compile() fails and the evaluator
-// transparently falls back to the fast path, counting the fallback.
+// tree walk — same values, probability bits, draw order, error codes *and
+// messages*, and byte-identical trace events (tests/engine_parity_test.cc,
+// tests/bytecode_test.cc, and the differential harness hold the line).
+// Compilation is total for every program the lowerer accepts except
+// degenerate register pressure (> 65535 live registers in one interface),
+// where Compile() fails and the evaluator transparently falls back to the
+// tree walk, counting the fallback.
 
 #ifndef ECLARITY_SRC_EVAL_BYTECODE_H_
 #define ECLARITY_SRC_EVAL_BYTECODE_H_
@@ -105,7 +105,7 @@ class BytecodeProgram {
   // Compiles every interface of `lowered`, which must outlive the result
   // (instructions reference lowered ECV metadata and pre-rendered operator
   // contexts in place). Fails only on register overflow; the caller is
-  // expected to fall back to the lowered-tree walk.
+  // expected to fall back to the tree walk.
   static Result<std::shared_ptr<const BytecodeProgram>> Compile(
       const LoweredProgram& lowered, const CompileOptions& options);
   static Result<std::shared_ptr<const BytecodeProgram>> Compile(
@@ -202,8 +202,8 @@ class BytecodeProgram {
 
 // One execution of a compiled program: a dispatch loop over a flat register
 // stack, with an explicit frame stack for nested interface calls. Mirrors
-// FastExecution observable-step for observable-step. Reusable across runs
-// (Reset()), like FastExecution — registers and frame storage are retained.
+// the tree walk observable-step for observable-step. Reusable across runs
+// (Reset()) — registers and frame storage are retained.
 class BytecodeInterpreter {
  public:
   BytecodeInterpreter(const BytecodeProgram& bc, const EvalOptions& options,

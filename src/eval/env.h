@@ -1,20 +1,10 @@
-// Environments for EIL evaluation.
-//
-// Two representations share the same dynamic-scoping semantics:
-//
-//   * FrameStack — the fast path: slot resolution (lang/checker's
-//     ResolveSlots + eval/lower) assigns every binding a dense index, so a
-//     frame is a contiguous run of Value slots and every access is an O(1)
-//     indexed load. One FrameStack backs the whole call stack; nested
-//     interface calls push sub-ranges.
-//   * Environment — the reference tree-walking path: string-keyed map
-//     scopes, kept as the executable specification the fast path must match
-//     bit-for-bit.
+// Environments for the reference tree walk (EvalEngine::kTreeWalk):
+// string-keyed map scopes with EIL's dynamic scoping, kept as the
+// executable specification the bytecode engine must match bit-for-bit.
 
 #ifndef ECLARITY_SRC_EVAL_ENV_H_
 #define ECLARITY_SRC_EVAL_ENV_H_
 
-#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -23,34 +13,6 @@
 #include "src/util/status.h"
 
 namespace eclarity {
-
-// A contiguous stack of value slots shared by every frame of one execution.
-// Callers address slots as (frame base, slot index); bases stay valid across
-// nested pushes even though the backing vector may reallocate.
-class FrameStack {
- public:
-  FrameStack() { slots_.reserve(64); }
-
-  // Opens a frame of `size` zero-initialised slots; returns its base.
-  size_t PushFrame(size_t size) {
-    const size_t base = slots_.size();
-    slots_.resize(base + size);
-    return base;
-  }
-
-  // Closes the frame opened at `base` (and any frames nested inside it).
-  void PopFrame(size_t base) { slots_.resize(base); }
-
-  Value& At(size_t base, int slot) {
-    return slots_[base + static_cast<size_t>(slot)];
-  }
-  const Value& At(size_t base, int slot) const {
-    return slots_[base + static_cast<size_t>(slot)];
-  }
-
- private:
-  std::vector<Value> slots_;
-};
 
 // A stack of scopes. Interface invocation pushes a fresh frame with the
 // parameters bound; blocks push/pop nested scopes so `let` in an if-arm does

@@ -1,11 +1,11 @@
 // Internals shared by the execution engines (interp.cc, bytecode.cc).
 //
-// The tree walk, the lowered-tree fast path, and the bytecode VM must be
-// observably identical: same values, same probabilities, same draw order,
-// same error statuses, and byte-identical trace events. Everything in this
-// header exists so each observable behaviour is implemented in exactly one
-// place — choosers (the ECV-resolution strategies), the shared trace-event
-// constructors, support rendering, and the engine counters.
+// The tree walk and the bytecode VM must be observably identical: same
+// values, same probabilities, same draw order, same error statuses, and
+// byte-identical trace events. Everything in this header exists so each
+// observable behaviour is implemented in exactly one place — choosers (the
+// ECV-resolution strategies), the shared trace-event constructors, support
+// rendering, and the engine counters.
 //
 // This is an implementation header for src/eval; it is not part of the
 // public evaluator API.
@@ -41,7 +41,6 @@ inline std::string PosContext(const InterfaceDecl& iface, int line,
 // afterwards is a single relaxed atomic increment, and all of them sit on
 // cold paths (construction, cache boundaries, budget failures).
 struct EvalCounters {
-  Counter& engine_fastpath;
   Counter& engine_treewalk;
   Counter& engine_bytecode;
   Counter& bytecode_fallbacks;
@@ -62,17 +61,15 @@ struct EvalCounters {
   static EvalCounters& Get() {
     static EvalCounters* counters = new EvalCounters{
         MetricsRegistry::Global().GetCounter(
-            "eclarity_eval_engine_fastpath_total",
-            "evaluators constructed with the fast-path engine"),
-        MetricsRegistry::Global().GetCounter(
             "eclarity_eval_engine_treewalk_total",
-            "evaluators constructed with the tree-walk engine"),
+            "evaluators the tree walk serves (the kTreeWalk engine or a "
+            "bytecode compile fallback)"),
         MetricsRegistry::Global().GetCounter(
             "eclarity_eval_engine_bytecode_total",
-            "evaluators constructed with the bytecode engine"),
+            "evaluators the bytecode VM serves"),
         MetricsRegistry::Global().GetCounter(
             "eclarity_eval_bytecode_fallback_total",
-            "bytecode-engine evaluators that fell back to the fast path "
+            "bytecode-engine evaluators that fell back to the tree walk "
             "because the program did not compile (e.g. register overflow)"),
         MetricsRegistry::Global().GetCounter(
             "eclarity_eval_bytecode_specialize_total",

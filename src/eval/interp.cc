@@ -39,7 +39,8 @@ using eval_internal::SamplingChooser;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Reference engine: one execution of an interface, walking the AST.
+// Reference engine: one execution of an interface, walking the AST. Also
+// serves bytecode-engine evaluators whose program did not compile.
 // ---------------------------------------------------------------------------
 
 class Execution {
@@ -369,367 +370,6 @@ class Execution {
   size_t path_index_ = 0;
 };
 
-// ---------------------------------------------------------------------------
-// Fast-path engine: one execution of a lowered interface over slot frames.
-//
-// Mirrors Execution statement for statement; any observable difference
-// between the two engines is a bug (tests/fastpath_test.cc holds the line).
-// ---------------------------------------------------------------------------
-
-class FastExecution {
- public:
-  FastExecution(const LoweredProgram& lowered, const EvalOptions& options,
-                const EcvProfile& profile, Chooser& chooser)
-      : lowered_(lowered),
-        options_(options),
-        profile_(profile),
-        chooser_(chooser),
-        trace_(options.trace) {}
-
-  // Reuses this execution (and its frame storage) for another run.
-  void Reset() {
-    steps_ = 0;
-    depth_ = 0;
-  }
-
-  // Labels trace events with the enumeration path being executed.
-  void set_path_index(size_t index) { path_index_ = index; }
-
-  Result<Value> CallByName(const std::string& name,
-                           const std::vector<Value>& args) {
-    const LoweredInterface* iface = lowered_.Find(name);
-    if (iface == nullptr) {
-      return NotFoundError("call to undefined interface '" + name + "'");
-    }
-    return Call(*iface, args);
-  }
-
-  Result<Value> Call(const LoweredInterface& iface,
-                     const std::vector<Value>& args) {
-    if (iface.param_slots.size() != args.size()) {
-      std::ostringstream os;
-      os << "interface '" << iface.decl->name << "' takes "
-         << iface.param_slots.size() << " arguments, got " << args.size();
-      return InvalidArgumentError(os.str());
-    }
-    if (++depth_ > options_.max_call_depth) {
-      EvalCounters::Get().budget_depth.Increment();
-      return ResourceExhaustedError("interface call depth limit exceeded at '" +
-                                    iface.decl->name + "'");
-    }
-    // The reference engine reports entry before its parameter defines, so
-    // the enter event precedes entry_error (a duplicated-parameter define).
-    if (trace_ != nullptr) {
-      EmitEnter(*trace_, iface.decl->name, iface.decl->line, depth_,
-                path_index_);
-    }
-    if (!iface.entry_error.ok()) {
-      return iface.entry_error;
-    }
-    const size_t base = frames_.PushFrame(iface.frame_size);
-    for (size_t i = 0; i < args.size(); ++i) {
-      frames_.At(base, iface.param_slots[i]) = args[i];
-    }
-    Result<std::optional<Value>> result = ExecBlock(iface.body, base, iface);
-    frames_.PopFrame(base);
-    --depth_;
-    if (!result.ok()) {
-      return result.status();
-    }
-    if (!result.value().has_value()) {
-      return InternalError("interface '" + iface.decl->name +
-                           "' fell off the end without returning");
-    }
-    if (trace_ != nullptr) {
-      EmitExit(*trace_, iface.decl->name, *result.value(), depth_ + 1,
-               path_index_);
-    }
-    return *std::move(result).value();
-  }
-
- private:
-  std::string Ctx(const LoweredInterface& iface, int line, int column) const {
-    return PosContext(*iface.decl, line, column);
-  }
-
-  Status BudgetError(const LoweredInterface& iface, const LStmt& stmt) const {
-    EvalCounters::Get().budget_steps.Increment();
-    return ResourceExhaustedError("statement budget exhausted " +
-                                  Ctx(iface, stmt.line, stmt.column));
-  }
-
-  Result<std::optional<Value>> ExecBlock(const std::vector<LStmtPtr>& block,
-                                         size_t base,
-                                         const LoweredInterface& iface) {
-    for (const LStmtPtr& stmt : block) {
-      if (++steps_ > options_.max_steps) {
-        return BudgetError(iface, *stmt);
-      }
-      switch (stmt->kind) {
-        case LStmtKind::kStore: {
-          ECLARITY_ASSIGN_OR_RETURN(Value v, Eval(*stmt->a, base, iface));
-          if (stmt->slot < 0) {
-            return stmt->error;
-          }
-          frames_.At(base, stmt->slot) = std::move(v);
-          break;
-        }
-        case LStmtKind::kAssign: {
-          ECLARITY_ASSIGN_OR_RETURN(Value v, Eval(*stmt->a, base, iface));
-          if (stmt->slot < 0) {
-            return stmt->error;
-          }
-          frames_.At(base, stmt->slot) = std::move(v);
-          break;
-        }
-        case LStmtKind::kEcv: {
-          ECLARITY_RETURN_IF_ERROR(ExecEcv(*stmt, base, iface));
-          break;
-        }
-        case LStmtKind::kIf: {
-          ECLARITY_ASSIGN_OR_RETURN(Value cond, Eval(*stmt->a, base, iface));
-          Result<bool> truth = cond.AsBool();
-          if (!truth.ok()) {
-            return InvalidArgumentError(Ctx(iface, stmt->line, stmt->column) +
-                                        ": if condition: " +
-                                        truth.status().message());
-          }
-          if (trace_ != nullptr) {
-            EmitBranch(*trace_, truth.value(), stmt->line, stmt->column,
-                       depth_, path_index_);
-          }
-          const std::vector<LStmtPtr>& branch =
-              truth.value() ? stmt->then_block : stmt->else_block;
-          ECLARITY_ASSIGN_OR_RETURN(std::optional<Value> r,
-                                    ExecBlock(branch, base, iface));
-          if (r.has_value()) {
-            return r;
-          }
-          break;
-        }
-        case LStmtKind::kFor: {
-          ECLARITY_ASSIGN_OR_RETURN(Value begin_v, Eval(*stmt->a, base, iface));
-          ECLARITY_ASSIGN_OR_RETURN(Value end_v, Eval(*stmt->b, base, iface));
-          ECLARITY_ASSIGN_OR_RETURN(double begin_n, begin_v.AsNumber());
-          ECLARITY_ASSIGN_OR_RETURN(double end_n, end_v.AsNumber());
-          const int64_t lo = static_cast<int64_t>(std::llround(begin_n));
-          const int64_t hi = static_cast<int64_t>(std::llround(end_n));
-          for (int64_t i = lo; i < hi; ++i) {
-            if (++steps_ > options_.max_steps) {
-              return BudgetError(iface, *stmt);
-            }
-            frames_.At(base, stmt->slot) =
-                Value::Number(static_cast<double>(i));
-            ECLARITY_ASSIGN_OR_RETURN(std::optional<Value> r,
-                                      ExecBlock(stmt->then_block, base, iface));
-            if (r.has_value()) {
-              return r;
-            }
-          }
-          break;
-        }
-        case LStmtKind::kReturn: {
-          ECLARITY_ASSIGN_OR_RETURN(Value v, Eval(*stmt->a, base, iface));
-          return std::optional<Value>(std::move(v));
-        }
-      }
-    }
-    return std::optional<Value>();
-  }
-
-  Status ExecEcv(const LStmt& stmt, size_t base,
-                 const LoweredInterface& iface) {
-    const LEcv& ecv = *stmt.ecv;
-    const EcvSupport* support = nullptr;
-    EcvSupport dynamic;
-    if (!profile_.empty()) {
-      support = profile_.FindQualified(ecv.qualified, ecv.bare);
-    }
-    const bool overridden = support != nullptr;
-    if (support == nullptr) {
-      if (!ecv.static_error.ok()) {
-        return ecv.static_error;
-      }
-      if (ecv.static_support.has_value()) {
-        support = &*ecv.static_support;
-      } else {
-        ECLARITY_ASSIGN_OR_RETURN(dynamic,
-                                  ResolveDynamic(ecv, stmt, base, iface));
-        support = &dynamic;
-      }
-    }
-    ECLARITY_ASSIGN_OR_RETURN(size_t idx,
-                              chooser_.Choose(ecv.qualified, *support));
-    if (idx >= support->outcomes.size()) {
-      return InternalError("chooser returned out-of-range index");
-    }
-    if (trace_ != nullptr) {
-      EmitDraw(*trace_, ecv.qualified,
-               DescribeSupport(
-                   overridden ? "profile" : DistKindName(ecv.dist_kind),
-                   *support),
-               support->outcomes[idx].first, support->outcomes[idx].second,
-               stmt.line, stmt.column, depth_, path_index_);
-    }
-    // Order matters: the reference engine resolves and draws before the
-    // redefinition error surfaces.
-    if (stmt.slot < 0) {
-      return stmt.error;
-    }
-    frames_.At(base, stmt.slot) = support->outcomes[idx].first;
-    return OkStatus();
-  }
-
-  // Declared distribution with non-constant parameters: evaluate per run,
-  // exactly like Execution::ResolveSupport.
-  Result<EcvSupport> ResolveDynamic(const LEcv& ecv, const LStmt& stmt,
-                                    size_t base,
-                                    const LoweredInterface& iface) {
-    switch (ecv.dist_kind) {
-      case EcvDistKind::kBernoulli: {
-        ECLARITY_ASSIGN_OR_RETURN(Value p_v, Eval(*ecv.params[0], base, iface));
-        ECLARITY_ASSIGN_OR_RETURN(double p, p_v.AsNumber());
-        if (p < 0.0 || p > 1.0) {
-          return InvalidArgumentError(Ctx(iface, stmt.line, stmt.column) +
-                                      ": bernoulli probability out of [0,1]");
-        }
-        return EcvSupport::Bernoulli(p);
-      }
-      case EcvDistKind::kUniformInt: {
-        ECLARITY_ASSIGN_OR_RETURN(Value lo_v,
-                                  Eval(*ecv.params[0], base, iface));
-        ECLARITY_ASSIGN_OR_RETURN(Value hi_v,
-                                  Eval(*ecv.params[1], base, iface));
-        ECLARITY_ASSIGN_OR_RETURN(double lo_n, lo_v.AsNumber());
-        ECLARITY_ASSIGN_OR_RETURN(double hi_n, hi_v.AsNumber());
-        const int64_t lo = static_cast<int64_t>(std::llround(lo_n));
-        const int64_t hi = static_cast<int64_t>(std::llround(hi_n));
-        if (hi < lo) {
-          return InvalidArgumentError(Ctx(iface, stmt.line, stmt.column) +
-                                      ": uniform_int with inverted bounds");
-        }
-        const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-        if (span > options_.max_ecv_support) {
-          return ResourceExhaustedError(Ctx(iface, stmt.line, stmt.column) +
-                                        ": uniform_int support too large");
-        }
-        std::vector<std::pair<Value, double>> outcomes;
-        outcomes.reserve(span);
-        for (int64_t v = lo; v <= hi; ++v) {
-          outcomes.emplace_back(Value::Number(static_cast<double>(v)), 1.0);
-        }
-        return EcvSupport::Make(std::move(outcomes));
-      }
-      case EcvDistKind::kCategorical: {
-        std::vector<std::pair<Value, double>> outcomes;
-        for (size_t i = 0; i + 1 < ecv.params.size(); i += 2) {
-          ECLARITY_ASSIGN_OR_RETURN(Value v, Eval(*ecv.params[i], base, iface));
-          ECLARITY_ASSIGN_OR_RETURN(Value p_v,
-                                    Eval(*ecv.params[i + 1], base, iface));
-          ECLARITY_ASSIGN_OR_RETURN(double p, p_v.AsNumber());
-          outcomes.emplace_back(std::move(v), p);
-        }
-        Result<EcvSupport> support = EcvSupport::Make(std::move(outcomes));
-        if (!support.ok()) {
-          return InvalidArgumentError(Ctx(iface, stmt.line, stmt.column) +
-                                      ": " + support.status().message());
-        }
-        return support;
-      }
-    }
-    return InternalError("unknown ECV distribution kind");
-  }
-
-  Result<Value> Eval(const LExpr& e, size_t base,
-                     const LoweredInterface& iface) {
-    switch (e.kind) {
-      case LExprKind::kConst:
-        // is_energy_term is only ever set in preserve-energy-terms lowering
-        // (i.e. when tracing), so the untraced hot path pays one predictable
-        // branch here and nothing else.
-        if (e.is_energy_term && trace_ != nullptr) {
-          EmitTerm(*trace_, iface.decl->name, e.constant, e.line, e.column,
-                   depth_, path_index_);
-        }
-        return e.constant;
-      case LExprKind::kSlot:
-        return frames_.At(base, e.slot);
-      case LExprKind::kError:
-        return e.error;
-      case LExprKind::kUnary: {
-        ECLARITY_ASSIGN_OR_RETURN(Value operand,
-                                  Eval(*e.children[0], base, iface));
-        return ApplyUnary(e.uop, operand, e.context);
-      }
-      case LExprKind::kBinary: {
-        if (e.bop == BinaryOp::kAnd || e.bop == BinaryOp::kOr) {
-          ECLARITY_ASSIGN_OR_RETURN(Value lhs,
-                                    Eval(*e.children[0], base, iface));
-          ECLARITY_ASSIGN_OR_RETURN(bool lv, lhs.AsBool());
-          if (e.bop == BinaryOp::kAnd && !lv) {
-            return Value::Bool(false);
-          }
-          if (e.bop == BinaryOp::kOr && lv) {
-            return Value::Bool(true);
-          }
-          ECLARITY_ASSIGN_OR_RETURN(Value rhs,
-                                    Eval(*e.children[1], base, iface));
-          ECLARITY_ASSIGN_OR_RETURN(bool rv, rhs.AsBool());
-          return Value::Bool(rv);
-        }
-        ECLARITY_ASSIGN_OR_RETURN(Value lhs, Eval(*e.children[0], base, iface));
-        ECLARITY_ASSIGN_OR_RETURN(Value rhs, Eval(*e.children[1], base, iface));
-        return ApplyBinary(e.bop, lhs, rhs, e.context);
-      }
-      case LExprKind::kConditional: {
-        ECLARITY_ASSIGN_OR_RETURN(Value cond, Eval(*e.children[0], base, iface));
-        ECLARITY_ASSIGN_OR_RETURN(bool truth, cond.AsBool());
-        return Eval(*e.children[truth ? 1 : 2], base, iface);
-      }
-      case LExprKind::kBuiltin: {
-        std::vector<Value> args;
-        args.reserve(e.children.size());
-        for (const LExprPtr& child : e.children) {
-          ECLARITY_ASSIGN_OR_RETURN(Value v, Eval(*child, base, iface));
-          args.push_back(std::move(v));
-        }
-        Result<Value> result = ApplyBuiltin(
-            e.call_src->callee, args, e.call_src->string_args, e.context);
-        // au(...) mints abstract energy: an energy term for the trace.
-        if (trace_ != nullptr && result.ok() && e.call_src->callee == "au") {
-          EmitTerm(*trace_, iface.decl->name, result.value(), e.line,
-                   e.column, depth_, path_index_);
-        }
-        return result;
-      }
-      case LExprKind::kCall: {
-        std::vector<Value> args;
-        args.reserve(e.children.size());
-        for (const LExprPtr& child : e.children) {
-          ECLARITY_ASSIGN_OR_RETURN(Value v, Eval(*child, base, iface));
-          args.push_back(std::move(v));
-        }
-        // Arguments evaluate before resolution errors, as in the tree walk.
-        if (!e.call_error.ok()) {
-          return e.call_error;
-        }
-        return Call(*e.callee, args);
-      }
-    }
-    return InternalError("unknown expression kind");
-  }
-
-  const LoweredProgram& lowered_;
-  const EvalOptions& options_;
-  const EcvProfile& profile_;
-  Chooser& chooser_;
-  TraceSink* const trace_;
-  FrameStack frames_;
-  size_t steps_ = 0;
-  int depth_ = 0;
-  size_t path_index_ = 0;
-};
-
 }  // namespace
 
 Evaluator::Evaluator(const Program& program, EvalOptions options)
@@ -742,37 +382,29 @@ Evaluator::Evaluator(const Program& program, EvalOptions options)
       enum_cache_(options.enum_cache_capacity),
       fold_cache_(options.enum_cache_capacity),
       analytic_cache_(options.analytic_cache_capacity) {
-  if (options_.engine != EvalEngine::kTreeWalk) {
-    lowered_ = std::make_unique<LoweredProgram>(LoweredProgram::Lower(
-        program, options_.max_ecv_support,
-        /*preserve_energy_terms=*/options_.trace != nullptr));
+  if (options_.engine == EvalEngine::kTreeWalk) {
+    EvalCounters::Get().engine_treewalk.Increment();
+    return;
   }
-  switch (options_.engine) {
-    case EvalEngine::kBytecode: {
-      const auto start = std::chrono::steady_clock::now();
-      Result<std::shared_ptr<const BytecodeProgram>> compiled =
-          BytecodeProgram::Compile(*lowered_);
-      EvalCounters::Get().bytecode_compile_micros.Observe(
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - start)
-              .count());
-      if (compiled.ok()) {
-        bytecode_ = *std::move(compiled);
-        EvalCounters::Get().engine_bytecode.Increment();
-      } else {
-        // Degenerate register pressure: the lowered-tree walk serves
-        // instead, transparently (identical observable behaviour).
-        EvalCounters::Get().bytecode_fallbacks.Increment();
-        EvalCounters::Get().engine_fastpath.Increment();
-      }
-      break;
-    }
-    case EvalEngine::kFastPath:
-      EvalCounters::Get().engine_fastpath.Increment();
-      break;
-    case EvalEngine::kTreeWalk:
-      EvalCounters::Get().engine_treewalk.Increment();
-      break;
+  lowered_ = std::make_unique<LoweredProgram>(LoweredProgram::Lower(
+      program, options_.max_ecv_support,
+      /*preserve_energy_terms=*/options_.trace != nullptr));
+  const auto start = std::chrono::steady_clock::now();
+  Result<std::shared_ptr<const BytecodeProgram>> compiled =
+      BytecodeProgram::Compile(*lowered_);
+  EvalCounters::Get().bytecode_compile_micros.Observe(
+      std::chrono::duration<double, std::micro>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+  if (compiled.ok()) {
+    bytecode_ = *std::move(compiled);
+    EvalCounters::Get().engine_bytecode.Increment();
+  } else {
+    // Degenerate register pressure: the tree walk serves instead, with
+    // identical observable behaviour. lowered_ stays: the analytic pass and
+    // the batch engine read it.
+    EvalCounters::Get().bytecode_fallbacks.Increment();
+    EvalCounters::Get().engine_treewalk.Increment();
   }
 }
 
@@ -841,10 +473,6 @@ Result<Value> Evaluator::EvalSampled(const std::string& interface_name,
     BytecodeInterpreter vm(*bc, options_, profile, chooser);
     return vm.CallByName(interface_name, args);
   }
-  if (lowered_ != nullptr) {
-    FastExecution exec(*lowered_, options_, profile, chooser);
-    return exec.CallByName(interface_name, args);
-  }
   Execution exec(*program_, options_, profile, chooser);
   return exec.CallInterface(interface_name, args);
 }
@@ -857,11 +485,8 @@ Result<std::vector<WeightedOutcome>> Evaluator::EnumerateUncached(
   TraceSink* const trace = options_.trace;
   const std::shared_ptr<const BytecodeProgram> bc = PickBytecode(profile);
   std::optional<BytecodeInterpreter> vm;
-  std::optional<FastExecution> fast;
   if (bc != nullptr) {
     vm.emplace(*bc, options_, profile, chooser);
-  } else if (lowered_ != nullptr) {
-    fast.emplace(*lowered_, options_, profile, chooser);
   }
   for (;;) {
     if (outcomes.size() >= options_.max_paths) {
@@ -881,10 +506,6 @@ Result<std::vector<WeightedOutcome>> Evaluator::EnumerateUncached(
       vm->Reset();
       vm->set_path_index(path_index);
       ECLARITY_ASSIGN_OR_RETURN(value, vm->CallByName(interface_name, args));
-    } else if (fast.has_value()) {
-      fast->Reset();
-      fast->set_path_index(path_index);
-      ECLARITY_ASSIGN_OR_RETURN(value, fast->CallByName(interface_name, args));
     } else {
       Execution exec(*program_, options_, profile, chooser);
       exec.set_path_index(path_index);
@@ -990,19 +611,12 @@ Result<CertifiedDistribution> Evaluator::EnumerateToCertified(
     const EcvProfile& profile, const EnergyCalibration* calibration) const {
   ECLARITY_ASSIGN_OR_RETURN(SharedOutcomes outcomes,
                             EnumerateShared(interface_name, args, profile));
-  std::vector<Atom> atoms;
-  atoms.reserve(outcomes->size());
-  for (const WeightedOutcome& o : *outcomes) {
-    ECLARITY_ASSIGN_OR_RETURN(double joules,
-                              OutcomeJoules(o.value, calibration));
-    atoms.push_back({joules, o.probability});
-  }
-  ECLARITY_ASSIGN_OR_RETURN(Distribution dist,
-                            Distribution::Categorical(std::move(atoms)));
+  ECLARITY_ASSIGN_OR_RETURN(ExactFold fold,
+                            FoldOutcomes(*outcomes, calibration));
   CertifiedDistribution cd;
-  cd.distribution = std::move(dist);
+  cd.distribution = std::move(fold.distribution);
   cd.has_distribution = true;
-  cd.mean = cd.distribution.Mean();
+  cd.mean = fold.mean;
   cd.variance = cd.distribution.Variance();
   cd.min_joules = cd.distribution.MinValue();
   cd.max_joules = cd.distribution.MaxValue();
@@ -1140,7 +754,22 @@ Result<double> OutcomeJoules(const Value& value,
   return resolved.joules();
 }
 
-Result<const Evaluator::FoldEntry*> Evaluator::FoldShared(
+Result<ExactFold> FoldOutcomes(const std::vector<WeightedOutcome>& outcomes,
+                               const EnergyCalibration* calibration) {
+  std::vector<Atom> atoms;
+  atoms.reserve(outcomes.size());
+  for (const WeightedOutcome& o : outcomes) {
+    ECLARITY_ASSIGN_OR_RETURN(double joules,
+                              OutcomeJoules(o.value, calibration));
+    atoms.push_back({joules, o.probability});
+  }
+  ECLARITY_ASSIGN_OR_RETURN(Distribution dist,
+                            Distribution::Categorical(std::move(atoms)));
+  const double mean = dist.Mean();
+  return ExactFold{std::move(dist), mean};
+}
+
+Result<const ExactFold*> Evaluator::FoldShared(
     const std::string& interface_name, const std::vector<Value>& args,
     const EcvProfile& profile, const EnergyCalibration* calibration) const {
   // The last entry this thread resolved, pinned by the slot's shared_ptr:
@@ -1151,7 +780,7 @@ Result<const Evaluator::FoldEntry*> Evaluator::FoldShared(
   struct MruSlot {
     uint64_t eval_id = 0;
     std::string key;
-    std::shared_ptr<const FoldEntry> entry;
+    std::shared_ptr<const ExactFold> entry;
   };
   thread_local MruSlot mru;
   // Tracing bypasses caching end to end (EnumerateShared would replay no
@@ -1181,7 +810,7 @@ Result<const Evaluator::FoldEntry*> Evaluator::FoldShared(
       return mru.entry.get();
     }
     std::lock_guard<std::mutex> lock(cache_mu_);
-    if (const std::shared_ptr<const FoldEntry>* hit = fold_cache_.Get(key)) {
+    if (const std::shared_ptr<const ExactFold>* hit = fold_cache_.Get(key)) {
       mru.eval_id = eval_id_;
       mru.key = key;
       mru.entry = *hit;
@@ -1190,18 +819,9 @@ Result<const Evaluator::FoldEntry*> Evaluator::FoldShared(
   }
   ECLARITY_ASSIGN_OR_RETURN(SharedOutcomes outcomes,
                             EnumerateShared(interface_name, args, profile));
-  std::vector<Atom> atoms;
-  atoms.reserve(outcomes->size());
-  for (const WeightedOutcome& o : *outcomes) {
-    ECLARITY_ASSIGN_OR_RETURN(double joules,
-                              OutcomeJoules(o.value, calibration));
-    atoms.push_back({joules, o.probability});
-  }
-  ECLARITY_ASSIGN_OR_RETURN(Distribution dist,
-                            Distribution::Categorical(std::move(atoms)));
-  const double mean = dist.Mean();
-  auto entry =
-      std::make_shared<const FoldEntry>(FoldEntry{std::move(dist), mean});
+  ECLARITY_ASSIGN_OR_RETURN(ExactFold fold,
+                            FoldOutcomes(*outcomes, calibration));
+  auto entry = std::make_shared<const ExactFold>(std::move(fold));
   if (use_cache) {
     // Errors never reach this point, so only successes are cached.
     std::lock_guard<std::mutex> lock(cache_mu_);
@@ -1228,7 +848,7 @@ Result<Distribution> Evaluator::EvalDistribution(
     return cd.distribution;
   }
   ECLARITY_ASSIGN_OR_RETURN(
-      const FoldEntry* entry,
+      const ExactFold* entry,
       FoldShared(interface_name, args, profile, calibration));
   return entry->distribution;
 }
@@ -1243,7 +863,7 @@ Result<Energy> Evaluator::ExpectedEnergy(
     return Energy::Joules(cd.mean);
   }
   ECLARITY_ASSIGN_OR_RETURN(
-      const FoldEntry* entry,
+      const ExactFold* entry,
       FoldShared(interface_name, args, profile, calibration));
   return Energy::Joules(entry->mean);
 }
@@ -1282,21 +902,14 @@ Result<Energy> Evaluator::MonteCarloMean(
   const auto run_chunk = [&](Chunk& chunk) {
     SamplingChooser chooser(chunk.rng);
     std::optional<BytecodeInterpreter> vm;
-    std::optional<FastExecution> fast;
     if (bc != nullptr) {
       vm.emplace(*bc, options_, profile, chooser);
-    } else if (lowered_ != nullptr) {
-      fast.emplace(*lowered_, options_, profile, chooser);
     }
     for (size_t i = 0; i < chunk.count; ++i) {
       Result<Value> value = [&]() -> Result<Value> {
         if (vm.has_value()) {
           vm->Reset();
           return vm->CallByName(interface_name, args);
-        }
-        if (fast.has_value()) {
-          fast->Reset();
-          return fast->CallByName(interface_name, args);
         }
         Execution exec(*program_, options_, profile, chooser);
         return exec.CallInterface(interface_name, args);

@@ -16,15 +16,17 @@
 //                       resolving abstract units through a calibration.
 //
 // Two execution engines implement the same semantics (see DESIGN.md,
-// "Evaluation fast path"):
+// "Evaluation fast path" and "Bytecode VM"):
 //
-//   * kFastPath (default) — runs a lowered form of the program (eval/lower)
-//     with slot-indexed frames, pre-bound calls, folded constants, and an
-//     LRU cache over enumeration results. Observable behaviour — values,
-//     probabilities, draw order, error codes and messages — is identical to
-//     the tree walk.
-//   * kTreeWalk — the original AST interpreter, kept as the executable
-//     specification the fast path is tested against.
+//   * kBytecode (default) — lowers the program once (eval/lower), compiles
+//     the lowered IR to register bytecode (eval/bytecode), and dispatches
+//     over it. An interface too large to compile (more than 65535
+//     registers) makes the evaluator run the tree walk instead, counted in
+//     eclarity_eval_bytecode_fallback_total.
+//   * kTreeWalk — the AST interpreter, kept as the executable
+//     specification the bytecode engine is tested against. Observable
+//     behaviour — values, probabilities, draw order, traces, error codes
+//     and messages — is identical on both.
 //
 // The interval/worst-case evaluator lives in interval.h; the shared AST and
 // value semantics keep the two consistent.
@@ -57,7 +59,6 @@ class TraceSink;
 class VmProfiler;
 
 enum class EvalEngine {
-  kFastPath,  // lowered IR + slot frames + enumeration cache
   kTreeWalk,  // reference AST interpreter
   kBytecode,  // lowered IR compiled to register bytecode (the default)
 };
@@ -89,8 +90,8 @@ struct EvalOptions {
   size_t max_paths = 200'000;
   // Guard on the size of a single ECV's support (e.g. wide uniform_int).
   size_t max_ecv_support = 4096;
-  // Which execution engine runs the program. All three produce identical
-  // results; kBytecode transparently falls back to kFastPath when the
+  // Which execution engine runs the program. Both produce identical
+  // results; kBytecode transparently falls back to the tree walk when the
   // program does not compile (see DESIGN.md, "Bytecode VM").
   EvalEngine engine = EvalEngine::kBytecode;
   // Capacity of the per-evaluator enumeration cache, in entries keyed by
@@ -103,9 +104,10 @@ struct EvalOptions {
   // structured events — interface enter/exit, ECV draws, branches, energy
   // terms, enumeration path markers — to the sink, bit-for-bit identically.
   // Tracing bypasses the enumeration cache (cached replays would emit no
-  // events) and, on the fast path, switches lowering to preserve-energy-terms
-  // mode. The sink must outlive the evaluator. nullptr (default) keeps
-  // evaluation at full speed: the engines only test this pointer.
+  // events) and, on the bytecode engine, switches lowering to
+  // preserve-energy-terms mode. The sink must outlive the evaluator.
+  // nullptr (default) keeps evaluation at full speed: the engines only test
+  // this pointer.
   TraceSink* trace = nullptr;
   // Distribution-evaluation mode for EvalCertified / EvalDistribution /
   // ExpectedEnergy. Tracing forces kEnumerate behaviour (the analytic
@@ -139,10 +141,17 @@ struct WeightedOutcome {
   std::vector<std::pair<std::string, Value>> ecv_assignments;
 };
 
+// An exact answer: enumerated outcomes folded to their Joules distribution
+// and its mean (see FoldOutcomes).
+struct ExactFold {
+  Distribution distribution;
+  double mean = 0.0;
+};
+
 class Evaluator {
  public:
-  // The program must outlive the evaluator. With the default fast-path
-  // engine the program is lowered here, once.
+  // The program must outlive the evaluator. With the default bytecode
+  // engine the program is lowered and compiled here, once.
   explicit Evaluator(const Program& program, EvalOptions options = {});
   ~Evaluator();
 
@@ -226,8 +235,8 @@ class Evaluator {
   // runs outside the selection lock, so concurrent readers keep answering
   // from the generic (or previously specialized) program — QueryService
   // calls this before publishing each snapshot. `profile` must stay alive
-  // and unmodified while evaluations use it. No-op on other engines; a
-  // failed specialization keeps the generic program serving.
+  // and unmodified while evaluations use it. No-op when the tree walk
+  // serves; a failed specialization keeps the generic program serving.
   void PrepareSpecialized(const EcvProfile& profile) const;
 
   // Bytecode-engine observability (tests, metrics). bytecode() is the
@@ -263,20 +272,15 @@ class Evaluator {
 
   // Bytecode program serving `profile`: the specialized program when its
   // baked profile matches (by address, then by fingerprint), the generic
-  // program otherwise, nullptr when the engine is not bytecode.
+  // program otherwise, nullptr when the tree walk serves.
   std::shared_ptr<const BytecodeProgram> PickBytecode(
       const EcvProfile& profile) const;
 
-  // One folded enumeration: the Joules distribution and its mean, cached so
-  // repeated exact queries skip the per-call fold + Distribution build.
-  struct FoldEntry {
-    Distribution distribution;
-    double mean = 0.0;
-  };
-  // The returned pointer stays valid until the calling thread's next
-  // FoldShared call (a thread-local MRU slot pins the entry); callers
-  // consume it immediately.
-  Result<const FoldEntry*> FoldShared(
+  // One folded enumeration, cached so repeated exact queries skip the
+  // per-call fold + Distribution build. The returned pointer stays valid
+  // until the calling thread's next FoldShared call (a thread-local MRU slot
+  // pins the entry); callers consume it immediately.
+  Result<const ExactFold*> FoldShared(
       const std::string& interface_name, const std::vector<Value>& args,
       const EcvProfile& profile, const EnergyCalibration* calibration) const;
 
@@ -294,7 +298,8 @@ class Evaluator {
   EvalOptions options_;
   std::unique_ptr<LoweredProgram> lowered_;  // null when engine == kTreeWalk
   // Generic compiled program (kBytecode engine; null after a compile
-  // fallback). Immutable once constructed, so reads need no lock.
+  // fallback, when the tree walk serves). Immutable once constructed, so
+  // reads need no lock.
   std::shared_ptr<const BytecodeProgram> bytecode_;
 
   // Profile-specialized program, swapped in by PrepareSpecialized. The flag
@@ -317,7 +322,7 @@ class Evaluator {
   // one key build plus one string compare; this map is the shared store
   // behind it. Entries are immutable shared state, so a stale MRU slot
   // after eviction still holds the correct value.
-  mutable LruMap<std::string, std::shared_ptr<const FoldEntry>> fold_cache_;
+  mutable LruMap<std::string, std::shared_ptr<const ExactFold>> fold_cache_;
 
   // Analytic state: shape analysis (built on first certified evaluation)
   // and the memoized sub-distribution cache, both guarded by analytic_mu_.
@@ -333,6 +338,13 @@ class Evaluator {
 // abstract; nullptr requires concreteness).
 Result<double> OutcomeJoules(const Value& value,
                              const EnergyCalibration* calibration);
+
+// The exact fold: each outcome through OutcomeJoules, the atoms through
+// Distribution::Categorical (canonical atom order), then Mean. Every exact
+// answer — evaluator, batch lane, query service — is folded here, so they
+// share bits.
+Result<ExactFold> FoldOutcomes(const std::vector<WeightedOutcome>& outcomes,
+                               const EnergyCalibration* calibration);
 
 }  // namespace eclarity
 

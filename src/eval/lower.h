@@ -1,4 +1,5 @@
-// Lowered form of an EIL program: the evaluation fast path's input.
+// Lowered form of an EIL program: the input of the bytecode compiler, the
+// batch engine and the analytic pass.
 //
 // Lowering runs once per Evaluator and removes every per-execution cost that
 // is not genuinely dynamic:
@@ -144,9 +145,9 @@ class LoweredProgram {
   // `preserve_energy_terms` is the tracing mode: energy literals lower to
   // kConst nodes flagged is_energy_term and are excluded from every fold
   // (including au(...) folding and static ECV support pre-resolution), so
-  // the fast path evaluates — and traces — each energy term at exactly the
-  // points the tree walk does. Values stay bit-identical either way, since
-  // runtime operators are the same functions the folder uses.
+  // the bytecode VM evaluates — and traces — each energy term at exactly
+  // the points the tree walk does. Values stay bit-identical either way,
+  // since runtime operators are the same functions the folder uses.
   static LoweredProgram Lower(const Program& program, size_t max_ecv_support,
                               bool preserve_energy_terms = false);
 

@@ -45,7 +45,7 @@ Status CheckProgramOk(const Program& program, const CheckOptions& options = {});
 // Collects the names of all ECVs declared anywhere in `decl`.
 std::vector<std::string> CollectEcvNames(const InterfaceDecl& decl);
 
-// --- Slot resolution (symbol tables for the evaluation fast path) ----------
+// --- Slot resolution (symbol tables for lowering) -------------------------
 //
 // Assigns every local binding in an interface (parameter, let, ecv, loop
 // variable) a dense frame-slot index so the evaluator can replace

@@ -107,6 +107,9 @@ Counter& MetricsRegistry::GetCounter(const std::string& name,
     entry.counter = std::make_unique<Counter>();
   }
   if (entry.counter != nullptr) {
+    if (entry.help.empty()) {
+      entry.help = help;  // first fetched by a reader that gave no help
+    }
     return *entry.counter;
   }
   // Kind clash: hand back a detached dummy so callers never crash.

@@ -101,9 +101,9 @@ class MetricsRegistry {
 
   // Returns the metric registered under `name`, creating it on first use.
   // References stay valid for the registry's lifetime. `help` is recorded on
-  // first registration only. Requesting an existing name as a different
-  // metric kind returns a dummy metric (never null) and logs nothing — the
-  // exporter keeps the original.
+  // first registration only (for a counter, the first that supplies one).
+  // Requesting an existing name as a different metric kind returns a dummy
+  // metric (never null) and logs nothing — the exporter keeps the original.
   Counter& GetCounter(const std::string& name, const std::string& help = "");
   Gauge& GetGauge(const std::string& name, const std::string& help = "");
   Histogram& GetHistogram(const std::string& name, const std::string& help,

@@ -8,9 +8,9 @@
 // term that contributes joules — with source locations, so a prediction can
 // be replayed back onto the EIL text that produced it.
 //
-// The event stream is part of the engine-parity contract: the fast path and
-// the tree-walk reference emit bit-for-bit identical traces for the same
-// evaluation (tests/fastpath_test.cc enforces this).
+// The event stream is part of the engine-parity contract: the bytecode VM
+// and the tree-walk reference emit bit-for-bit identical traces for the
+// same evaluation (tests/engine_parity_test.cc enforces this).
 //
 // Cost model: tracing is off by default (EvalOptions::trace == nullptr) and
 // the engines only pay an untaken branch per candidate event when it is off;

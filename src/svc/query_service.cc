@@ -703,7 +703,7 @@ void QueryService::StoreFold(const std::string& key, SharedFold entry) const {
   slot.entry = std::move(entry);
 }
 
-Result<const QueryService::ExactFold*> QueryService::FoldCached(
+Result<const ExactFold*> QueryService::FoldCached(
     const Snapshot& snapshot, const Query& query,
     const std::string* key_hint) const {
   // Thread-local scratch: steady-state key builds allocate nothing.
@@ -737,26 +737,18 @@ Result<const QueryService::ExactFold*> QueryService::FoldCached(
   if (sampled) {
     JournalPhase(JournalEventKind::kEval, (*outcomes)->size(), eval_t0);
   }
-  // Fold through Distribution's canonical atom order — the exact path
-  // Evaluator::ExpectedEnergy takes — so service answers are bit-identical
-  // to the single-threaded engine's. Folding once at insert means a cache
-  // hit serves Expected and Distribution queries with no per-query fold.
+  // The fold Evaluator::ExpectedEnergy takes, so service answers are
+  // bit-identical to the single-threaded engine's. Folding once at insert
+  // means a cache hit serves Expected and Distribution queries with no
+  // per-query fold.
   const uint64_t fold_t0 = sampled ? ObsNowNs() : 0;
-  std::vector<Atom> atoms;
-  atoms.reserve((*outcomes)->size());
-  for (const WeightedOutcome& o : **outcomes) {
-    ECLARITY_ASSIGN_OR_RETURN(double joules,
-                              OutcomeJoules(o.value, options_.calibration));
-    atoms.push_back({joules, o.probability});
-  }
-  ECLARITY_ASSIGN_OR_RETURN(Distribution dist,
-                            Distribution::Categorical(std::move(atoms)));
-  const double mean = dist.Mean();
+  ECLARITY_ASSIGN_OR_RETURN(ExactFold fold,
+                            FoldOutcomes(**outcomes, options_.calibration));
   if (sampled) {
-    JournalPhase(JournalEventKind::kFold, dist.atoms().size(), fold_t0);
+    JournalPhase(JournalEventKind::kFold, fold.distribution.atoms().size(),
+                 fold_t0);
   }
-  auto entry = std::make_shared<const ExactFold>(
-      ExactFold{std::move(dist), mean});
+  auto entry = std::make_shared<const ExactFold>(std::move(fold));
   const ExactFold* raw = entry.get();
   StoreFold(*key, std::move(entry));  // the thread-local slot pins `raw`
   return raw;
@@ -1411,7 +1403,7 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
     for (const BatchDistinct* d : lanes) {
       lane_args.push_back(&d->query->args);
     }
-    std::vector<Result<BatchLaneFold>> folds =
+    std::vector<Result<ExactFold>> folds =
         plan.EnumerateFold(lane_args, *group_key.second, options_.calibration);
     for (size_t l = 0; l < lanes.size(); ++l) {
       BatchDistinct* d = lanes[l];
@@ -1420,8 +1412,7 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
         d->error = folds[l].status();
         continue;
       }
-      auto entry = std::make_shared<const ExactFold>(
-          ExactFold{std::move(folds[l]->distribution), folds[l]->mean});
+      auto entry = std::make_shared<const ExactFold>(*std::move(folds[l]));
       d->fold = entry;
       StoreFold(d->key, std::move(entry));
       if (d->memo_slot != nullptr) {

@@ -6,7 +6,7 @@
 // This service makes that usage pattern first-class:
 //
 //   * Immutable snapshots, RCU-style. The checked program (with its
-//     lowered fast-path form) and the base ECV profile live in an
+//     lowered and compiled form) and the base ECV profile live in an
 //     atomically swappable std::shared_ptr<const Snapshot>. Readers
 //     acquire a snapshot with one atomic load and keep evaluating against
 //     it even while a writer publishes a new profile or program — the old
@@ -186,12 +186,8 @@ class QueryService {
   // --- Observability -------------------------------------------------------
 
   // An exact query's fully folded answer, shared via the cache: the
-  // enumeration folded to its canonical distribution and mean once, at
-  // insert time, so hits answer Expected / Distribution queries directly.
-  struct ExactFold {
-    Distribution distribution;
-    double mean = 0.0;
-  };
+  // enumeration folded (FoldOutcomes) once, at insert time, so hits answer
+  // Expected / Distribution queries directly.
   using SharedFold = std::shared_ptr<const ExactFold>;
 
   using CacheStats = ShardedLruMap<std::string, SharedFold>::ShardStats;

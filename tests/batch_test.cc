@@ -4,7 +4,7 @@
 //   * BATCH BIT-IDENTITY — BatchPlan::EnumerateFold's per-lane folds
 //     (distribution atoms, probability bits, mean) must equal the scalar
 //     enumeration fold bit for bit, per lane, against every engine (tree
-//     walk, fast path, bytecode), at widths {1, 2, 7, 64, 513}, across the
+//     walk, bytecode), at widths {1, 2, 7, 64, 513}, across the
 //     shared parity corpus and randomized deep-ECV programs — including
 //     error codes and messages when individual lanes fail or exceed
 //     budgets.
@@ -113,7 +113,7 @@ void ExpectLaneMatchesScalar(const Evaluator& evaluator,
                              const std::string& entry,
                              const std::vector<Value>& args,
                              const EcvProfile& profile,
-                             const Result<BatchLaneFold>& lane,
+                             const Result<ExactFold>& lane,
                              const std::string& label) {
   const Result<Distribution> want_dist =
       evaluator.EvalDistribution(entry, args, profile);
@@ -144,7 +144,6 @@ struct EngineCase {
 };
 constexpr EngineCase kEngines[] = {
     {"tree_walk", EvalEngine::kTreeWalk},
-    {"fast_path", EvalEngine::kFastPath},
     {"bytecode", EvalEngine::kBytecode},
 };
 

@@ -3,7 +3,8 @@
 // deduplication, superinstruction fusion parity, register-frame reuse
 // across nested calls, and profile-swap respecialization rekeying the
 // query-service cache. Broad value/trace/error parity with the tree walk
-// lives in tests/differential_test.cc and tests/eval_edge_test.cc.
+// lives in tests/engine_parity_test.cc, tests/differential_test.cc and
+// tests/eval_edge_test.cc.
 
 #include <gtest/gtest.h>
 

@@ -3,7 +3,7 @@
 // bounds" work: every program is replayed through
 //
 //   * the tree-walking reference interpreter (exact enumeration fold),
-//   * the lowered fast path (exact enumeration fold), and
+//   * the register bytecode VM (exact enumeration fold), and
 //   * the analytic engines (kAnalyticExact / kAnalyticBounded /
 //     kAnalyticMoments),
 //
@@ -22,7 +22,7 @@
 //     algebra cannot reproduce exactly is re-run through enumeration).
 //
 // The corpus is the engine-parity corpus (tests/parity_programs.h, shared
-// with fastpath_test.cc) plus randomized deep ECV programs
+// with engine_parity_test.cc) plus randomized deep ECV programs
 // (tests/deep_program_gen.h) whose path counts make enumeration the
 // expensive engine and the analytic path the interesting one.
 
@@ -129,25 +129,24 @@ void ExpectDifferentialAgreement(const Program& program,
   Evaluator tree(program, tree_options);
   const auto ref = tree.EvalCertified(entry, args, profile);
 
-  // References #2 and #3: the lowered fast path and the register bytecode
-  // VM in kEnumerate mode must agree with the tree walk bit for bit (the
-  // pre-existing parity contract, rechecked here through the certified
-  // surface). Errors must match code and message too.
-  for (const EvalEngine engine :
-       {EvalEngine::kFastPath, EvalEngine::kBytecode}) {
-    SCOPED_TRACE(engine == EvalEngine::kFastPath ? "fastpath" : "bytecode");
-    EvalOptions engine_options;
-    engine_options.engine = engine;
-    Evaluator lowered(program, engine_options);
-    const auto lowered_ref = lowered.EvalCertified(entry, args, profile);
-    ASSERT_EQ(lowered_ref.ok(), ref.ok())
-        << "lowered: " << lowered_ref.status().ToString()
+  // Reference #2: the register bytecode VM in kEnumerate mode must agree
+  // with the tree walk bit for bit (the engine-parity contract, rechecked
+  // here through the certified surface). Errors must match code and message
+  // too.
+  {
+    SCOPED_TRACE("bytecode");
+    EvalOptions bytecode_options;
+    bytecode_options.engine = EvalEngine::kBytecode;
+    Evaluator bytecode(program, bytecode_options);
+    const auto bytecode_ref = bytecode.EvalCertified(entry, args, profile);
+    ASSERT_EQ(bytecode_ref.ok(), ref.ok())
+        << "bytecode: " << bytecode_ref.status().ToString()
         << "\ntree: " << ref.status().ToString();
     if (ref.ok()) {
-      ExpectExactBitIdentity(*ref, *lowered_ref);
+      ExpectExactBitIdentity(*ref, *bytecode_ref);
     } else {
-      EXPECT_EQ(lowered_ref.status().code(), ref.status().code());
-      EXPECT_EQ(lowered_ref.status().message(), ref.status().message());
+      EXPECT_EQ(bytecode_ref.status().code(), ref.status().code());
+      EXPECT_EQ(bytecode_ref.status().message(), ref.status().message());
     }
   }
 

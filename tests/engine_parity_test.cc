@@ -1,0 +1,371 @@
+// Parity tests for the two evaluation engines: the register bytecode VM
+// (EvalEngine::kBytecode, the default) must be observationally identical to
+// the tree-walking reference interpreter (EvalEngine::kTreeWalk) — same
+// outcome values and probability bits, ECV draw order, trace events,
+// sampled values, and error codes and messages. Also covers the tree walk
+// serving when bytecode compilation overflows, and the determinism
+// guarantee of the parallel Monte Carlo reduction.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "src/eval/batch.h"
+#include "src/eval/interp.h"
+#include "src/lang/parser.h"
+#include "src/obs/metrics.h"
+#include "src/obs/trace.h"
+#include "tests/parity_programs.h"
+
+namespace eclarity {
+namespace {
+
+std::vector<Value> NumberArgs(const std::vector<double>& xs) {
+  std::vector<Value> args;
+  args.reserve(xs.size());
+  for (double x : xs) {
+    args.push_back(Value::Number(x));
+  }
+  return args;
+}
+
+Program MustParse(const std::string& source) {
+  auto program = ParseProgram(source);
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  return std::move(program).value();
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+std::string Fingerprint(const Value& v) {
+  std::string out;
+  v.AppendFingerprint(out);
+  return out;
+}
+
+EvalOptions BytecodeOptions() {
+  EvalOptions options;
+  options.engine = EvalEngine::kBytecode;
+  return options;
+}
+
+EvalOptions TreeOptions() {
+  EvalOptions options;
+  options.engine = EvalEngine::kTreeWalk;
+  return options;
+}
+
+// Same paths in the same order: value fingerprints, probability bits, and
+// ECV draw sequences.
+void ExpectSameOutcomes(const std::vector<WeightedOutcome>& got,
+                        const std::vector<WeightedOutcome>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    const WeightedOutcome& g = got[i];
+    const WeightedOutcome& w = want[i];
+    EXPECT_EQ(Fingerprint(g.value), Fingerprint(w.value)) << "outcome " << i;
+    EXPECT_EQ(Bits(g.probability), Bits(w.probability)) << "outcome " << i;
+    ASSERT_EQ(g.ecv_assignments.size(), w.ecv_assignments.size())
+        << "outcome " << i;
+    for (size_t j = 0; j < g.ecv_assignments.size(); ++j) {
+      EXPECT_EQ(g.ecv_assignments[j].first, w.ecv_assignments[j].first);
+      EXPECT_EQ(Fingerprint(g.ecv_assignments[j].second),
+                Fingerprint(w.ecv_assignments[j].second));
+    }
+  }
+}
+
+void ExpectSameDistribution(const Distribution& got, const Distribution& want) {
+  ASSERT_EQ(got.atoms().size(), want.atoms().size());
+  for (size_t i = 0; i < got.atoms().size(); ++i) {
+    EXPECT_EQ(Bits(got.atoms()[i].value), Bits(want.atoms()[i].value))
+        << "atom " << i;
+    EXPECT_EQ(Bits(got.atoms()[i].probability),
+              Bits(want.atoms()[i].probability))
+        << "atom " << i;
+  }
+}
+
+// Enumerates `entry` traced on both engines and requires bit-identical
+// event streams — the trace-parity contract of src/obs/trace.h. Runs on
+// error programs too: events emitted before the failure must also match.
+void ExpectTraceParity(const Program& program, const std::string& entry,
+                       const std::vector<Value>& args,
+                       const EcvProfile& profile = {}) {
+  RecordingTraceSink bytecode_sink;
+  RecordingTraceSink tree_sink;
+  EvalOptions bytecode_options = BytecodeOptions();
+  bytecode_options.trace = &bytecode_sink;
+  EvalOptions tree_options = TreeOptions();
+  tree_options.trace = &tree_sink;
+  Evaluator bytecode(program, bytecode_options);
+  Evaluator tree(program, tree_options);
+  ASSERT_NE(bytecode.bytecode(), nullptr) << "bytecode did not compile";
+  auto bytecode_out = bytecode.Enumerate(entry, args, profile);
+  auto tree_out = tree.Enumerate(entry, args, profile);
+  ASSERT_EQ(bytecode_out.ok(), tree_out.ok())
+      << "traced bytecode: " << bytecode_out.status().ToString()
+      << "\ntraced tree: " << tree_out.status().ToString();
+  const std::vector<TraceEvent> bytecode_events = bytecode_sink.TakeEvents();
+  const std::vector<TraceEvent> tree_events = tree_sink.TakeEvents();
+  ASSERT_EQ(bytecode_events.size(), tree_events.size())
+      << "bytecode trace:\n" << FormatTrace(bytecode_events)
+      << "tree trace:\n" << FormatTrace(tree_events);
+  for (size_t i = 0; i < bytecode_events.size(); ++i) {
+    EXPECT_EQ(TraceEventFingerprint(bytecode_events[i]),
+              TraceEventFingerprint(tree_events[i]))
+        << "event " << i
+        << "\nbytecode: " << FormatTraceEvent(bytecode_events[i])
+        << "\ntree: " << FormatTraceEvent(tree_events[i]);
+  }
+}
+
+// Enumerates `entry` on both engines and requires bit-identical results:
+// same outcome order, values, probability bits, and ECV draw sequences —
+// or the same error code and message. Also checks trace parity, so the
+// whole parity corpus exercises the event stream.
+void ExpectEnumerationParity(const Program& program, const std::string& entry,
+                             const std::vector<Value>& args,
+                             const EcvProfile& profile = {}) {
+  ExpectTraceParity(program, entry, args, profile);
+  Evaluator bytecode(program, BytecodeOptions());
+  Evaluator tree(program, TreeOptions());
+  ASSERT_NE(bytecode.bytecode(), nullptr) << "bytecode did not compile";
+  auto bytecode_out = bytecode.Enumerate(entry, args, profile);
+  auto tree_out = tree.Enumerate(entry, args, profile);
+  ASSERT_EQ(bytecode_out.ok(), tree_out.ok())
+      << "bytecode: " << bytecode_out.status().ToString()
+      << "\ntree: " << tree_out.status().ToString();
+  if (!bytecode_out.ok()) {
+    EXPECT_EQ(bytecode_out.status().code(), tree_out.status().code());
+    EXPECT_EQ(bytecode_out.status().message(), tree_out.status().message());
+    return;
+  }
+  ExpectSameOutcomes(*bytecode_out, *tree_out);
+}
+
+// Samples `entry` with `engine` and the tree walk from identically seeded
+// RNGs and requires the same value (or the same error).
+void ExpectSampleParity(const Evaluator& engine, const Evaluator& tree,
+                        const std::string& entry,
+                        const std::vector<Value>& args,
+                        const EcvProfile& profile = {}) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng engine_rng(seed);
+    Rng tree_rng(seed);
+    auto e = engine.EvalSampled(entry, args, profile, engine_rng);
+    auto t = tree.EvalSampled(entry, args, profile, tree_rng);
+    ASSERT_EQ(e.ok(), t.ok()) << "seed " << seed << "\nengine: "
+                              << e.status().ToString()
+                              << "\ntree: " << t.status().ToString();
+    if (!e.ok()) {
+      EXPECT_EQ(e.status().code(), t.status().code());
+      EXPECT_EQ(e.status().message(), t.status().message());
+    } else {
+      EXPECT_EQ(Fingerprint(*e), Fingerprint(*t)) << "seed " << seed;
+    }
+  }
+}
+
+void ExpectSampleParity(const Program& program, const std::string& entry,
+                        const std::vector<Value>& args,
+                        const EcvProfile& profile = {}) {
+  Evaluator bytecode(program, BytecodeOptions());
+  Evaluator tree(program, TreeOptions());
+  ASSERT_NE(bytecode.bytecode(), nullptr) << "bytecode did not compile";
+  ExpectSampleParity(bytecode, tree, entry, args, profile);
+}
+
+// The corpus lives in tests/parity_programs.h so the analytic differential
+// harness replays exactly the same programs.
+TEST(EngineParityTest, ParityCorpus) {
+  for (const parity::ParityCase& c : parity::kParityCorpus) {
+    SCOPED_TRACE(c.name);
+    const Program p = MustParse(c.source);
+    const std::vector<Value> args = NumberArgs(c.args);
+    ExpectEnumerationParity(p, c.entry, args);
+    ExpectSampleParity(p, c.entry, args);
+  }
+}
+
+TEST(EngineParityTest, ProfileOverrideParity) {
+  const Program p = MustParse(parity::kProfileOverrideSource);
+  EcvProfile profile;
+  ASSERT_TRUE(profile
+                  .Set("mode", {{Value::Bool(true), 0.2},
+                                {Value::Bool(false), 0.8}})
+                  .ok());
+  ExpectEnumerationParity(p, "f", {}, profile);
+  ExpectSampleParity(p, "f", {}, profile);
+}
+
+TEST(EngineParityTest, ErrorParity) {
+  // Each corpus program hits a different failure path; both engines must
+  // agree on the status code and the exact message.
+  for (const parity::ParityCase& c : parity::kErrorCorpus) {
+    SCOPED_TRACE(c.name);
+    const Program p = MustParse(c.source);
+    const std::vector<Value> args = NumberArgs(c.args);
+    ExpectEnumerationParity(p, c.entry, args);
+    ExpectSampleParity(p, c.entry, args);
+  }
+}
+
+TEST(EngineParityTest, ConstantFoldingPreservesRuntimeErrors) {
+  // The folder sees `log(-1)` with constant arguments; the failure must
+  // still surface at evaluation time with the tree-walk's message.
+  const Program p = MustParse(
+      "const bad = log(0 - 1);\n"
+      "interface f(x) { return bad * 1J; }");
+  ExpectEnumerationParity(p, "f", {Value::Number(1.0)});
+}
+
+uint64_t CounterValue(const char* name) {
+  return MetricsRegistry::Global().GetCounter(name).value();
+}
+
+// One interface with 65,536 `let` slots: its frame needs more registers
+// than a bytecode instruction can address (0xFFFF), so compilation fails.
+// The ECV's parameter depends on the argument, so the batch engine's vector
+// passes abort as well and every lane and sample runs on the tree walk.
+Program OverflowProgram() {
+  std::string source = "interface f(x) {\n";
+  for (int i = 0; i < 65536; ++i) {
+    source += "  let v" + std::to_string(i) + " = x;\n";
+  }
+  source +=
+      "  ecv hit ~ bernoulli(x / 8);\n"
+      "  return hit ? v65535 * 1mJ : (x + v0) * 2mJ;\n"
+      "}\n";
+  return MustParse(source);
+}
+
+TEST(EngineParityTest, CompileOverflowFallsBackToTreeWalk) {
+  const Program p = OverflowProgram();
+  const uint64_t fallbacks_before =
+      CounterValue("eclarity_eval_bytecode_fallback_total");
+  const uint64_t treewalk_before =
+      CounterValue("eclarity_eval_engine_treewalk_total");
+  const uint64_t bytecode_before =
+      CounterValue("eclarity_eval_engine_bytecode_total");
+  const Evaluator fallback(p, BytecodeOptions());
+  EXPECT_EQ(fallback.bytecode(), nullptr);
+  EXPECT_EQ(CounterValue("eclarity_eval_bytecode_fallback_total"),
+            fallbacks_before + 1);
+  EXPECT_EQ(CounterValue("eclarity_eval_engine_treewalk_total"),
+            treewalk_before + 1);
+  EXPECT_EQ(CounterValue("eclarity_eval_engine_bytecode_total"),
+            bytecode_before);
+
+  const Evaluator tree(p, TreeOptions());
+  const std::vector<Value> args = {Value::Number(3.0)};
+
+  auto enumerated = fallback.Enumerate("f", args, {});
+  auto reference = tree.Enumerate("f", args, {});
+  ASSERT_TRUE(enumerated.ok()) << enumerated.status().ToString();
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  ASSERT_EQ(enumerated->size(), 2u);
+  ExpectSameOutcomes(*enumerated, *reference);
+
+  ExpectSampleParity(fallback, tree, "f", args);
+
+  Rng fallback_rng(11);
+  Rng tree_rng(11);
+  auto mc = fallback.MonteCarloMean("f", args, {}, fallback_rng, 16);
+  auto mc_reference = tree.MonteCarloMean("f", args, {}, tree_rng, 16);
+  ASSERT_TRUE(mc.ok()) << mc.status().ToString();
+  ASSERT_TRUE(mc_reference.ok()) << mc_reference.status().ToString();
+  EXPECT_EQ(Bits(mc->joules()), Bits(mc_reference->joules()));
+
+  auto expected = fallback.ExpectedEnergy("f", args, {});
+  auto expected_reference = tree.ExpectedEnergy("f", args, {});
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_TRUE(expected_reference.ok());
+  EXPECT_EQ(Bits(expected->joules()), Bits(expected_reference->joules()));
+
+  auto certified = fallback.EvalCertifiedMode("f", args, {}, nullptr,
+                                              DistMode::kAnalyticExact);
+  auto certified_reference = tree.EvalCertifiedMode(
+      "f", args, {}, nullptr, DistMode::kAnalyticExact);
+  ASSERT_TRUE(certified.ok()) << certified.status().ToString();
+  ASSERT_TRUE(certified_reference.ok());
+  EXPECT_TRUE(certified->exact);
+  EXPECT_EQ(Bits(certified->mean), Bits(certified_reference->mean));
+  ExpectSameDistribution(certified->distribution,
+                         certified_reference->distribution);
+
+  const std::vector<Value> lane1 = {Value::Number(1.0)};
+  const std::vector<Value> lane2 = {Value::Number(2.0)};
+  const std::vector<const std::vector<Value>*> lanes = {&lane1, &lane2, &args};
+  const std::vector<Result<ExactFold>> folds =
+      BatchPlan(fallback, "f").EnumerateFold(lanes, {}, nullptr);
+  const std::vector<Result<ExactFold>> fold_references =
+      BatchPlan(tree, "f").EnumerateFold(lanes, {}, nullptr);
+  ASSERT_EQ(folds.size(), lanes.size());
+  ASSERT_EQ(fold_references.size(), lanes.size());
+  for (size_t l = 0; l < lanes.size(); ++l) {
+    SCOPED_TRACE("lane " + std::to_string(l));
+    ASSERT_TRUE(folds[l].ok()) << folds[l].status().ToString();
+    ASSERT_TRUE(fold_references[l].ok());
+    EXPECT_EQ(Bits(folds[l]->mean), Bits(fold_references[l]->mean));
+    ExpectSameDistribution(folds[l]->distribution,
+                           fold_references[l]->distribution);
+  }
+}
+
+TEST(EngineParityTest, MonteCarloDeterministicAcrossWorkerCounts) {
+  const Program p = MustParse(parity::kFig1Source);
+  const std::vector<Value> args = {Value::Number(50176.0),
+                                   Value::Number(10000.0)};
+  double reference = 0.0;
+  bool have_reference = false;
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
+    EvalOptions options;
+    options.mc_workers = workers;
+    Evaluator eval(p, options);
+    Rng rng(42);
+    auto mean = eval.MonteCarloMean("E_ml_webservice_handle", args, {}, rng,
+                                    2000);
+    ASSERT_TRUE(mean.ok()) << mean.status().ToString();
+    if (!have_reference) {
+      reference = mean->joules();
+      have_reference = true;
+    } else {
+      EXPECT_EQ(Bits(mean->joules()), Bits(reference))
+          << "workers=" << workers;
+    }
+  }
+}
+
+TEST(EngineParityTest, MonteCarloAgreesWithExactExpectation) {
+  const Program p = MustParse(parity::kFig1Source);
+  const std::vector<Value> args = {Value::Number(50176.0),
+                                   Value::Number(10000.0)};
+  Evaluator eval(p);
+  auto exact = eval.ExpectedEnergy("E_ml_webservice_handle", args, {});
+  ASSERT_TRUE(exact.ok());
+  Rng rng(7);
+  auto mc = eval.MonteCarloMean("E_ml_webservice_handle", args, {}, rng,
+                                20000);
+  ASSERT_TRUE(mc.ok()) << mc.status().ToString();
+  EXPECT_NEAR(mc->joules() / exact->joules(), 1.0, 0.05);
+}
+
+TEST(EngineParityTest, MonteCarloSurfacesSampleErrors) {
+  const Program p = MustParse(
+      "interface f(x) { ecv e ~ bernoulli(2); return e ? 1J : 2J; }");
+  Evaluator eval(p);
+  Rng rng(1);
+  auto mc = eval.MonteCarloMean("f", {Value::Number(0.0)}, {}, rng, 100);
+  EXPECT_FALSE(mc.ok());
+}
+
+}  // namespace
+}  // namespace eclarity

@@ -230,8 +230,7 @@ TEST(EvalEdgeTest, MaxPathsExhaustedOnAllEngines) {
   }
   source += "  return acc;\n}\n";
   const Program p = MustParse(source.c_str());
-  for (EvalEngine engine :
-       {EvalEngine::kFastPath, EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
+  for (EvalEngine engine : {EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
     EvalOptions options = WithEngine(engine);
     options.max_paths = 100;
     Evaluator eval(p, options);
@@ -243,8 +242,7 @@ TEST(EvalEdgeTest, MaxPathsExhaustedOnAllEngines) {
 
 TEST(EvalEdgeTest, MaxCallDepthExhaustedOnAllEngines) {
   const Program p = MustParse("interface f(x) { return f(x); }");
-  for (EvalEngine engine :
-       {EvalEngine::kFastPath, EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
+  for (EvalEngine engine : {EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
     EvalOptions options = WithEngine(engine);
     options.max_call_depth = 8;
     Evaluator eval(p, options);
@@ -258,8 +256,7 @@ TEST(EvalEdgeTest, MaxCallDepthExhaustedOnAllEngines) {
 TEST(EvalEdgeTest, MaxEcvSupportExhaustedOnAllEngines) {
   const Program p = MustParse(
       "interface f(x) { ecv e ~ uniform_int(0, 10); return e * 1J; }");
-  for (EvalEngine engine :
-       {EvalEngine::kFastPath, EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
+  for (EvalEngine engine : {EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
     EvalOptions options = WithEngine(engine);
     options.max_ecv_support = 4;
     Evaluator eval(p, options);
@@ -274,8 +271,7 @@ TEST(EvalEdgeTest, MaxStepsExhaustedOnAllEngines) {
   const Program p = MustParse(
       "interface f(x) { let mut t = 0J; for i in 0..100000 { t = t + 1J; } "
       "return t; }");
-  for (EvalEngine engine :
-       {EvalEngine::kFastPath, EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
+  for (EvalEngine engine : {EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
     EvalOptions options = WithEngine(engine);
     options.max_steps = 50;
     Evaluator eval(p, options);

@@ -98,6 +98,20 @@ TEST(MetricsTest, KindClashReturnsDummyAndKeepsOriginal) {
   EXPECT_EQ(prom.find("test_metric 99"), std::string::npos);
 }
 
+TEST(MetricsTest, CounterKeepsFirstNonEmptyHelp) {
+  // A reader may fetch a counter by name before its owner registers it with
+  // help text; the owner's help must still reach the export.
+  MetricsRegistry registry;
+  registry.GetCounter("test_late_help_total").Increment();
+  registry.GetCounter("test_late_help_total", "owner help");
+  registry.GetCounter("test_late_help_total", "later help");
+  const std::string prom = registry.ToPrometheusText();
+  EXPECT_NE(prom.find("# HELP test_late_help_total owner help\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_EQ(prom.find("later help"), std::string::npos);
+}
+
 TEST(MetricsTest, ResetAllKeepsReferencesValid) {
   MetricsRegistry registry;
   Counter& c = registry.GetCounter("test_total", "");

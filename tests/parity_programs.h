@@ -1,7 +1,7 @@
 // The engine-parity corpus: EIL programs (with entry + arguments) that every
-// pair of evaluation engines must agree on. fastpath_test.cc replays it
-// across {tree walk, fast path}; differential_test.cc replays the same
-// corpus across {tree walk, fast path, analytic exact, analytic bounded,
+// pair of evaluation engines must agree on. engine_parity_test.cc replays it
+// across {tree walk, bytecode}; differential_test.cc replays the same
+// corpus across {tree walk, bytecode, analytic exact, analytic bounded,
 // analytic moments}, so a program added here is automatically exercised by
 // both harnesses.
 
@@ -80,7 +80,7 @@ interface f() {
 
 // A guarded-accumulator chain: the analytic exact engine's best case (every
 // draw is an independent additive contribution), and still a useful
-// fast-path parity program.
+// engine-parity program.
 inline constexpr char kAccumulatorChainSource[] = R"(
 interface acc_chain(n) {
   let mut acc = 0J;

@@ -4,14 +4,14 @@
 //   eilc print  FILE                     canonical pretty-printed source
 //   eilc eval   FILE ENTRY ARGS... [--ecv NAME=VALUE|NAME~P]
 //               [--mode=enumerate|exact|bounded|moments] [--prune=T]
-//               [--engine=tree|fastpath|bytecode]
+//               [--engine=tree|bytecode]
 //                                        expectation + exact distribution;
 //                                        --mode selects the analytic
 //                                        distribution algebra (answers carry
 //                                        a certified +/- bound), --prune a
 //                                        mass-pruning threshold for bounded
 //                                        mode, --engine the execution engine
-//                                        (default bytecode; all three are
+//                                        (default bytecode; both are
 //                                        bit-identical)
 //   eilc paths  FILE ENTRY ARGS...       enumerate ECV draw sequences
 //   eilc bounds FILE ENTRY LO:HI...      guaranteed worst-case interval
@@ -28,7 +28,7 @@
 //                                        opcodes, hot instruction sites, and
 //                                        per-interface attribution
 //   eilc serve  FILE ENTRY ARGS... [--threads=N] [--requests=M] [--batch=K]
-//               [--engine=tree|fastpath|bytecode] [--journal[=OUT.json]]
+//               [--engine=tree|bytecode] [--journal[=OUT.json]]
 //                                        drive the concurrent query service
 //                                        with N client threads x M mixed
 //                                        queries, verify the run is
@@ -89,7 +89,7 @@ int Usage() {
                "usage: eilc check|print FILE\n"
                "       eilc eval  FILE ENTRY ARGS... [--ecv NAME=V|NAME~P]"
                " [--mode=enumerate|exact|bounded|moments] [--prune=T]"
-               " [--engine=tree|fastpath|bytecode]\n"
+               " [--engine=tree|bytecode]\n"
                "       eilc paths FILE ENTRY ARGS... [--ecv NAME=V|NAME~P]\n"
                "       eilc bounds FILE ENTRY LO:HI...\n"
                "       eilc trace FILE ENTRY ARGS... [--ecv NAME=V|NAME~P]"
@@ -100,7 +100,7 @@ int Usage() {
                " [--repeat=N] [--sample=N]\n"
                "       eilc serve FILE ENTRY ARGS... [--ecv NAME=V|NAME~P]"
                " [--threads=N] [--requests=M] [--batch=K]"
-               " [--engine=tree|fastpath|bytecode] [--journal[=OUT.json]]\n"
+               " [--engine=tree|bytecode] [--journal[=OUT.json]]\n"
                "exit codes:\n"
                "  0  success\n"
                "  1  error (I/O, parse, static check, evaluation)\n"
@@ -244,9 +244,9 @@ int Print(const std::string& path) {
 
 // Parses and strips a --engine= flag from `rest`, writing the chosen
 // execution engine (the bytecode VM stays the default). Returns 0 when the
-// flag is absent or valid, 2 on a bad value. All engines are bit-identical;
+// flag is absent or valid, 2 on a bad value. Both engines are bit-identical;
 // if bytecode compilation is impossible the evaluator transparently falls
-// back to the fast path and counts the fallback in
+// back to the tree walk and counts the fallback in
 // eclarity_eval_bytecode_fallback_total.
 int ExtractEngine(std::vector<std::string>& rest, EvalEngine* engine) {
   std::vector<std::string> kept;
@@ -256,12 +256,10 @@ int ExtractEngine(std::vector<std::string>& rest, EvalEngine* engine) {
       const std::string name = arg.substr(9);
       if (name == "tree") {
         *engine = EvalEngine::kTreeWalk;
-      } else if (name == "fastpath") {
-        *engine = EvalEngine::kFastPath;
       } else if (name == "bytecode") {
         *engine = EvalEngine::kBytecode;
       } else {
-        std::fprintf(stderr, "--engine expects tree|fastpath|bytecode\n");
+        std::fprintf(stderr, "--engine expects tree|bytecode\n");
         rc = 2;
       }
       continue;
@@ -276,8 +274,6 @@ const char* EngineName(EvalEngine engine) {
   switch (engine) {
     case EvalEngine::kTreeWalk:
       return "tree";
-    case EvalEngine::kFastPath:
-      return "fastpath";
     case EvalEngine::kBytecode:
       return "bytecode";
   }
@@ -685,8 +681,8 @@ int Profile(const std::string& path, const std::string& entry,
   const VmProfiler::Snapshot snap = profiler.TakeSnapshot();
   if (snap.dispatches == 0) {
     std::fprintf(stderr,
-                 "bytecode VM never ran (compilation fell back to the fast "
-                 "path); nothing to profile\n");
+                 "bytecode VM never ran (compilation fell back to the tree "
+                 "walk); nothing to profile\n");
     return 1;
   }
   std::printf("entry:        %s -> %s expected\n", entry.c_str(),
@@ -784,10 +780,17 @@ int Serve(const std::string& path, const std::string& entry,
   auto make_service = [&]() {
     return QueryService::Create(program->Clone(), svc_options, *profile);
   };
+  // A fallback counted while Create builds the snapshot evaluator means the
+  // tree walk serves, whatever --engine asked for.
+  const Counter& compile_fallbacks = MetricsRegistry::Global().GetCounter(
+      "eclarity_eval_bytecode_fallback_total");
+  const uint64_t compile_fallbacks_before = compile_fallbacks.value();
   auto service = make_service();
   if (!service.ok()) {
     return FailWith(service.status());
   }
+  const bool compile_fallback =
+      compile_fallbacks.value() != compile_fallbacks_before;
 
   // The request log is a pure function of the global query index, so the
   // replay can regenerate it without any shared state.
@@ -874,7 +877,9 @@ int Serve(const std::string& path, const std::string& entry,
   const size_t total = threads * requests;
   std::printf("served:       %zu queries (%zu threads x %zu, batch %zu)\n",
               total, threads, requests, batch);
-  std::printf("engine:       %s\n", EngineName(svc_options.eval.engine));
+  std::printf("engine:       %s\n",
+              compile_fallback ? "tree (bytecode compile fallback)"
+                               : EngineName(svc_options.eval.engine));
   std::printf("throughput:   %.0f queries/s over %.3f s\n",
               elapsed > 0.0 ? total / elapsed : 0.0, elapsed);
   const QueryService::CacheStats stats = (*service)->TotalCacheStats();
