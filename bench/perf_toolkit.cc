@@ -107,7 +107,7 @@ BENCHMARK(BM_SpecializeOnSwap);
 
 // The same evaluation with tracing attached: measures the full cost of the
 // observability path (preserve-terms lowering, per-event sink calls, and the
-// enumeration-cache bypass). Compare against BM_EnumerateFig1 for the
+// fold-cache bypass). Compare against BM_EnumerateFig1 for the
 // overhead; with no sink installed the hot path is untouched.
 void BM_TracedEval(benchmark::State& state) {
   // Counts events without storing them, so iterations don't accumulate.
@@ -204,13 +204,12 @@ std::string DeepEcvSource(int depth) {
 }
 
 // Raw enumeration cost as the choice tree deepens: `depth` boolean ECVs give
-// 2^depth paths. The enumeration cache is disabled so every iteration pays
-// the full depth-first sweep.
+// 2^depth paths. Enumerate never caches, so every iteration pays the full
+// depth-first sweep.
 void BM_EnumerateDepth(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   auto program = ParseProgram(DeepEcvSource(depth));
   EvalOptions options;
-  options.enum_cache_capacity = 0;
   Evaluator evaluator(*program, options);
   const std::vector<Value> args = {Value::Number(3.0)};
   for (auto _ : state) {
@@ -229,7 +228,6 @@ void BM_AnalyticExactDepth(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   auto program = ParseProgram(DeepEcvSource(depth));
   EvalOptions options;
-  options.enum_cache_capacity = 0;
   options.analytic_cache_capacity = 0;
   options.dist_mode = DistMode::kAnalyticExact;
   Evaluator evaluator(*program, options);
@@ -248,7 +246,6 @@ void BM_AnalyticBoundedDepth(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   auto program = ParseProgram(DeepEcvSource(depth));
   EvalOptions options;
-  options.enum_cache_capacity = 0;
   options.analytic_cache_capacity = 0;
   options.dist_mode = DistMode::kAnalyticBounded;
   options.prune_threshold = 1e-6;
@@ -420,10 +417,10 @@ BENCHMARK(BM_BatchVsSingle)->Arg(1)->Arg(8)->Arg(16)->Arg(64)->Arg(512);
 
 // Interface-EAS placement scoring: every Place() call evaluates all
 // candidate (core, OPP) pairs through one EvaluateBatch pass. The task's
-// demand pattern is long enough (4000 phases x ~6 candidates) to overflow
-// the 4096-entry joules memo, so successive quanta keep paying the batched
-// scoring pass instead of degenerating into pure memo hits. Items are
-// placements per second.
+// demand pattern is long enough (4000 phases x ~6 candidates) to cycle
+// past the service's 4096-entry fold cache and the batch memo, so
+// successive quanta keep paying the batched scoring pass instead of
+// degenerating into pure cache hits. Items are placements per second.
 void BM_EasScoreBatch(benchmark::State& state) {
   const CpuProfile profile = BigLittleProfile();
   const Duration quantum = Duration::Milliseconds(10.0);

@@ -850,7 +850,7 @@ class TopEmitter : public Emitter {
 
  private:
   Status CheckBudget() {
-    // Mirrors EnumerateUncached's loop-top check: attempting path number
+    // Mirrors Evaluator::Enumerate's loop-top check: attempting path number
     // max_paths (0-based) is the error; exactly max_paths paths is fine.
     if (ctx_.emitted >= ctx_.options.max_paths) {
       ctx_.exhausted = true;

@@ -756,9 +756,9 @@ Result<ExactFold> BatchPlan::ScalarLaneFold(
   // The scalar reference: single dispatch's enumeration and fold, so
   // fallback lanes share bits (and error codes) with it.
   ECLARITY_ASSIGN_OR_RETURN(
-      Evaluator::SharedOutcomes outcomes,
-      evaluator_->EnumerateShared(interface_name_, args, profile));
-  return FoldOutcomes(*outcomes, calibration);
+      std::vector<WeightedOutcome> outcomes,
+      evaluator_->Enumerate(interface_name_, args, profile));
+  return FoldOutcomes(outcomes, calibration);
 }
 
 std::vector<Result<ExactFold>> BatchPlan::EnumerateFold(

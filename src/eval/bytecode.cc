@@ -997,73 +997,13 @@ Result<Value> BytecodeInterpreter::RunImpl() {
 template Result<Value> BytecodeInterpreter::RunImpl<false>();
 template Result<Value> BytecodeInterpreter::RunImpl<true>();
 
-static_assert(static_cast<size_t>(BcOp::kEcvDrawBranch) < kVmOpCount,
-              "grow kVmOpCount (src/eval/vm_profile.h) with the BcOp enum");
-
 const char* VmOpName(uint8_t op) {
-  switch (static_cast<BcOp>(op)) {
-    case BcOp::kConst:
-      return "kConst";
-    case BcOp::kConstTerm:
-      return "kConstTerm";
-    case BcOp::kMove:
-      return "kMove";
-    case BcOp::kUnary:
-      return "kUnary";
-    case BcOp::kBinary:
-      return "kBinary";
-    case BcOp::kFoldChain:
-      return "kFoldChain";
-    case BcOp::kJump:
-      return "kJump";
-    case BcOp::kAndShort:
-      return "kAndShort";
-    case BcOp::kOrShort:
-      return "kOrShort";
-    case BcOp::kBoolCast:
-      return "kBoolCast";
-    case BcOp::kCondJump:
-      return "kCondJump";
-    case BcOp::kBranch:
-      return "kBranch";
-    case BcOp::kStep:
-      return "kStep";
-    case BcOp::kFail:
-      return "kFail";
-    case BcOp::kBuiltin:
-      return "kBuiltin";
-    case BcOp::kCall:
-      return "kCall";
-    case BcOp::kReturn:
-      return "kReturn";
-    case BcOp::kForPrep:
-      return "kForPrep";
-    case BcOp::kForNext:
-      return "kForNext";
-    case BcOp::kForIncJump:
-      return "kForIncJump";
-    case BcOp::kEcvBegin:
-      return "kEcvBegin";
-    case BcOp::kEcvStatic:
-      return "kEcvStatic";
-    case BcOp::kEcvBaked:
-      return "kEcvBaked";
-    case BcOp::kEcvCatOpen:
-      return "kEcvCatOpen";
-    case BcOp::kEcvCatPush:
-      return "kEcvCatPush";
-    case BcOp::kEcvDynBern:
-      return "kEcvDynBern";
-    case BcOp::kEcvDynUniform:
-      return "kEcvDynUniform";
-    case BcOp::kEcvDynCat:
-      return "kEcvDynCat";
-    case BcOp::kEcvDraw:
-      return "kEcvDraw";
-    case BcOp::kEcvDrawBranch:
-      return "kEcvDrawBranch";
-  }
-  return "op?";
+  static constexpr const char* kNames[] = {
+#define ECLARITY_BC_NAME(name) #name,
+      ECLARITY_BC_OPS(ECLARITY_BC_NAME)
+#undef ECLARITY_BC_NAME
+  };
+  return op < kBcOpCount ? kNames[op] : "op?";
 }
 
 }  // namespace eclarity

@@ -43,43 +43,57 @@
 
 namespace eclarity {
 
+// The opcode list, declared once. X(name) expands it into the BcOp enum
+// below and the VmOpName table in bytecode.cc; the dispatch loop is compiled
+// against this order.
+#define ECLARITY_BC_OPS(X)                                                          \
+  X(kConst)         /* regs[a] = const_pool[imm] */                                 \
+  X(kConstTerm)     /* regs[a] = pool[term.pool]; trace kEnergyTerm (term_sites) */ \
+  X(kMove)          /* regs[a] = regs[b] */                                         \
+  X(kUnary)         /* regs[a] = ApplyUnary(sub, regs[b], ctx_pool[imm]) */         \
+  X(kBinary)        /* regs[a] = ApplyBinary(sub, regs[b], regs[c], ctx[imm]) */    \
+  X(kFoldChain)     /* regs[a] = fold of c steps from fold_steps[imm] (superop) */  \
+  X(kJump)          /* pc = imm */                                                  \
+  X(kAndShort)      /* !AsBool(regs[b]) ? regs[a]=false, pc=imm : fall through */   \
+  X(kOrShort)       /* AsBool(regs[b]) ? regs[a]=true, pc=imm : fall through */     \
+  X(kBoolCast)      /* regs[a] = Bool(AsBool(regs[b])) */                           \
+  X(kCondJump)      /* conditional expr: !AsBool(regs[b]) -> pc = imm */            \
+  X(kBranch)        /* if stmt: wrapped AsBool, trace, !taken -> else target */     \
+  X(kStep)          /* ++steps > max_steps -> status_pool[imm] */                   \
+  X(kFail)          /* return status_pool[imm] */                                   \
+  X(kBuiltin)       /* regs[a] = builtin(regs[b..b+c)); builtin_sites[imm] */       \
+  X(kCall)          /* regs[a] = call ifaces[imm](regs[b..b+c)) */                  \
+  X(kReturn)        /* return regs[a] from the current frame */                     \
+  X(kForPrep)       /* regs[a]=bits(llround(AsNumber)), regs[b]=bits(... end) */    \
+  X(kForNext)       /* i>=hi -> pc=end; else budget, regs[c]=Number(i) */           \
+  X(kForIncJump)    /* ++i (bit-stored in regs[a]); pc = imm */                     \
+  X(kEcvBegin)      /* profile override check; hit -> pc = draw target */           \
+  X(kEcvStatic)     /* cur support = lowered static support */                      \
+  X(kEcvBaked)      /* cur support = baked_supports[site.baked] (specialized) */    \
+  X(kEcvCatOpen)    /* open a categorical accumulation level */                     \
+  X(kEcvCatPush)    /* push (regs[b], AsNumber(regs[c])) onto the open level */     \
+  X(kEcvDynBern)    /* cur support = Bernoulli(AsNumber(regs[b])) */                \
+  X(kEcvDynUniform) /* cur support = uniform_int(regs[b], regs[c]) */               \
+  X(kEcvDynCat)     /* cur support = Make(open level) */                            \
+  X(kEcvDraw)       /* choose + trace + store slot (ecv_sites[imm]) */              \
+  X(kEcvDrawBranch) /* kEcvDraw fused with an immediately-guarding if (superop) */
+
 // One 12-byte instruction. `a` is the destination register, `b`/`c` are
 // operand registers or an argument base/count, `imm` indexes a pool or site
 // table or is an absolute jump target. Registers are frame-relative; slots
 // [0, frame_size) alias the lowered frame slots and expression temporaries
 // live above them.
 enum class BcOp : uint8_t {
-  kConst,         // regs[a] = const_pool[imm]
-  kConstTerm,     // regs[a] = pool[term.pool]; trace kEnergyTerm (term_sites)
-  kMove,          // regs[a] = regs[b]
-  kUnary,         // regs[a] = ApplyUnary(sub, regs[b], ctx_pool[imm])
-  kBinary,        // regs[a] = ApplyBinary(sub, regs[b], regs[c], ctx[imm])
-  kFoldChain,     // regs[a] = fold of c steps from fold_steps[imm] (superop)
-  kJump,          // pc = imm
-  kAndShort,      // !AsBool(regs[b]) ? regs[a]=false, pc=imm : fall through
-  kOrShort,       // AsBool(regs[b]) ? regs[a]=true, pc=imm : fall through
-  kBoolCast,      // regs[a] = Bool(AsBool(regs[b]))
-  kCondJump,      // conditional expr: !AsBool(regs[b]) -> pc = imm
-  kBranch,        // if stmt: wrapped AsBool, trace, !taken -> else target
-  kStep,          // ++steps > max_steps -> status_pool[imm]
-  kFail,          // return status_pool[imm]
-  kBuiltin,       // regs[a] = builtin(regs[b..b+c)); builtin_sites[imm]
-  kCall,          // regs[a] = call ifaces[imm](regs[b..b+c))
-  kReturn,        // return regs[a] from the current frame
-  kForPrep,       // regs[a]=bits(llround(AsNumber)), regs[b]=bits(... end)
-  kForNext,       // i>=hi -> pc=end; else budget, regs[c]=Number(i)
-  kForIncJump,    // ++i (bit-stored in regs[a]); pc = imm
-  kEcvBegin,      // profile override check; hit -> pc = draw target
-  kEcvStatic,     // cur support = lowered static support
-  kEcvBaked,      // cur support = baked_supports[site.baked] (specialized)
-  kEcvCatOpen,    // open a categorical accumulation level
-  kEcvCatPush,    // push (regs[b], AsNumber(regs[c])) onto the open level
-  kEcvDynBern,    // cur support = Bernoulli(AsNumber(regs[b]))
-  kEcvDynUniform, // cur support = uniform_int(regs[b], regs[c])
-  kEcvDynCat,     // cur support = Make(open level)
-  kEcvDraw,       // choose + trace + store slot (ecv_sites[imm])
-  kEcvDrawBranch, // kEcvDraw fused with an immediately-guarding if (superop)
+#define ECLARITY_BC_ENUM(name) name,
+  ECLARITY_BC_OPS(ECLARITY_BC_ENUM)
+#undef ECLARITY_BC_ENUM
 };
+
+#define ECLARITY_BC_COUNT(name) +1
+inline constexpr size_t kBcOpCount = 0 ECLARITY_BC_OPS(ECLARITY_BC_COUNT);
+#undef ECLARITY_BC_COUNT
+static_assert(kBcOpCount <= kVmOpCount,
+              "grow kVmOpCount (src/eval/vm_profile.h) with the opcode list");
 
 struct Instr {
   BcOp op = BcOp::kFail;

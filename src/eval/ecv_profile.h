@@ -54,7 +54,7 @@ class EcvProfile {
 
   // Canonical byte string over all overrides (sorted keys, bit-exact
   // values/probabilities): equal profiles yield equal fingerprints. Used to
-  // key enumeration caches; not meant for display.
+  // key result caches; not meant for display.
   std::string Fingerprint() const;
 
   // Copies every override from `other` into this profile, overwriting

@@ -39,7 +39,7 @@ inline std::string PosContext(const InterfaceDecl& iface, int line,
 
 // Built-in instrumentation. The references are resolved once; every update
 // afterwards is a single relaxed atomic increment, and all of them sit on
-// cold paths (construction, cache boundaries, budget failures).
+// cold paths (construction, analytic dispatch, budget failures).
 struct EvalCounters {
   Counter& engine_treewalk;
   Counter& engine_bytecode;
@@ -48,10 +48,6 @@ struct EvalCounters {
   Counter& budget_steps;
   Counter& budget_depth;
   Counter& budget_paths;
-  Counter& enum_cache_hits;
-  Counter& enum_cache_misses;
-  Counter& enum_cache_evictions;
-  Counter& enum_cache_trace_bypass;
   Counter& mc_samples;
   Counter& analytic_hits;
   Counter& analytic_fallbacks;
@@ -83,18 +79,6 @@ struct EvalCounters {
         MetricsRegistry::Global().GetCounter(
             "eclarity_eval_budget_paths_exhausted_total",
             "enumerations aborted by the max_paths budget"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_enum_cache_hits_total",
-            "enumeration-cache hits across all evaluators"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_enum_cache_misses_total",
-            "enumeration-cache misses across all evaluators"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_enum_cache_evictions_total",
-            "enumeration-cache evictions across all evaluators"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_enum_cache_trace_bypass_total",
-            "enumerations that skipped the cache because tracing was on"),
         MetricsRegistry::Global().GetCounter(
             "eclarity_mc_samples_total",
             "Monte Carlo samples drawn by MonteCarloMean"),

@@ -379,7 +379,6 @@ Evaluator::Evaluator(const Program& program, EvalOptions options)
         static std::atomic<uint64_t> next{1};
         return next.fetch_add(1, std::memory_order_relaxed);
       }()),
-      enum_cache_(options.enum_cache_capacity),
       fold_cache_(options.enum_cache_capacity),
       analytic_cache_(options.analytic_cache_capacity) {
   if (options_.engine == EvalEngine::kTreeWalk) {
@@ -477,7 +476,7 @@ Result<Value> Evaluator::EvalSampled(const std::string& interface_name,
   return exec.CallInterface(interface_name, args);
 }
 
-Result<std::vector<WeightedOutcome>> Evaluator::EnumerateUncached(
+Result<std::vector<WeightedOutcome>> Evaluator::Enumerate(
     const std::string& interface_name, const std::vector<Value>& args,
     const EcvProfile& profile) const {
   EnumeratingChooser chooser;
@@ -531,61 +530,14 @@ Result<std::vector<WeightedOutcome>> Evaluator::EnumerateUncached(
   return outcomes;
 }
 
-Result<Evaluator::SharedOutcomes> Evaluator::EnumerateShared(
-    const std::string& interface_name, const std::vector<Value>& args,
-    const EcvProfile& profile) const {
-  // Cached replays would emit no events, so tracing bypasses the cache.
-  const bool tracing = options_.trace != nullptr;
-  const bool use_cache = options_.enum_cache_capacity > 0 && !tracing;
-  if (tracing && options_.enum_cache_capacity > 0) {
-    EvalCounters::Get().enum_cache_trace_bypass.Increment();
-  }
-  std::string key;
-  if (use_cache) {
-    key.reserve(64);
-    key += interface_name;
-    key.push_back('\x1f');
-    for (const Value& arg : args) {
-      arg.AppendFingerprint(key);
-    }
-    key.push_back('\x1f');
-    key += profile.Fingerprint();
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (const SharedOutcomes* hit = enum_cache_.Get(key)) {
-      EvalCounters::Get().enum_cache_hits.Increment();
-      return *hit;
-    }
-    EvalCounters::Get().enum_cache_misses.Increment();
-  }
-  ECLARITY_ASSIGN_OR_RETURN(std::vector<WeightedOutcome> outcomes,
-                            EnumerateUncached(interface_name, args, profile));
-  auto shared = std::make_shared<const std::vector<WeightedOutcome>>(
-      std::move(outcomes));
-  if (use_cache) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (enum_cache_.Put(std::move(key), shared)) {
-      EvalCounters::Get().enum_cache_evictions.Increment();
-    }
-  }
-  return shared;
+size_t Evaluator::fold_cache_hits() const {
+  std::lock_guard<std::mutex> lock(fold_mu_);
+  return fold_cache_.hits();
 }
 
-Result<std::vector<WeightedOutcome>> Evaluator::Enumerate(
-    const std::string& interface_name, const std::vector<Value>& args,
-    const EcvProfile& profile) const {
-  ECLARITY_ASSIGN_OR_RETURN(SharedOutcomes shared,
-                            EnumerateShared(interface_name, args, profile));
-  return *shared;
-}
-
-size_t Evaluator::enum_cache_hits() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return enum_cache_.hits();
-}
-
-size_t Evaluator::enum_cache_misses() const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  return enum_cache_.misses();
+size_t Evaluator::fold_cache_misses() const {
+  std::lock_guard<std::mutex> lock(fold_mu_);
+  return fold_cache_.misses();
 }
 
 size_t Evaluator::analytic_cache_hits() const {
@@ -609,10 +561,10 @@ const AnalyticAnalysis* Evaluator::EnsureAnalysis() const {
 Result<CertifiedDistribution> Evaluator::EnumerateToCertified(
     const std::string& interface_name, const std::vector<Value>& args,
     const EcvProfile& profile, const EnergyCalibration* calibration) const {
-  ECLARITY_ASSIGN_OR_RETURN(SharedOutcomes outcomes,
-                            EnumerateShared(interface_name, args, profile));
+  ECLARITY_ASSIGN_OR_RETURN(std::vector<WeightedOutcome> outcomes,
+                            Enumerate(interface_name, args, profile));
   ECLARITY_ASSIGN_OR_RETURN(ExactFold fold,
-                            FoldOutcomes(*outcomes, calibration));
+                            FoldOutcomes(outcomes, calibration));
   CertifiedDistribution cd;
   cd.distribution = std::move(fold.distribution);
   cd.has_distribution = true;
@@ -783,8 +735,8 @@ Result<const ExactFold*> Evaluator::FoldShared(
     std::shared_ptr<const ExactFold> entry;
   };
   thread_local MruSlot mru;
-  // Tracing bypasses caching end to end (EnumerateShared would replay no
-  // events); zero capacity disables it, as for the enumeration cache.
+  // Tracing bypasses the cache (a hit would replay no events); zero
+  // capacity disables it.
   const bool use_cache =
       options_.enum_cache_capacity > 0 && options_.trace == nullptr;
   // Function-local scratch: the steady-state exact-query path builds its
@@ -809,7 +761,7 @@ Result<const ExactFold*> Evaluator::FoldShared(
     if (mru.eval_id == eval_id_ && mru.key == key) {
       return mru.entry.get();
     }
-    std::lock_guard<std::mutex> lock(cache_mu_);
+    std::lock_guard<std::mutex> lock(fold_mu_);
     if (const std::shared_ptr<const ExactFold>* hit = fold_cache_.Get(key)) {
       mru.eval_id = eval_id_;
       mru.key = key;
@@ -817,14 +769,14 @@ Result<const ExactFold*> Evaluator::FoldShared(
       return mru.entry.get();
     }
   }
-  ECLARITY_ASSIGN_OR_RETURN(SharedOutcomes outcomes,
-                            EnumerateShared(interface_name, args, profile));
+  ECLARITY_ASSIGN_OR_RETURN(std::vector<WeightedOutcome> outcomes,
+                            Enumerate(interface_name, args, profile));
   ECLARITY_ASSIGN_OR_RETURN(ExactFold fold,
-                            FoldOutcomes(*outcomes, calibration));
+                            FoldOutcomes(outcomes, calibration));
   auto entry = std::make_shared<const ExactFold>(std::move(fold));
   if (use_cache) {
     // Errors never reach this point, so only successes are cached.
-    std::lock_guard<std::mutex> lock(cache_mu_);
+    std::lock_guard<std::mutex> lock(fold_mu_);
     fold_cache_.Put(key, entry);
   }
   mru.eval_id = use_cache ? eval_id_ : 0;

@@ -94,8 +94,9 @@ struct EvalOptions {
   // results; kBytecode transparently falls back to the tree walk when the
   // program does not compile (see DESIGN.md, "Bytecode VM").
   EvalEngine engine = EvalEngine::kBytecode;
-  // Capacity of the per-evaluator enumeration cache, in entries keyed by
-  // (interface, arguments, ECV profile). 0 disables caching.
+  // Capacity of the per-evaluator exact-fold cache behind EvalDistribution
+  // and ExpectedEnergy, in entries keyed by (interface, arguments, ECV
+  // profile, calibration). 0 disables it. Enumerate() never caches.
   size_t enum_cache_capacity = 128;
   // Worker threads for MonteCarloMean. 0 means hardware concurrency. The
   // result for a fixed seed does not depend on this setting.
@@ -103,8 +104,8 @@ struct EvalOptions {
   // Evaluation tracing (src/obs/trace.h). When set, both engines report
   // structured events — interface enter/exit, ECV draws, branches, energy
   // terms, enumeration path markers — to the sink, bit-for-bit identically.
-  // Tracing bypasses the enumeration cache (cached replays would emit no
-  // events) and, on the bytecode engine, switches lowering to
+  // Tracing bypasses the fold cache (cached replays would emit no events)
+  // and, on the bytecode engine, switches lowering to
   // preserve-energy-terms mode. The sink must outlive the evaluator.
   // nullptr (default) keeps evaluation at full speed: the engines only test
   // this pointer.
@@ -172,18 +173,10 @@ class Evaluator {
   // Exactly enumerates every combination of ECV draws (depth-first over
   // choice points; handles ECVs inside loops and nested calls). Outcome
   // probabilities sum to 1. Fails with kResourceExhausted if more than
-  // options.max_paths assignments exist.
+  // options.max_paths assignments exist. Never cached; thread-safe.
   Result<std::vector<WeightedOutcome>> Enumerate(
       const std::string& interface_name, const std::vector<Value>& args,
       const EcvProfile& profile) const;
-
-  // As Enumerate(), but returns a shared, immutable result that may come
-  // from (and feeds) the evaluator's enumeration cache without copying.
-  // Thread-safe. Errors are never cached.
-  using SharedOutcomes = std::shared_ptr<const std::vector<WeightedOutcome>>;
-  Result<SharedOutcomes> EnumerateShared(const std::string& interface_name,
-                                         const std::vector<Value>& args,
-                                         const EcvProfile& profile) const;
 
   // Enumerate() folded to a Distribution over Joules. Abstract energy
   // returns are resolved through `calibration` (pass nullptr to require
@@ -246,9 +239,10 @@ class Evaluator {
   std::shared_ptr<const BytecodeProgram> bytecode() const { return bytecode_; }
   std::shared_ptr<const BytecodeProgram> specialized_bytecode() const;
 
-  // Enumeration-cache observability (tests, benchmarks).
-  size_t enum_cache_hits() const;
-  size_t enum_cache_misses() const;
+  // Fold-cache observability (tests, benchmarks): lookups that reached the
+  // shared store behind the thread-local MRU slot.
+  size_t fold_cache_hits() const;
+  size_t fold_cache_misses() const;
 
   // Analytic-engine observability: evaluations answered analytically vs.
   // fallen back to enumeration, and sub-distribution cache traffic.
@@ -266,10 +260,6 @@ class Evaluator {
   // shares options_; it is an alternative execution frontend, not a client.
   friend class BatchPlan;
 
-  Result<std::vector<WeightedOutcome>> EnumerateUncached(
-      const std::string& interface_name, const std::vector<Value>& args,
-      const EcvProfile& profile) const;
-
   // Bytecode program serving `profile`: the specialized program when its
   // baked profile matches (by address, then by fingerprint), the generic
   // program otherwise, nullptr when the tree walk serves.
@@ -277,7 +267,7 @@ class Evaluator {
       const EcvProfile& profile) const;
 
   // One folded enumeration, cached so repeated exact queries skip the
-  // per-call fold + Distribution build. The returned pointer stays valid
+  // enumeration, fold and Distribution build. The returned pointer stays valid
   // until the calling thread's next FoldShared call (a thread-local MRU slot
   // pins the entry); callers consume it immediately.
   Result<const ExactFold*> FoldShared(
@@ -315,13 +305,13 @@ class Evaluator {
   // thread-local entry the way an address tag could).
   const uint64_t eval_id_;
 
-  mutable std::mutex cache_mu_;
-  mutable LruMap<std::string, SharedOutcomes> enum_cache_;
-  // Folded-enumeration cache (same keying as enum_cache_ plus calibration).
-  // The hot path is a lock-free thread-local MRU slot inside FoldShared —
-  // one key build plus one string compare; this map is the shared store
-  // behind it. Entries are immutable shared state, so a stale MRU slot
-  // after eviction still holds the correct value.
+  // Folded-enumeration cache keyed by (interface, arguments, ECV profile,
+  // calibration). The hot path is a lock-free thread-local MRU slot inside
+  // FoldShared — one key build plus one string compare; this map, guarded
+  // by fold_mu_, is the shared store behind it. Entries are immutable
+  // shared state, so a stale MRU slot after eviction still holds the
+  // correct value.
+  mutable std::mutex fold_mu_;
   mutable LruMap<std::string, std::shared_ptr<const ExactFold>> fold_cache_;
 
   // Analytic state: shape analysis (built on first certified evaluation)

@@ -33,12 +33,12 @@ namespace eclarity {
 
 class BytecodeProgram;
 
-// Upper bound on BcOp values; static_asserted against the real enum in
-// bytecode.cc so the two files cannot drift apart silently.
+// Upper bound on BcOp values; static_asserted against the length of the
+// opcode list in bytecode.h so the two files cannot drift apart silently.
 inline constexpr size_t kVmOpCount = 32;
 
-// Display name for a BcOp raw value ("kFoldChain", ...); "op<N>" when out
-// of range. Defined in bytecode.cc next to the enum.
+// Display name for a BcOp raw value ("kFoldChain", ...); "op?" when out of
+// range. Defined in bytecode.cc from the opcode list.
 const char* VmOpName(uint8_t op);
 
 struct VmLocalProfile {

@@ -121,8 +121,8 @@ class EnergyInterface {
 
   // The memoised evaluator for the most recent EvalOptions. Keeping it
   // across calls preserves the lowered program (interface pre-binding, slot
-  // tables) and the enumeration cache, so repeated Expected()/Paths()
-  // queries — the resource-manager usage pattern — skip all setup work.
+  // tables) and the fold cache, so repeated Expected() queries — the
+  // resource-manager usage pattern — skip all setup work.
   struct EvaluatorMemo {
     std::mutex mu;
     std::shared_ptr<Evaluator> evaluator;

@@ -9,7 +9,7 @@
 //
 // Usage:
 //   Counter& hits = MetricsRegistry::Global().GetCounter(
-//       "eclarity_enum_cache_hits_total", "enumeration cache hits");
+//       "eclarity_svc_cache_hits_total", "QueryService fold-cache hits");
 //   hits.Increment();
 //
 // Hot paths should resolve the Counter& once (function-local static or
@@ -18,6 +18,7 @@
 #ifndef ECLARITY_SRC_OBS_METRICS_H_
 #define ECLARITY_SRC_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -30,17 +31,41 @@
 
 namespace eclarity {
 
-// Monotonically increasing event count.
+// Monotonically increasing event count. Each thread increments its own
+// cache-line-sized cell and value() sums them, so concurrent writers never
+// contend on one line, and a counter's cost does not depend on which heap
+// objects happen to share its line.
 class Counter {
  public:
   void Increment(uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    cells_[ThreadCell()].value.fetch_add(delta, std::memory_order_relaxed);
   }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  uint64_t value() const {
+    uint64_t sum = 0;
+    for (const Cell& cell : cells_) {
+      sum += cell.value.load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
+  void Reset() {
+    for (Cell& cell : cells_) {
+      cell.value.store(0, std::memory_order_relaxed);
+    }
+  }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  // Threads past kCells share cells round-robin; sums stay exact.
+  static constexpr size_t kCells = 16;
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> value{0};
+  };
+  static size_t ThreadCell() {
+    static std::atomic<size_t> next{0};
+    thread_local const size_t cell =
+        next.fetch_add(1, std::memory_order_relaxed) % kCells;
+    return cell;
+  }
+  std::array<Cell, kCells> cells_;
 };
 
 // Last-written scalar (cache sizes, error rates, alarm flags).

@@ -7,7 +7,6 @@
 
 #include "src/hw/vendor.h"
 #include "src/lang/parser.h"
-#include "src/obs/metrics.h"
 
 namespace eclarity {
 namespace {
@@ -17,28 +16,6 @@ std::string Num(double v) {
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
-
-// Candidate-energy memo instrumentation (resolved once, relaxed increments).
-struct SchedCounters {
-  Counter& memo_hits;
-  Counter& memo_misses;
-  Counter& memo_evictions;
-
-  static SchedCounters& Get() {
-    static SchedCounters* counters = new SchedCounters{
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_sched_memo_hits_total",
-            "scheduler candidate-energy memo hits"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_sched_memo_misses_total",
-            "scheduler candidate-energy memo misses"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_sched_memo_evictions_total",
-            "scheduler candidate-energy memo evictions"),
-    };
-    return *counters;
-  }
-};
 
 // Keep in sync with CpuDevice's MemoryStallModel defaults.
 constexpr double kThroughputFloor = 0.25;
@@ -217,47 +194,22 @@ Result<std::unique_ptr<InterfaceEasScheduler>> InterfaceEasScheduler::Create(
       new InterfaceEasScheduler(profile, std::move(service)));
 }
 
-Result<double> InterfaceEasScheduler::CandidateEnergy(const Task& task,
-                                                      int quantum,
-                                                      int core_kind, int opp) {
-  const int phase = quantum % static_cast<int>(task.pattern.size());
-  std::ostringstream key;
-  key << task.name << "/" << phase << "/" << core_kind << "/" << opp;
-  if (const std::optional<double> cached = memo_.Get(key.str())) {
-    SchedCounters::Get().memo_hits.Increment();
-    return *cached;
-  }
-  SchedCounters::Get().memo_misses.Increment();
-  Query query;
-  query.interface = "E_task_" + task.name + "_quantum";
-  query.args = {Value::Number(static_cast<double>(phase)),
-                Value::Number(static_cast<double>(core_kind)),
-                Value::Number(static_cast<double>(opp))};
-  ECLARITY_ASSIGN_OR_RETURN(Energy energy, service_->Expected(query));
-  if (memo_.Put(key.str(), energy.joules())) {
-    SchedCounters::Get().memo_evictions.Increment();
-  }
-  return energy.joules();
-}
-
 Result<Placement> InterfaceEasScheduler::Place(
     const Task& task, int quantum, double /*history_utilization*/,
     const CpuDevice& device, const std::vector<bool>& used_cores) {
   // Collect every candidate placement (cluster x OPP, first free core per
-  // cluster) up front, probing the memo per candidate; the memo misses are
-  // then scored in ONE EvaluateBatch — one snapshot acquisition, one
-  // fingerprint per effective profile, and one grouped SoA pass — instead
-  // of a full dispatch per candidate.
+  // cluster) and score them all in ONE EvaluateBatch — one snapshot
+  // acquisition and one grouped SoA pass for the fold-cache misses —
+  // instead of a full dispatch per candidate. The service is thread-safe,
+  // so concurrent Place() calls need no lock here.
   const int phase = quantum % static_cast<int>(task.pattern.size());
+  const std::string interface = "E_task_" + task.name + "_quantum";
   struct Candidate {
     int core;
-    int cluster;
     int opp;
-    std::string memo_key;
-    double energy = 0.0;
-    bool resolved = false;
   };
   std::vector<Candidate> candidates;
+  std::vector<Query> queries;
   int core_base = 0;
   for (size_t cluster_idx = 0; cluster_idx < profile_.clusters.size();
        ++cluster_idx) {
@@ -274,66 +226,34 @@ Result<Placement> InterfaceEasScheduler::Place(
       continue;
     }
     for (size_t opp = 0; opp < cluster.type.opps.size(); ++opp) {
-      Candidate cand{core, static_cast<int>(cluster_idx),
-                     static_cast<int>(opp), std::string()};
-      std::ostringstream key;
-      key << task.name << "/" << phase << "/" << cand.cluster << "/"
-          << cand.opp;
-      cand.memo_key = key.str();
-      if (const std::optional<double> cached = memo_.Get(cand.memo_key)) {
-        SchedCounters::Get().memo_hits.Increment();
-        cand.energy = *cached;
-        cand.resolved = true;
-      } else {
-        SchedCounters::Get().memo_misses.Increment();
-      }
-      candidates.push_back(std::move(cand));
+      candidates.push_back({core, static_cast<int>(opp)});
+      Query query;
+      query.interface = interface;
+      query.args = {Value::Number(static_cast<double>(phase)),
+                    Value::Number(static_cast<double>(cluster_idx)),
+                    Value::Number(static_cast<double>(opp))};
+      queries.push_back(std::move(query));
     }
   }
   if (candidates.empty()) {
     return ResourceExhaustedError("no free core for task '" + task.name + "'");
   }
+  const std::vector<Result<QueryOutcome>> outcomes =
+      service_->EvaluateBatch(queries);
 
-  std::vector<size_t> miss_index;
-  std::vector<Query> queries;
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    if (candidates[i].resolved) {
-      continue;
-    }
-    miss_index.push_back(i);
-    Query query;
-    query.interface = "E_task_" + task.name + "_quantum";
-    query.args = {Value::Number(static_cast<double>(phase)),
-                  Value::Number(static_cast<double>(candidates[i].cluster)),
-                  Value::Number(static_cast<double>(candidates[i].opp))};
-    queries.push_back(std::move(query));
-  }
-  if (!queries.empty()) {
-    const std::vector<Result<QueryOutcome>> outcomes =
-        service_->EvaluateBatch(queries);
-    for (size_t j = 0; j < miss_index.size(); ++j) {
-      // Candidate order is batch order, so the first failing outcome is the
-      // same error the candidate-at-a-time loop would have returned.
-      if (!outcomes[j].ok()) {
-        return outcomes[j].status();
-      }
-      Candidate& cand = candidates[miss_index[j]];
-      cand.energy = outcomes[j]->joules;
-      cand.resolved = true;
-      if (memo_.Put(cand.memo_key, cand.energy)) {
-        SchedCounters::Get().memo_evictions.Increment();
-      }
-    }
-  }
-
-  // Strict `<` over the original candidate order preserves the scalar
-  // loop's tie-breaking exactly.
+  // Candidate order is batch order: the first failing outcome is the error
+  // a candidate-at-a-time loop would return, and strict `<` keeps its
+  // tie-breaking exactly.
   double best_energy = std::numeric_limits<double>::infinity();
   Placement best{-1, 0};
-  for (const Candidate& cand : candidates) {
-    if (cand.energy < best_energy) {
-      best_energy = cand.energy;
-      best = {cand.core, cand.opp, cand.energy};
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (!outcomes[i].ok()) {
+      return outcomes[i].status();
+    }
+    const double energy = outcomes[i]->joules;
+    if (energy < best_energy) {
+      best_energy = energy;
+      best = {candidates[i].core, candidates[i].opp, energy};
     }
   }
   best.uncertainty_joules =

@@ -43,13 +43,13 @@ struct SvcCounters {
             "queries submitted via EvaluateBatch"),
         MetricsRegistry::Global().GetCounter(
             "eclarity_svc_cache_hits_total",
-            "QueryService enumeration-cache hits (all shards)"),
+            "QueryService exact-fold cache hits (all shards)"),
         MetricsRegistry::Global().GetCounter(
             "eclarity_svc_cache_misses_total",
-            "QueryService enumeration-cache misses (all shards)"),
+            "QueryService exact-fold cache misses (all shards)"),
         MetricsRegistry::Global().GetCounter(
             "eclarity_svc_cache_evictions_total",
-            "QueryService enumeration-cache evictions (all shards)"),
+            "QueryService exact-fold cache evictions (all shards)"),
         MetricsRegistry::Global().GetCounter(
             "eclarity_svc_tl_fold_hits_total",
             "exact-fold lookups answered by the thread-local slot cache"),
@@ -205,7 +205,7 @@ class QueryTimer {
 };
 
 // Whole-batch work scope for EvaluateBatch. Per-item spans there cover only
-// the pass-1 probe (memo/table hits are a few ns), while the per-batch
+// the pass-1 probe (memo hits are a few ns), while the per-batch
 // setup, the grouped SoA passes, and the fix-up pass run outside them — so
 // crediting work per item both undercounts (shared passes vanish) and
 // distorts the ratio (a memo hit measures ~20 ns of "work" against a fixed
@@ -435,10 +435,8 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
   // sampled query would clear the in-flight sample and silently drop that
   // query's phase spans from the journal.
   ObsBudget::Global();
-  // The service's sharded cache replaces the per-evaluator one, and MC
-  // sampling runs on the service pool: one inline worker per request.
+  // MC sampling runs on the service pool: one inline worker per request.
   EvalOptions eval = options.eval;
-  eval.enum_cache_capacity = 0;
   eval.mc_workers = 1;
   options.eval = eval;
   auto bundle = std::make_shared<const Snapshot::Bundle>(std::move(program),
@@ -597,12 +595,15 @@ void QueryService::AppendCacheKey(const Snapshot& snapshot,
   }
 }
 
-std::string QueryService::CacheKey(const Snapshot& snapshot,
-                                   const Query& query) const {
-  std::string key;
-  key.reserve(96);
-  AppendCacheKey(snapshot, query, key);
-  return key;
+const EcvProfile& QueryService::EffectiveProfile(const Snapshot& snapshot,
+                                                 const Query& query,
+                                                 EcvProfile& merged) {
+  if (query.profile.empty()) {
+    return snapshot.profile();
+  }
+  merged = snapshot.profile();
+  merged.MergeFrom(query.profile);
+  return merged;
 }
 
 DistMode QueryService::EffectiveMode(const Query& query) const {
@@ -615,16 +616,10 @@ Result<CertifiedDistribution> QueryService::CertifiedOn(
   // profile, mode, threshold, calibration), so concurrent certified queries
   // dedup there; a program swap replaces the evaluator wholesale, which
   // rekeys by construction.
-  const Evaluator& evaluator = snapshot.bundle().evaluator;
-  if (query.profile.empty()) {
-    return evaluator.EvalCertifiedMode(query.interface, query.args,
-                                       snapshot.profile(),
-                                       options_.calibration, mode);
-  }
-  EcvProfile merged = snapshot.profile();
-  merged.MergeFrom(query.profile);
-  return evaluator.EvalCertifiedMode(query.interface, query.args, merged,
-                                     options_.calibration, mode);
+  EcvProfile merged;
+  return snapshot.bundle().evaluator.EvalCertifiedMode(
+      query.interface, query.args, EffectiveProfile(snapshot, query, merged),
+      options_.calibration, mode);
 }
 
 namespace {
@@ -721,21 +716,16 @@ Result<const ExactFold*> QueryService::FoldCached(
   }
   const bool sampled = ObsSampler::Active();
   const uint64_t eval_t0 = sampled ? ObsNowNs() : 0;
-  const Evaluator& evaluator = snapshot.bundle().evaluator;
-  Result<SharedOutcomes> outcomes = [&]() -> Result<SharedOutcomes> {
-    if (query.profile.empty()) {
-      return evaluator.EnumerateShared(query.interface, query.args,
-                                       snapshot.profile());
-    }
-    EcvProfile merged = snapshot.profile();
-    merged.MergeFrom(query.profile);
-    return evaluator.EnumerateShared(query.interface, query.args, merged);
-  }();
+  EcvProfile merged;
+  Result<std::vector<WeightedOutcome>> outcomes =
+      snapshot.bundle().evaluator.Enumerate(
+          query.interface, query.args,
+          EffectiveProfile(snapshot, query, merged));
   if (!outcomes.ok()) {
     return outcomes.status();  // errors are never cached
   }
   if (sampled) {
-    JournalPhase(JournalEventKind::kEval, (*outcomes)->size(), eval_t0);
+    JournalPhase(JournalEventKind::kEval, outcomes->size(), eval_t0);
   }
   // The fold Evaluator::ExpectedEnergy takes, so service answers are
   // bit-identical to the single-threaded engine's. Folding once at insert
@@ -743,7 +733,7 @@ Result<const ExactFold*> QueryService::FoldCached(
   // per-query fold.
   const uint64_t fold_t0 = sampled ? ObsNowNs() : 0;
   ECLARITY_ASSIGN_OR_RETURN(ExactFold fold,
-                            FoldOutcomes(**outcomes, options_.calibration));
+                            FoldOutcomes(*outcomes, options_.calibration));
   if (sampled) {
     JournalPhase(JournalEventKind::kFold, fold.distribution.atoms().size(),
                  fold_t0);
@@ -797,17 +787,10 @@ Result<Energy> QueryService::MonteCarloOn(const Snapshot& snapshot,
     // The stream is a pure function of the query's seed: concurrent
     // execution and single-threaded replay draw identical samples.
     Rng rng(query.seed);
-    const Evaluator& evaluator = snapshot.bundle().evaluator;
-    if (query.profile.empty()) {
-      result = evaluator.MonteCarloMean(query.interface, query.args,
-                                        snapshot.profile(), rng, query.samples,
-                                        options_.calibration);
-      return;
-    }
-    EcvProfile merged = snapshot.profile();
-    merged.MergeFrom(query.profile);
-    result = evaluator.MonteCarloMean(query.interface, query.args, merged, rng,
-                                      query.samples, options_.calibration);
+    EcvProfile merged;
+    result = snapshot.bundle().evaluator.MonteCarloMean(
+        query.interface, query.args, EffectiveProfile(snapshot, query, merged),
+        rng, query.samples, options_.calibration);
   });
   return result;
 }
@@ -832,15 +815,17 @@ Result<Value> QueryService::Sample(const Query& query) const {
   if (ObsSampler::Active()) {
     JournalInstant(JournalEventKind::kSnapshotPin, snapshot.generation());
   }
+  return SampleOn(snapshot, query);
+}
+
+Result<Value> QueryService::SampleOn(const Snapshot& snapshot,
+                                     const Query& query) const {
+  // Like Monte Carlo, the stream is a pure function of the query's seed.
   Rng rng(query.seed);
-  const Evaluator& evaluator = snapshot.bundle().evaluator;
-  if (query.profile.empty()) {
-    return evaluator.EvalSampled(query.interface, query.args,
-                                 snapshot.profile(), rng);
-  }
-  EcvProfile merged = snapshot.profile();
-  merged.MergeFrom(query.profile);
-  return evaluator.EvalSampled(query.interface, query.args, merged, rng);
+  EcvProfile merged;
+  return snapshot.bundle().evaluator.EvalSampled(
+      query.interface, query.args, EffectiveProfile(snapshot, query, merged),
+      rng);
 }
 
 Result<QueryOutcome> QueryService::DispatchOn(const Snapshot& snapshot,
@@ -891,21 +876,8 @@ Result<QueryOutcome> QueryService::DispatchOn(const Snapshot& snapshot,
       return outcome;
     }
     case QueryKind::kSample: {
-      Rng rng(query.seed);
-      const Evaluator& evaluator = snapshot.bundle().evaluator;
-      Result<Value> value = [&]() -> Result<Value> {
-        if (query.profile.empty()) {
-          return evaluator.EvalSampled(query.interface, query.args,
-                                       snapshot.profile(), rng);
-        }
-        EcvProfile merged = snapshot.profile();
-        merged.MergeFrom(query.profile);
-        return evaluator.EvalSampled(query.interface, query.args, merged, rng);
-      }();
-      if (!value.ok()) {
-        return value.status();
-      }
-      outcome.sample = *value;
+      ECLARITY_ASSIGN_OR_RETURN(Value value, SampleOn(snapshot, query));
+      outcome.sample = std::move(value);
       return outcome;
     }
   }
@@ -926,16 +898,16 @@ namespace {
 
 // --- EvaluateBatch dedup scratch --------------------------------------------
 //
-// The batch fast path must stay far below one Dispatch per item: N items
-// over K distinct queries pay K key builds and K cache lookups, not N.
-// Base-profile items dedup through an open-addressed table keyed by a raw
-// content hash (interface bytes + argument bits), so repeated items never
-// materialise a string cache key or touch a node-based map. The scratch is
-// thread-local and reused across batches — distinct records keep their key
-// strings' capacity, so the all-hit steady state allocates nothing.
+// The batch fast path must stay far below one Dispatch per item. A
+// base-profile item repeated across batches is answered by the cross-batch
+// memo: one content hash (interface bytes + argument bits) and one compare,
+// no cache key. Every item that misses the memo builds its own cache key
+// and dedups through one key index, so K distinct keys cost K fold-cache
+// lookups however many items share them. The scratch is thread-local and
+// reused across batches.
 
-// Hash quality only costs probe time — every lookup is confirmed by a full
-// bit-level content compare — so the mixers favour speed: forced inline
+// Hash quality only costs memo misses — every memo hit is confirmed by a
+// full bit-level content compare — so the mixers favour speed: forced inline
 // (the per-item interface hash is the hot loop's largest line item when
 // outlined) and two accumulator lanes so consecutive 8-byte chunks multiply
 // in parallel instead of serialising on one chain.
@@ -1047,19 +1019,6 @@ ECLARITY_BATCH_INLINE bool SameValueBits(const Value& a, const Value& b,
   return sa == sb;
 }
 
-bool SameQueryContent(const Query& a, const Query& b, std::string& sa,
-                      std::string& sb) {
-  if (a.interface != b.interface || a.args.size() != b.args.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.args.size(); ++i) {
-    if (!SameValueBits(a.args[i], b.args[i], sa, sb)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // Cross-batch memo entry: a base-profile item repeated across batches is
 // answered straight from the pinned fold — no cache key build, no fold
 // cache lookup, no distinct record. An entry is valid only for the exact
@@ -1135,12 +1094,24 @@ void FillMemo(BatchMemoEntry& m, uint64_t hash, uint64_t svc, uint64_t snap,
   m.fold = std::move(fold);
 }
 
+// An exact item's answer from its fold, written in place: QueryOutcome is
+// large enough that the construct-then-move idiom dominates the hit path.
+// Fold copies are cheap: the distribution's atoms are shared, not cloned.
+ECLARITY_BATCH_INLINE void AnswerFromFold(QueryOutcome& outcome,
+                                          QueryKind kind,
+                                          const ExactFold& fold) {
+  outcome.kind = kind;
+  outcome.joules = fold.mean;
+  if (kind == QueryKind::kDistribution) {
+    outcome.distribution = fold.distribution;
+  }
+}
+
 // One lane per distinct cache key. Cache hits resolve in pass 1 through the
 // same LookupFold (and counters) as single dispatch; misses become lanes of
-// the grouped SoA passes. Fold copies are cheap: the distribution's atoms
-// are shared, not cloned.
+// the grouped SoA passes.
 struct BatchDistinct {
-  std::string key;  // full fold-cache key, built once per distinct
+  const std::string* key = nullptr;  // the key's key_index node (stable)
   const Query* query = nullptr;
   const EcvProfile* profile = nullptr;  // effective (merged or base)
   QueryService::SharedFold fold;
@@ -1158,40 +1129,22 @@ struct EffProfileEntry {
 };
 
 struct BatchScratch {
-  struct Slot {
-    uint32_t stamp = 0;
-    uint32_t idx = 0;
-  };
   static constexpr size_t kMemoSlots = 512;  // direct-mapped, power of two
   std::vector<BatchMemoEntry> memo;          // allocated on first use
-  std::vector<Slot> table;  // open-addressed; size is a power of two
-  uint32_t stamp = 0;
-  std::vector<BatchDistinct> distincts;  // [0, live) valid this batch
-  size_t live = 0;
-  std::vector<int32_t> item_distinct;  // -1: answered in pass 1
-  // Override-carrying items take the interned slow path: one base-profile
-  // merge + fingerprint per distinct override, string-keyed distinct dedup.
+  std::vector<BatchDistinct> distincts;      // indexed by key_index values
+  std::vector<int32_t> item_distinct;        // -1: answered in pass 1
+  // Override-carrying items share one base-profile merge + fingerprint per
+  // distinct override.
   std::deque<EffProfileEntry> eff_profiles;
   std::unordered_map<std::string, const EffProfileEntry*> override_index;
   std::unordered_map<std::string, uint32_t> key_index;
+  std::string key;  // the current item's cache key
   std::string va;
   std::string vb;
 
   void Begin(size_t batch_size) {
-    live = 0;
+    distincts.clear();
     item_distinct.assign(batch_size, -1);
-    size_t want = 16;
-    while (want < batch_size * 2) {
-      want <<= 1;
-    }
-    if (table.size() < want) {
-      table.assign(want, Slot{});
-      stamp = 0;
-    }
-    if (++stamp == 0) {  // stamp wrapped: stale slots could alias it
-      std::fill(table.begin(), table.end(), Slot{});
-      stamp = 1;
-    }
     if (!override_index.empty()) {
       eff_profiles.clear();
       override_index.clear();
@@ -1199,23 +1152,6 @@ struct BatchScratch {
     if (!key_index.empty()) {
       key_index.clear();
     }
-  }
-
-  BatchDistinct& Acquire(uint32_t& idx_out) {
-    if (live == distincts.size()) {
-      distincts.emplace_back();
-    }
-    BatchDistinct& d = distincts[live];
-    d.key.clear();  // keeps capacity across batches
-    d.query = nullptr;
-    d.profile = nullptr;
-    d.fold = nullptr;
-    d.error = Status();
-    d.resolved = false;
-    d.memo_slot = nullptr;
-    d.memo_hash = 0;
-    idx_out = static_cast<uint32_t>(live++);
-    return d;
   }
 };
 
@@ -1243,9 +1179,6 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
   thread_local BatchScratch scratch;
   BatchScratch& sc = scratch;
   sc.Begin(batch.size());
-  const EcvProfile* base_profile = &snapshot.profile();
-  const std::string& base_fp = snapshot.profile_fingerprint();
-  const uint32_t mask = static_cast<uint32_t>(sc.table.size() - 1);
   const bool memo_on = cache_.capacity() > 0;
   const uint64_t snap_id = snapshot.unique_id();
   if (memo_on && sc.memo.empty()) {
@@ -1271,63 +1204,11 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
       continue;
     }
 
-    int32_t idx;
-    if (query.profile.empty()) {
-      uint64_t h = BatchHashBytes(0x9E3779B97F4A7C15ull,
-                                  query.interface.data(),
-                                  query.interface.size());
-      for (const Value& arg : query.args) {
-        h = BatchHashValue(h, arg, sc.va);
-      }
-      BatchMemoEntry* memo_slot = nullptr;
-      if (memo_on) {
-        BatchMemoEntry& m = sc.memo[h & (BatchScratch::kMemoSlots - 1)];
-        if (m.snap == snap_id && m.svc == svc_id_ && m.hash == h &&
-            MemoMatches(m, query, sc.va, sc.vb)) {
-          QueryOutcome& outcome = *results[i];
-          outcome.kind = query.kind;
-          outcome.joules = m.fold->mean;
-          if (query.kind == QueryKind::kDistribution) {
-            outcome.distribution = m.fold->distribution;
-          }
-          continue;
-        }
-        memo_slot = &m;
-      }
-      uint32_t pos = static_cast<uint32_t>(h) & mask;
-      for (;;) {
-        BatchScratch::Slot& slot = sc.table[pos];
-        if (slot.stamp != sc.stamp) {
-          uint32_t fresh_idx;
-          BatchDistinct& d = sc.Acquire(fresh_idx);
-          d.query = &query;
-          d.profile = base_profile;
-          d.memo_slot = memo_slot;
-          d.memo_hash = h;
-          AppendCacheKeyPrefix(snapshot, query, d.key);
-          d.key += base_fp;
-          if (SharedFold hit = LookupFold(d.key)) {
-            d.fold = std::move(hit);
-            d.resolved = true;
-            if (memo_slot != nullptr) {
-              FillMemo(*memo_slot, h, svc_id_, snap_id, query, d.fold);
-            }
-          }
-          slot.stamp = sc.stamp;
-          slot.idx = fresh_idx;
-          idx = static_cast<int32_t>(fresh_idx);
-          break;
-        }
-        // Only base-profile distincts enter the table, so a content match
-        // is a key match (same prefix, same base fingerprint).
-        BatchDistinct& d = sc.distincts[slot.idx];
-        if (SameQueryContent(*d.query, query, sc.va, sc.vb)) {
-          idx = static_cast<int32_t>(slot.idx);
-          break;
-        }
-        pos = (pos + 1) & mask;
-      }
-    } else {
+    const EcvProfile* profile = &snapshot.profile();
+    const std::string* fingerprint = &snapshot.profile_fingerprint();
+    BatchMemoEntry* memo_slot = nullptr;
+    uint64_t memo_hash = 0;
+    if (!query.profile.empty()) {
       // Effective profiles, hoisted: one base-profile merge + one
       // fingerprint per *distinct* override in the batch, not per item.
       auto [it, fresh] =
@@ -1340,39 +1221,50 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
         eff.fingerprint = eff.merged.Fingerprint();
         it->second = &eff;
       }
-      const EffProfileEntry* eff = it->second;
-      thread_local std::string key_scratch;
-      key_scratch.clear();
-      AppendCacheKeyPrefix(snapshot, query, key_scratch);
-      key_scratch += eff->fingerprint;
-      auto [kit, knew] = sc.key_index.try_emplace(key_scratch, 0);
-      if (knew) {
-        uint32_t fresh_idx;
-        BatchDistinct& d = sc.Acquire(fresh_idx);
-        d.key = key_scratch;
-        d.query = &query;
-        d.profile = &eff->merged;
-        if (SharedFold hit = LookupFold(d.key)) {
-          d.fold = std::move(hit);
-          d.resolved = true;
-        }
-        kit->second = fresh_idx;
+      profile = &it->second->merged;
+      fingerprint = &it->second->fingerprint;
+    } else if (memo_on) {
+      memo_hash = BatchHashBytes(0x9E3779B97F4A7C15ull,
+                                 query.interface.data(),
+                                 query.interface.size());
+      for (const Value& arg : query.args) {
+        memo_hash = BatchHashValue(memo_hash, arg, sc.va);
       }
-      idx = static_cast<int32_t>(kit->second);
+      BatchMemoEntry& m = sc.memo[memo_hash & (BatchScratch::kMemoSlots - 1)];
+      if (m.snap == snap_id && m.svc == svc_id_ && m.hash == memo_hash &&
+          MemoMatches(m, query, sc.va, sc.vb)) {
+        AnswerFromFold(*results[i], query.kind, *m.fold);
+        continue;
+      }
+      memo_slot = &m;
     }
 
-    const BatchDistinct& d = sc.distincts[static_cast<size_t>(idx)];
-    if (d.resolved) {
-      // In place: QueryOutcome is large enough that the construct-then-move
-      // idiom dominates the hit path.
-      QueryOutcome& outcome = *results[i];
-      outcome.kind = query.kind;
-      outcome.joules = d.fold->mean;
-      if (query.kind == QueryKind::kDistribution) {
-        outcome.distribution = d.fold->distribution;
+    sc.key.clear();
+    AppendCacheKeyPrefix(snapshot, query, sc.key);
+    sc.key += *fingerprint;
+    auto [kit, fresh] = sc.key_index.try_emplace(
+        sc.key, static_cast<uint32_t>(sc.distincts.size()));
+    if (fresh) {
+      BatchDistinct& d = sc.distincts.emplace_back();
+      d.key = &kit->first;
+      d.query = &query;
+      d.profile = profile;
+      d.memo_slot = memo_slot;
+      d.memo_hash = memo_hash;
+      if (SharedFold hit = LookupFold(*d.key)) {
+        d.fold = std::move(hit);
+        d.resolved = true;
+        if (memo_slot != nullptr) {
+          FillMemo(*memo_slot, memo_hash, svc_id_, snap_id, query, d.fold);
+        }
       }
+    }
+
+    const BatchDistinct& d = sc.distincts[kit->second];
+    if (d.resolved) {
+      AnswerFromFold(*results[i], query.kind, *d.fold);
     } else {
-      sc.item_distinct[i] = idx;
+      sc.item_distinct[i] = static_cast<int32_t>(kit->second);
       any_miss = true;
     }
   }
@@ -1390,8 +1282,7 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
   std::map<std::pair<std::string_view, const EcvProfile*>,
            std::vector<BatchDistinct*>>
       groups;
-  for (size_t di = 0; di < sc.live; ++di) {
-    BatchDistinct& d = sc.distincts[di];
+  for (BatchDistinct& d : sc.distincts) {
     if (!d.resolved) {
       groups[{std::string_view(d.query->interface), d.profile}].push_back(&d);
     }
@@ -1414,10 +1305,10 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
       }
       auto entry = std::make_shared<const ExactFold>(*std::move(folds[l]));
       d->fold = entry;
-      StoreFold(d->key, std::move(entry));
+      StoreFold(*d->key, std::move(entry));
       if (d->memo_slot != nullptr) {
-        FillMemo(*d->memo_slot, d->memo_hash, svc_id_, snapshot.unique_id(),
-                 *d->query, d->fold);
+        FillMemo(*d->memo_slot, d->memo_hash, svc_id_, snap_id, *d->query,
+                 d->fold);
       }
     }
   }
@@ -1432,12 +1323,7 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
       results[i] = d.error;
       continue;
     }
-    QueryOutcome& outcome = *results[i];
-    outcome.kind = batch[i].kind;
-    outcome.joules = d.fold->mean;
-    if (batch[i].kind == QueryKind::kDistribution) {
-      outcome.distribution = d.fold->distribution;
-    }
+    AnswerFromFold(*results[i], batch[i].kind, *d.fold);
   }
   return results;
 }

@@ -85,7 +85,7 @@ struct Query {
   // the service-wide options.eval.dist_mode; an analytic mode routes the
   // query through the snapshot evaluator's certified engine (with its
   // memoized sub-distribution cache), kEnumerate through the service's
-  // sharded enumeration cache.
+  // sharded exact-fold cache.
   std::optional<DistMode> dist_mode;
 };
 
@@ -115,16 +115,18 @@ struct QueryOutcome {
 // Namespace-scope (not nested) so `Options options = {}` default arguments
 // work around GCC bug 88165; spelled QueryService::Options at use sites.
 struct QueryServiceOptions {
-  // Total enumeration-cache capacity in entries, split across shards.
+  // Total exact-fold cache capacity in entries, split across shards. 0
+  // disables it, with its thread-local front and the cross-batch memo.
   size_t cache_capacity = 4096;
   size_t cache_shards = 16;
   // Monte Carlo worker pool: thread count and queue bound (0 means
   // 4 * mc_pool_threads). Submitters block while the queue is full.
   size_t mc_pool_threads = 2;
   size_t mc_queue_limit = 0;
-  // Evaluation budgets / engine. The per-evaluator enumeration cache and
-  // MC worker spawning are disabled internally: the service's sharded
-  // cache and bounded pool replace them. Setting eval.vm_profiler threads
+  // Evaluation budgets / engine. MC worker spawning is disabled
+  // internally: the bounded pool replaces it. eval.enum_cache_capacity has
+  // no effect here, because the service folds and caches exact answers
+  // itself. Setting eval.vm_profiler threads
   // the bytecode VM profiler through every snapshot evaluator, giving
   // per-interface hot-op attribution for service traffic.
   EvalOptions eval;
@@ -165,9 +167,11 @@ class QueryService {
   Result<QueryOutcome> Dispatch(const Query& query) const;
 
   // Evaluates a batch against ONE snapshot, amortising the snapshot
-  // acquisition and deduplicating enumeration work: exact queries sharing
-  // (interface, args, profile) are fingerprinted once and enumerated once.
-  // Results are positionally aligned with `batch` and bit-identical to
+  // acquisition and deduplicating enumeration work: exact queries sharing a
+  // cache key (interface, args, effective profile) cost one fold-cache
+  // lookup and, on a miss, one enumeration. A base-profile query repeated
+  // across batches is answered from a per-thread memo without building its
+  // key. Results are positionally aligned with `batch` and bit-identical to
   // dispatching each query alone.
   std::vector<Result<QueryOutcome>> EvaluateBatch(
       const std::vector<Query>& batch) const;
@@ -175,8 +179,8 @@ class QueryService {
   // --- Snapshot publication (writers; never blocks readers) ---------------
 
   // Swaps the base ECV profile. In-flight queries finish on the snapshot
-  // they acquired; the enumeration cache needs no flush because keys carry
-  // the effective-profile fingerprint.
+  // they acquired; the fold cache needs no flush because keys carry the
+  // effective-profile fingerprint.
   void UpdateProfile(EcvProfile profile);
 
   // Swaps the whole program (re-lowered under a fresh generation, so stale
@@ -210,8 +214,6 @@ class QueryService {
 
   QueryService(std::shared_ptr<const Snapshot> initial, Options options);
 
-  using SharedOutcomes = Evaluator::SharedOutcomes;
-
   // The calling thread's cached snapshot slot (revalidated against
   // publish_seq_). The returned reference is pinned by the thread-local
   // shared_ptr until this thread's next acquisition on any service.
@@ -234,7 +236,6 @@ class QueryService {
   // (shard insert + thread-local slot fill, counting evictions).
   SharedFold LookupFold(const std::string& key) const;
   void StoreFold(const std::string& key, SharedFold entry) const;
-  std::string CacheKey(const Snapshot& snapshot, const Query& query) const;
   void AppendCacheKey(const Snapshot& snapshot, const Query& query,
                       std::string& out) const;
   // The cache key minus the trailing effective-profile fingerprint. The
@@ -242,6 +243,11 @@ class QueryService {
   // instead of re-merging and re-fingerprinting per item.
   void AppendCacheKeyPrefix(const Snapshot& snapshot, const Query& query,
                             std::string& out) const;
+  // The profile `query` evaluates under: the snapshot's own, or `merged`
+  // filled with a copy that has the query's overrides merged in.
+  static const EcvProfile& EffectiveProfile(const Snapshot& snapshot,
+                                            const Query& query,
+                                            EcvProfile& merged);
   // The query's dist_mode, falling back to the service-wide default.
   DistMode EffectiveMode(const Query& query) const;
   // Certified evaluation against `snapshot` under an analytic mode, through
@@ -253,6 +259,7 @@ class QueryService {
                                   const Query& query) const;
   Result<Energy> MonteCarloOn(const Snapshot& snapshot,
                               const Query& query) const;
+  Result<Value> SampleOn(const Snapshot& snapshot, const Query& query) const;
 
   Options options_;
   // Distinguishes this service in thread-local caches; allocated from a

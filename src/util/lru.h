@@ -2,9 +2,10 @@
 //
 // The eviction idiom (recency list + index of list iterators) is the one the
 // Fig. 1 web-service cache uses; this template generalises it so the same
-// policy can back the evaluator's enumeration memo, the scheduler's
-// candidate-energy memo, and the app-level request caches. Not thread-safe;
-// callers that share an instance across threads must synchronise.
+// policy backs the evaluator's fold and analytic caches and each shard of
+// the query service's fold cache (src/svc/sharded_cache.h). Not
+// thread-safe; callers that share an instance across threads must
+// synchronise.
 
 #ifndef ECLARITY_SRC_UTIL_LRU_H_
 #define ECLARITY_SRC_UTIL_LRU_H_

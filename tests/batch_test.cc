@@ -388,6 +388,11 @@ TEST(BatchPropertyTest, MixedProfileBatchSplitsByFingerprintGroup) {
   // The hoisted grouping merges + fingerprints once per distinct override
   // (hot, cold), not once per override-carrying item.
   EXPECT_EQ(ProfileFingerprintsCounter().value() - fp_before, 2u);
+  // One fold-cache lookup per distinct key, base-profile and override
+  // items alike: 4 argument vectors x {base, hot, cold}, all cold misses.
+  const QueryService::CacheStats stats = service->TotalCacheStats();
+  EXPECT_EQ(stats.lookups(), 12u);
+  EXPECT_EQ(stats.misses, 12u);
   ASSERT_EQ(results.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const auto single = singles->Dispatch(batch[i]);

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "src/eval/builtins.h"
 #include "src/eval/interp.h"
 #include "src/eval/pure_expr.h"
@@ -282,7 +285,25 @@ TEST(EvalEdgeTest, MaxStepsExhaustedOnAllEngines) {
   }
 }
 
-// --- Enumeration cache ------------------------------------------------------------
+// --- Fold cache -------------------------------------------------------------------
+//
+// EvalDistribution / ExpectedEnergy answer through a thread-local MRU slot in
+// front of the fold cache's shared store; fold_cache_hits()/misses() count
+// only lookups that reach the store, so the tests alternate keys.
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameBits(const Distribution& a, const Distribution& b) {
+  ASSERT_EQ(a.atoms().size(), b.atoms().size());
+  for (size_t i = 0; i < a.atoms().size(); ++i) {
+    EXPECT_EQ(Bits(a.atoms()[i].value), Bits(b.atoms()[i].value));
+    EXPECT_EQ(Bits(a.atoms()[i].probability), Bits(b.atoms()[i].probability));
+  }
+}
 
 TEST(EvalEdgeTest, CachedEnumerationMatchesColdPath) {
   const Program p = MustParse(R"(
@@ -291,7 +312,7 @@ interface f(x) {
   return hit ? 1mJ * x : 3mJ * x;
 }
 )");
-  Evaluator cached(p);  // default engine, cache enabled
+  Evaluator cached(p);  // default engine, fold cache enabled
   EvalOptions cold_options;
   cold_options.enum_cache_capacity = 0;
   Evaluator cold(p, cold_options);
@@ -302,27 +323,37 @@ interface f(x) {
                                {Value::Bool(false), 0.1}})
                   .ok());
   const std::vector<Value> args = {Value::Number(2.0)};
-
   const EcvProfile base;
-  for (const EcvProfile* profile :
-       {&base, static_cast<const EcvProfile*>(&biased)}) {
-    const EcvProfile& prof = *profile;
-    auto first = cached.Enumerate("f", args, prof);
-    auto second = cached.Enumerate("f", args, prof);  // served from cache
-    auto reference = cold.Enumerate("f", args, prof);
-    ASSERT_TRUE(first.ok() && second.ok() && reference.ok());
-    ASSERT_EQ(second->size(), reference->size());
-    for (size_t i = 0; i < second->size(); ++i) {
-      EXPECT_TRUE((*second)[i].value == (*reference)[i].value);
-      EXPECT_EQ((*second)[i].probability, (*reference)[i].probability);
-      EXPECT_EQ((*second)[i].ecv_assignments, (*reference)[i].ecv_assignments);
-      EXPECT_TRUE((*first)[i].value == (*second)[i].value);
+  const EcvProfile* profiles[] = {&base, &biased};
+
+  // References first: the uncached evaluator clears this thread's MRU slot.
+  std::vector<Distribution> ref_dist;
+  std::vector<double> ref_mean;
+  for (const EcvProfile* profile : profiles) {
+    auto dist = cold.EvalDistribution("f", args, *profile);
+    auto mean = cold.ExpectedEnergy("f", args, *profile);
+    ASSERT_TRUE(dist.ok() && mean.ok());
+    ref_dist.push_back(*dist);
+    ref_mean.push_back(mean->joules());
+  }
+  EXPECT_NE(Bits(ref_mean[0]), Bits(ref_mean[1]));
+
+  // Two rounds over alternating keys: round 0 misses the store once per
+  // key, round 1 hits it once per key. Each ExpectedEnergy repeats the key
+  // just folded, so the MRU slot answers it without reaching the store.
+  for (int round = 0; round < 2; ++round) {
+    for (size_t k = 0; k < 2; ++k) {
+      auto dist = cached.EvalDistribution("f", args, *profiles[k]);
+      auto mean = cached.ExpectedEnergy("f", args, *profiles[k]);
+      ASSERT_TRUE(dist.ok() && mean.ok());
+      ExpectSameBits(*dist, ref_dist[k]);
+      EXPECT_EQ(Bits(mean->joules()), Bits(ref_mean[k]));
     }
   }
-  // Two distinct keys (base + biased profile), each enumerated twice.
-  EXPECT_EQ(cached.enum_cache_misses(), 2u);
-  EXPECT_EQ(cached.enum_cache_hits(), 2u);
-  EXPECT_EQ(cold.enum_cache_hits(), 0u);
+  EXPECT_EQ(cached.fold_cache_misses(), 2u);
+  EXPECT_EQ(cached.fold_cache_hits(), 2u);
+  EXPECT_EQ(cold.fold_cache_misses(), 0u);
+  EXPECT_EQ(cold.fold_cache_hits(), 0u);
 }
 
 TEST(EvalEdgeTest, CacheKeyDistinguishesArguments) {
@@ -337,7 +368,44 @@ interface f(x) {
   auto b = eval.ExpectedEnergy("f", {Value::Number(2.0)}, {});
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_NE(a->joules(), b->joules());
-  EXPECT_EQ(eval.enum_cache_misses(), 2u);
+  EXPECT_EQ(eval.fold_cache_misses(), 2u);
+  EXPECT_EQ(eval.fold_cache_hits(), 0u);
+  // Back to the first key: the MRU slot holds the second, so this reaches
+  // the store and hits the first key's own entry.
+  auto again = eval.ExpectedEnergy("f", {Value::Number(1.0)}, {});
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(Bits(again->joules()), Bits(a->joules()));
+  EXPECT_EQ(eval.fold_cache_misses(), 2u);
+  EXPECT_EQ(eval.fold_cache_hits(), 1u);
+}
+
+TEST(EvalEdgeTest, CacheKeyDistinguishesCalibration) {
+  const Program p = MustParse(R"(
+interface f(n) {
+  ecv hit ~ bernoulli(0.5);
+  return hit ? au("relu", n) : au("relu", 2 * n);
+}
+)");
+  EnergyCalibration slow;
+  slow.Bind("relu", Energy::Microjoules(3.0));
+  EnergyCalibration fast;
+  fast.Bind("relu", Energy::Microjoules(1.0));
+  Evaluator eval(p);
+  const std::vector<Value> args = {Value::Number(2.0)};
+  auto a = eval.ExpectedEnergy("f", args, {}, &slow);
+  auto b = eval.ExpectedEnergy("f", args, {}, &fast);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_NEAR(a->joules(), 9e-6, 1e-15);
+  EXPECT_NEAR(b->joules(), 3e-6, 1e-15);
+  // Same arguments and profile, two calibrations: two entries.
+  EXPECT_EQ(eval.fold_cache_misses(), 2u);
+  auto a_again = eval.ExpectedEnergy("f", args, {}, &slow);
+  auto b_again = eval.ExpectedEnergy("f", args, {}, &fast);
+  ASSERT_TRUE(a_again.ok() && b_again.ok());
+  EXPECT_EQ(Bits(a_again->joules()), Bits(a->joules()));
+  EXPECT_EQ(Bits(b_again->joules()), Bits(b->joules()));
+  EXPECT_EQ(eval.fold_cache_misses(), 2u);
+  EXPECT_EQ(eval.fold_cache_hits(), 2u);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/eval/interp.h"
@@ -120,6 +121,28 @@ TEST(MetricsTest, ResetAllKeepsReferencesValid) {
   EXPECT_EQ(c.value(), 0u);
   c.Increment();
   EXPECT_EQ(c.value(), 1u);
+}
+
+TEST(MetricsTest, CounterSumsEveryThreadsCell) {
+  // More writers than the counter has cells, so some threads share one.
+  MetricsRegistry registry;
+  Counter& c = registry.GetCounter("test_threads_total", "");
+  constexpr int kThreads = 20;
+  constexpr int kIncrements = 1000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&c] {
+      for (int i = 0; i < kIncrements; ++i) {
+        c.Increment();
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(c.value(), uint64_t{kThreads} * kIncrements);
+  registry.ResetAll();
+  EXPECT_EQ(c.value(), 0u);
 }
 
 // --- JSON escaping ---------------------------------------------------------

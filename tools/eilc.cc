@@ -608,9 +608,9 @@ int Chaos(const std::string& path, const std::string& entry,
 
 // Profiles the bytecode VM: evaluates the entry --repeat times with the
 // sampling VmProfiler attached and prints the hot-opcode / hot-site /
-// per-interface tables. The per-evaluator enumeration cache is disabled so
-// every repeat actually executes the VM (a cached repeat would profile
-// nothing), and the profiler's own cost is charged to the ObsBudget by the
+// per-interface tables. The evaluator's fold cache is disabled so every
+// repeat actually executes the VM (a cached repeat would profile nothing),
+// and the profiler's own cost is charged to the ObsBudget by the
 // merge path, so the run also demonstrates the telemetry overhead story.
 int Profile(const std::string& path, const std::string& entry,
             std::vector<std::string> rest) {
