@@ -1,6 +1,7 @@
 #include "src/eval/batch.h"
 
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "src/eval/builtins.h"
@@ -162,23 +163,14 @@ double LaneNumber(const BatchColumn& c, size_t l) {
   return c.tag == Tag::kNumbers ? c.nums[l] : c.uniform.number();
 }
 
-// Draws one ECV outcome column per choice point. The two modes differ only
-// here: exact enumeration shares one draw across every lane (one chooser
-// drives the whole pass), Monte Carlo draws per lane from per-lane streams.
-class LaneDrawer {
- public:
-  virtual ~LaneDrawer() = default;
-  // Fills `out` for `width` lanes; false aborts the pass.
-  virtual bool Draw(const LEcv& ecv, const EcvSupport& support, size_t width,
-                    BatchColumn& out) = 0;
-};
-
-class ExactDrawer : public LaneDrawer {
+// Draws one ECV outcome column per choice point: exact enumeration shares
+// one draw across every lane, so one chooser drives the whole pass.
+class ExactDrawer {
  public:
   explicit ExactDrawer(EnumeratingChooser& chooser) : chooser_(chooser) {}
 
-  bool Draw(const LEcv& ecv, const EcvSupport& support, size_t /*width*/,
-            BatchColumn& out) override {
+  // Fills `out` with the chooser's current outcome; false aborts the pass.
+  bool Draw(const LEcv& ecv, const EcvSupport& support, BatchColumn& out) {
     Result<size_t> idx = chooser_.Choose(ecv.qualified, support);
     if (!idx.ok() || *idx >= support.outcomes.size()) {
       return false;
@@ -190,35 +182,6 @@ class ExactDrawer : public LaneDrawer {
 
  private:
   EnumeratingChooser& chooser_;
-};
-
-class SamplingDrawer : public LaneDrawer {
- public:
-  explicit SamplingDrawer(std::vector<Rng>& rngs) : rngs_(rngs) {}
-
-  bool Draw(const LEcv& /*ecv*/, const EcvSupport& support, size_t width,
-            BatchColumn& out) override {
-    // Mirrors SamplingChooser::Choose per lane: build the weight vector
-    // once (pure), then one Categorical draw per lane — each lane's RNG
-    // consumption is exactly the scalar chunk's.
-    weights_.clear();
-    weights_.reserve(support.outcomes.size());
-    for (const auto& [value, prob] : support.outcomes) {
-      weights_.push_back(prob);
-    }
-    out.tag = Tag::kValues;
-    out.vals.resize(width);
-    for (size_t l = 0; l < width; ++l) {
-      const size_t idx = rngs_[l].Categorical(weights_);
-      out.vals[l] = support.outcomes[idx].first;
-    }
-    Reclassify(out, width);
-    return true;
-  }
-
- private:
-  std::vector<Rng>& rngs_;
-  std::vector<double> weights_;
 };
 
 // ---------------------------------------------------------------------------
@@ -236,7 +199,7 @@ class SamplingDrawer : public LaneDrawer {
 class VectorExec {
  public:
   VectorExec(const LoweredProgram& lowered, const EvalOptions& options,
-             const EcvProfile& profile, LaneDrawer& drawer)
+             const EcvProfile& profile, ExactDrawer& drawer)
       : lowered_(lowered),
         options_(options),
         profile_(profile),
@@ -409,7 +372,7 @@ class VectorExec {
       support = &*ecv.static_support;
     }
     BatchColumn drawn;
-    if (!drawer_.Draw(ecv, *support, width_, drawn)) {
+    if (!drawer_.Draw(ecv, *support, drawn)) {
       return false;
     }
     if (stmt.slot < 0) {
@@ -671,7 +634,7 @@ class VectorExec {
   const LoweredProgram& lowered_;
   const EvalOptions& options_;
   const EcvProfile& profile_;
-  LaneDrawer& drawer_;
+  ExactDrawer& drawer_;
   std::vector<BatchColumn> frames_;
   size_t top_ = 0;
   size_t width_ = 0;
@@ -846,63 +809,6 @@ std::vector<Result<ExactFold>> BatchPlan::EnumerateFold(
     }
   }
   return results;
-}
-
-std::optional<std::vector<double>> BatchPlan::SampleSums(
-    const std::vector<Value>& args, const EcvProfile& profile,
-    const EnergyCalibration* calibration, const std::vector<Rng>& rngs,
-    const std::vector<size_t>& counts) const {
-  const size_t lanes = rngs.size();
-  if (lanes == 0 || counts.size() != lanes) {
-    return std::nullopt;
-  }
-  BatchCounters::Get().lanes.Increment(lanes);
-  const EvalOptions& options = evaluator_->options();
-  const auto abort = [&]() -> std::optional<std::vector<double>> {
-    BatchCounters::Get().scalar_fallbacks.Increment(lanes);
-    return std::nullopt;
-  };
-  if (evaluator_->lowered_ == nullptr || options.trace != nullptr) {
-    return abort();
-  }
-  // Active lanes must stay a prefix so lane l's stream is consumed exactly
-  // as its scalar chunk would consume it (sample order within the lane).
-  for (size_t l = 1; l < lanes; ++l) {
-    if (counts[l] > counts[l - 1]) {
-      return abort();
-    }
-  }
-  std::vector<Rng> lane_rngs = rngs;  // the caller's streams stay untouched
-  SamplingDrawer drawer(lane_rngs);
-  VectorExec exec(*evaluator_->lowered_, options, profile, drawer);
-  std::vector<BatchColumn> arg_columns(args.size());
-  for (size_t j = 0; j < args.size(); ++j) {
-    arg_columns[j].tag = Tag::kUniform;
-    arg_columns[j].uniform = args[j];  // width-agnostic: shared by all lanes
-  }
-  std::vector<double> sums(lanes, 0.0);
-  std::vector<double> joules;
-  const size_t max_count = counts[0];
-  for (size_t s = 0; s < max_count; ++s) {
-    // Lanes still needing sample s form a prefix (counts non-increasing).
-    size_t active = lanes;
-    while (active > 0 && counts[active - 1] <= s) {
-      --active;
-    }
-    exec.Reset();
-    BatchColumn value;
-    if (!exec.CallByName(interface_name_, arg_columns, active, value)) {
-      return abort();
-    }
-    if (!ColumnJoules(value, active, calibration, joules)) {
-      return abort();
-    }
-    for (size_t l = 0; l < active; ++l) {
-      sums[l] += joules[l];  // sample order per lane: the scalar reduction
-    }
-  }
-  BatchCounters::Get().passes.Increment();
-  return sums;
 }
 
 }  // namespace eclarity

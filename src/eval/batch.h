@@ -3,8 +3,8 @@
 // evaluation").
 //
 // A BatchPlan binds an evaluator and an entry interface; each pass runs the
-// lowered program once per enumeration path (or Monte Carlo sample) with
-// every value held as a *column*: one entry per lane, contiguous per slot.
+// lowered program once per enumeration path with every value held as a
+// *column*: one entry per lane, contiguous per slot.
 // Term loops over number planes are plain `double` loops the compiler can
 // vectorize; constants and shared ECV draws stay one scalar for the whole
 // pass. The engine is strictly opportunistic: whenever it cannot prove the
@@ -26,14 +26,12 @@
 #define ECLARITY_SRC_EVAL_BATCH_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/eval/ecv_profile.h"
 #include "src/eval/interp.h"
 #include "src/lang/value.h"
-#include "src/util/rng.h"
 #include "src/util/status.h"
 
 namespace eclarity {
@@ -83,18 +81,6 @@ class BatchPlan {
   std::vector<Result<ExactFold>> EnumerateFold(
       const std::vector<const std::vector<Value>*>& lane_args,
       const EcvProfile& profile, const EnergyCalibration* calibration) const;
-
-  // Monte Carlo lane sums: lane l draws counts[l] samples from its own RNG
-  // stream (a copy of rngs[l]; the caller's objects are never advanced),
-  // accumulating Joules in sample order. counts must be non-increasing so
-  // active lanes stay a prefix (Evaluator::MonteCarloMean's chunk layout).
-  // Returns per-lane sums bit-identical to running each lane's chunk on the
-  // scalar sampler, or nullopt when the vector pass had to abort (the
-  // caller reruns its scalar chunk loop; the abort is already counted).
-  std::optional<std::vector<double>> SampleSums(
-      const std::vector<Value>& args, const EcvProfile& profile,
-      const EnergyCalibration* calibration, const std::vector<Rng>& rngs,
-      const std::vector<size_t>& counts) const;
 
   // Lanes per SoA tile in EnumerateFold: bounds per-pass atom storage while
   // keeping the number planes long enough to vectorize.

@@ -1,7 +1,5 @@
 #include "src/eval/interp.h"
 
-#include "src/eval/batch.h"
-
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -884,28 +882,6 @@ Result<Energy> Evaluator::MonteCarloMean(
                        : static_cast<size_t>(std::thread::hardware_concurrency());
   workers = std::clamp<size_t>(workers, 1, num_chunks);
   if (workers == 1) {
-    // Single-worker runs go through the SoA batch engine: each chunk's
-    // forked RNG stream becomes a lane, so per-lane draw order — and the
-    // fixed chunk-order reduction below — match the scalar loop exactly.
-    // A vector-pass abort (divergent lanes, per-sample error) leaves the
-    // chunk RNGs untouched and falls through to the scalar loop.
-    BatchPlan plan(*this, interface_name);
-    std::vector<Rng> lane_rngs;
-    std::vector<size_t> lane_counts;
-    lane_rngs.reserve(chunks.size());
-    lane_counts.reserve(chunks.size());
-    for (const Chunk& chunk : chunks) {
-      lane_rngs.push_back(chunk.rng);
-      lane_counts.push_back(chunk.count);
-    }
-    if (std::optional<std::vector<double>> sums = plan.SampleSums(
-            args, profile, calibration, lane_rngs, lane_counts)) {
-      double total = 0.0;
-      for (const double sum : *sums) {  // fixed reduction order
-        total += sum;
-      }
-      return Energy::Joules(total / static_cast<double>(samples));
-    }
     for (Chunk& chunk : chunks) {
       run_chunk(chunk);
     }

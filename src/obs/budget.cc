@@ -41,7 +41,7 @@ double MeasureSamplerTickNs() {
   for (int b = 0; b < kCalibrationBatches; ++b) {
     const uint64_t t0 = ObsNowNs();
     for (int i = 0; i < kCalibrationBatchIters; ++i) {
-      sink ^= ObsSampler::Tick(1u << 30);
+      sink ^= ObsSampler::Tick(1u << 30, 0);
     }
     const uint64_t t1 = ObsNowNs();
     const double per = static_cast<double>(t1 - t0) / kCalibrationBatchIters;

@@ -10,15 +10,18 @@
 // the `eclarity_obs_overhead_ratio` gauge and is asserted < 0.01 by a
 // dedicated test, a bench-guard check, and the CI serve smoke.
 //
-// ObsSampler is the shared 1-in-N per-thread sampling gate used by the
+// ObsSampler holds the 1-in-N per-thread sampling gates used by the
 // query-service spans and latency histograms: unsampled queries pay one
-// thread-local decrement and branch, no clock reads.
+// thread-local decrement and branch, no clock reads. Each query kind counts
+// down on its own gate, so a traffic mix whose period divides N still
+// samples every kind it carries.
 
 #ifndef ECLARITY_SRC_OBS_BUDGET_H_
 #define ECLARITY_SRC_OBS_BUDGET_H_
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 
 namespace eclarity {
@@ -79,18 +82,22 @@ class ObsBudget {
 
 class ObsSampler {
  public:
-  // True on every `interval`-th call from this thread (first true after
-  // `interval` calls). interval == 0 disables sampling entirely.
-  static bool Tick(uint32_t interval) {
+  // Independent countdowns per thread (QueryService uses one per QueryKind).
+  static constexpr size_t kGates = 4;
+
+  // True on every `interval`-th call from this thread on `gate` (first true
+  // after `interval` calls on it). interval == 0 disables sampling entirely.
+  static bool Tick(uint32_t interval, size_t gate) {
     if (interval == 0) {
       return false;
     }
     State& s = TlState();
-    if (s.countdown == 0) {
-      s.countdown = interval;
+    uint32_t& countdown = s.countdown[gate];
+    if (countdown == 0) {
+      countdown = interval;
     }
-    if (--s.countdown == 0) {
-      s.countdown = interval;
+    if (--countdown == 0) {
+      countdown = interval;
       s.active = true;
       return true;
     }
@@ -109,7 +116,7 @@ class ObsSampler {
 
  private:
   struct State {
-    uint32_t countdown = 0;
+    uint32_t countdown[kGates] = {};
     bool active = false;
   };
   static State& TlState() {

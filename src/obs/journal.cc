@@ -108,16 +108,16 @@ void Journal::Record(JournalEventKind kind, uint64_t a, uint64_t b,
   Ring& ring = LocalRing();
   const uint64_t h = ring.head.load(std::memory_order_relaxed);
   Slot& slot = ring.slots[h & (kRingCapacity - 1)];
-  // Seqlock write: invalidate, fence so the payload stores cannot become
-  // visible before the invalidation, fill, then publish with the new
-  // sequence. A racing Drain() either sees seq unchanged twice (consistent
-  // payload) or a mismatch (slot skipped).
+  // Seqlock write without fences (Boehm, MSPC 2012): invalidate, fill with
+  // release stores, then publish with the new sequence. A reader that
+  // acquires any payload field of this write also sees the invalidation
+  // that precedes it, so a racing Drain() either sees seq unchanged twice
+  // (consistent payload) or a mismatch (slot skipped).
   slot.seq.store(0, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.t_ns.store(t_ns != 0 ? t_ns : SteadyNowNs(), std::memory_order_relaxed);
-  slot.dur_ns.store(dur_ns, std::memory_order_relaxed);
-  slot.tag.store(PackTag(kind, a), std::memory_order_relaxed);
-  slot.b.store(b, std::memory_order_relaxed);
+  slot.t_ns.store(t_ns != 0 ? t_ns : SteadyNowNs(), std::memory_order_release);
+  slot.dur_ns.store(dur_ns, std::memory_order_release);
+  slot.tag.store(PackTag(kind, a), std::memory_order_release);
+  slot.b.store(b, std::memory_order_release);
   slot.seq.store(h + 1, std::memory_order_release);
   ring.head.store(h + 1, std::memory_order_release);
 }
@@ -132,14 +132,14 @@ std::vector<JournalEvent> Journal::Drain() const {
       if (s1 == 0) {
         continue;  // never written, or invalidated / mid-write
       }
+      // Acquire loads order the payload before the re-check: if the writer
+      // started a new event, its seq invalidation is visible here and
+      // s2 != s1.
       JournalEvent ev;
-      ev.t_ns = slot.t_ns.load(std::memory_order_relaxed);
-      ev.dur_ns = slot.dur_ns.load(std::memory_order_relaxed);
-      const uint64_t tag = slot.tag.load(std::memory_order_relaxed);
-      ev.b = slot.b.load(std::memory_order_relaxed);
-      // Order the payload loads before the re-check: if the writer started
-      // a new event, its seq invalidation is visible here and s2 != s1.
-      std::atomic_thread_fence(std::memory_order_acquire);
+      ev.t_ns = slot.t_ns.load(std::memory_order_acquire);
+      ev.dur_ns = slot.dur_ns.load(std::memory_order_acquire);
+      const uint64_t tag = slot.tag.load(std::memory_order_acquire);
+      ev.b = slot.b.load(std::memory_order_acquire);
       const uint64_t s2 = slot.seq.load(std::memory_order_relaxed);
       if (s1 != s2) {
         continue;

@@ -5,18 +5,19 @@
 // wraps, the oldest events are silently overwritten (drop-oldest) — the
 // journal answers "what happened recently", not "what happened ever".
 // Drain() snapshots every ring from any thread without stopping writers:
-// each slot carries a per-slot sequence word maintained with a seqlock
-// protocol (all payload fields are relaxed atomics, so concurrent
-// drain-while-record is data-race-free under TSan), and a torn slot is
-// simply skipped.
+// each slot carries a per-slot sequence word maintained with a fence-free
+// seqlock protocol (all payload fields are atomics, stored with release
+// and loaded with acquire, so concurrent drain-while-record is
+// data-race-free under TSan), and a torn slot is simply skipped.
 //
 // Events are deliberately tiny: a kind tag plus two integer payload words
 // and an optional duration. Everything stringy (interface names, reasons)
 // stays out of the journal; the payload words carry enum codes and counts
 // that the formatter renders symbolically. This keeps Record() at a handful
-// of relaxed stores — cheap enough to leave enabled in production, which is
-// the point: the paper argues energy behaviour must be clear continuously,
-// and a recorder you turn off under load explains nothing.
+// of atomic stores (plain moves on x86) — cheap enough to leave enabled in
+// production, which is the point: the paper argues energy behaviour must be
+// clear continuously, and a recorder you turn off under load explains
+// nothing.
 
 #ifndef ECLARITY_SRC_OBS_JOURNAL_H_
 #define ECLARITY_SRC_OBS_JOURNAL_H_
@@ -70,7 +71,7 @@ class Journal {
   static constexpr size_t kRingCapacity = 2048;
 
   // The process-wide journal. Leaked singleton: rings must outlive every
-  // recording thread, including detached pool threads at shutdown.
+  // recording thread, including detached threads at shutdown.
   static Journal& Global();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }

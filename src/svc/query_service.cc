@@ -1,6 +1,5 @@
 #include "src/svc/query_service.h"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 #include <deque>
@@ -61,7 +60,7 @@ struct SvcCounters {
             "profile/program snapshots published"),
         MetricsRegistry::Global().GetCounter(
             "eclarity_svc_mc_requests_total",
-            "Monte Carlo requests run on the service pool"),
+            "Monte Carlo requests (sampled on the calling thread)"),
         MetricsRegistry::Global().GetCounter(
             "eclarity_svc_profile_fingerprints_total",
             "effective-profile merges + fingerprints computed for "
@@ -139,7 +138,10 @@ void JournalPhase(JournalEventKind kind, uint64_t a, uint64_t t0) {
   tl_phase_obs_ns += 3.0 * ObsBudget::Global().clock_read_ns();
 }
 
-// One query's observability scope. Construction decides (via the shared
+static_assert(static_cast<size_t>(QueryKind::kSample) < ObsSampler::kGates,
+              "each QueryKind needs its own sampling gate");
+
+// One query's observability scope. Construction decides (via its kind's
 // per-thread 1-in-N gate) whether this query is sampled; an unsampled query
 // pays exactly one thread-local countdown and branch. A sampled query is
 // timed into its kind's latency histogram, journalled as a kQuery span, and
@@ -156,7 +158,7 @@ class QueryTimer {
   // pass-1 probe, not the shared group passes).
   QueryTimer(uint32_t interval, QueryKind kind, bool credit_work = true)
       : kind_(kind), credit_work_(credit_work) {
-    if (ObsSampler::Tick(interval)) {
+    if (ObsSampler::Tick(interval, static_cast<size_t>(kind))) {
       interval_ = interval;
       tl_phase_obs_ns = 0.0;
       start_ns_ = ObsNowNs();
@@ -330,90 +332,6 @@ class QueryService::Snapshot {
   const uint64_t unique_id_;
 };
 
-// --- Bounded Monte Carlo worker pool ----------------------------------------
-
-class QueryService::McPool {
- public:
-  McPool(size_t threads, size_t queue_limit)
-      : queue_limit_(queue_limit == 0 ? 4 * std::max<size_t>(threads, 1)
-                                      : queue_limit) {
-    threads = std::max<size_t>(threads, 1);
-    workers_.reserve(threads);
-    for (size_t i = 0; i < threads; ++i) {
-      workers_.emplace_back([this] { Run(); });
-    }
-  }
-
-  ~McPool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stopping_ = true;
-    }
-    not_empty_.notify_all();
-    not_full_.notify_all();
-    for (std::thread& worker : workers_) {
-      worker.join();
-    }
-  }
-
-  // Runs `task` on a pool worker and waits for it. Blocks while the queue
-  // is at its bound (backpressure instead of unbounded growth).
-  void RunAndWait(std::function<void()> task) {
-    struct Done {
-      std::mutex mu;
-      std::condition_variable cv;
-      bool done = false;
-    };
-    auto done = std::make_shared<Done>();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_full_.wait(lock,
-                     [this] { return queue_.size() < queue_limit_ || stopping_; });
-      if (stopping_) {
-        // Destruction while submitting: run inline rather than dropping.
-        lock.unlock();
-        task();
-        return;
-      }
-      queue_.push_back([task = std::move(task), done] {
-        task();
-        std::lock_guard<std::mutex> lock(done->mu);
-        done->done = true;
-        done->cv.notify_all();
-      });
-    }
-    not_empty_.notify_one();
-    std::unique_lock<std::mutex> lock(done->mu);
-    done->cv.wait(lock, [&] { return done->done; });
-  }
-
- private:
-  void Run() {
-    for (;;) {
-      std::function<void()> task;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        not_empty_.wait(lock, [this] { return !queue_.empty() || stopping_; });
-        if (queue_.empty()) {
-          return;  // stopping
-        }
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      }
-      not_full_.notify_one();
-      task();
-    }
-  }
-
-  const size_t queue_limit_;
-  std::mutex mu_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-  std::deque<std::function<void()>> queue_;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
-};
-
 // --- QueryService -----------------------------------------------------------
 
 Result<std::unique_ptr<QueryService>> QueryService::Create(
@@ -435,7 +353,7 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
   // sampled query would clear the in-flight sample and silently drop that
   // query's phase spans from the journal.
   ObsBudget::Global();
-  // MC sampling runs on the service pool: one inline worker per request.
+  // MC sampling runs on the calling thread: one inline worker per request.
   EvalOptions eval = options.eval;
   eval.mc_workers = 1;
   options.eval = eval;
@@ -461,9 +379,7 @@ QueryService::QueryService(std::shared_ptr<const Snapshot> initial,
       snapshot_(std::move(initial)),
       publish_seq_(1),
       next_generation_(1),
-      cache_(options.cache_capacity, options.cache_shards),
-      mc_pool_(std::make_unique<McPool>(options.mc_pool_threads,
-                                        options.mc_queue_limit)) {}
+      cache_(options.cache_capacity, options.cache_shards) {}
 
 QueryService::~QueryService() = default;
 
@@ -782,25 +698,20 @@ Result<Distribution> QueryService::EvalDistribution(const Query& query) const {
 Result<Energy> QueryService::MonteCarloOn(const Snapshot& snapshot,
                                           const Query& query) const {
   SvcCounters::Get().mc_requests.Increment();
-  Result<Energy> result = InternalError("MC task never ran");
-  mc_pool_->RunAndWait([&] {
-    // The stream is a pure function of the query's seed: concurrent
-    // execution and single-threaded replay draw identical samples.
-    Rng rng(query.seed);
-    EcvProfile merged;
-    result = snapshot.bundle().evaluator.MonteCarloMean(
-        query.interface, query.args, EffectiveProfile(snapshot, query, merged),
-        rng, query.samples, options_.calibration);
-  });
-  return result;
+  // The stream is a pure function of the query's seed: concurrent
+  // execution and single-threaded replay draw identical samples.
+  Rng rng(query.seed);
+  EcvProfile merged;
+  return snapshot.bundle().evaluator.MonteCarloMean(
+      query.interface, query.args, EffectiveProfile(snapshot, query, merged),
+      rng, query.samples, options_.calibration);
 }
 
 Result<Energy> QueryService::MonteCarlo(const Query& query) const {
   SvcCounters::Get().queries.Increment();
   QueryTimer timer(options_.obs_sample_interval, QueryKind::kMonteCarlo);
-  // MonteCarloOn blocks this thread until the pool task finishes, so the
-  // borrowed snapshot stays pinned for the whole call (and the sampled
-  // span covers queueing plus execution — the latency a caller sees).
+  // Sampling runs on this thread, so the borrowed snapshot stays pinned
+  // for the whole call.
   const Snapshot& snapshot = AcquireSnapshotRef();
   if (ObsSampler::Active()) {
     JournalInstant(JournalEventKind::kSnapshotPin, snapshot.generation());
@@ -1188,8 +1099,8 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
 
   for (size_t i = 0; i < batch.size(); ++i) {
     const Query& query = batch[i];
-    // Batch items sample through the same per-thread gate as single
-    // queries, so a batch of N advances the countdown N times and its
+    // Batch items sample through the same per-kind gates as single
+    // queries, so a batch of N advances the countdowns N times and its
     // sampled items land in the same histograms and journal. (Group-pass
     // enumeration below runs outside these per-item spans; the enclosing
     // BatchWorkTimer owns work crediting — see DESIGN.md.)

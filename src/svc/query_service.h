@@ -34,9 +34,9 @@
 //     state), so a concurrent run is bit-identical to a single-threaded
 //     replay of the same request log.
 //
-//   * Bounded Monte Carlo pool. MC requests run on a fixed-size worker
-//     pool with a bounded queue (submitters block when it is full), so a
-//     burst of heavy sampling queries cannot spawn unbounded threads.
+//   * Monte Carlo on the caller's thread. An MC request draws its samples
+//     inline, on the scalar bytecode chunk loop, so the service starts no
+//     threads of its own: its callers bound MC concurrency.
 //
 // See DESIGN.md, "Concurrent query service".
 
@@ -44,15 +44,11 @@
 #define ECLARITY_SRC_SVC_QUERY_SERVICE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/dist/distribution.h"
@@ -68,7 +64,7 @@ namespace eclarity {
 enum class QueryKind {
   kExpected,      // exact expectation (Joules)
   kDistribution,  // exact distribution over Joules
-  kMonteCarlo,    // sampled mean on the worker pool (seeded by the query)
+  kMonteCarlo,    // sampled mean on the calling thread (seeded by query)
   kSample,        // one sampled outcome (seeded by the query)
 };
 
@@ -119,23 +115,21 @@ struct QueryServiceOptions {
   // disables it, with its thread-local front and the cross-batch memo.
   size_t cache_capacity = 4096;
   size_t cache_shards = 16;
-  // Monte Carlo worker pool: thread count and queue bound (0 means
-  // 4 * mc_pool_threads). Submitters block while the queue is full.
-  size_t mc_pool_threads = 2;
-  size_t mc_queue_limit = 0;
-  // Evaluation budgets / engine. MC worker spawning is disabled
-  // internally: the bounded pool replaces it. eval.enum_cache_capacity has
-  // no effect here, because the service folds and caches exact answers
-  // itself. Setting eval.vm_profiler threads
+  // Evaluation budgets / engine. eval.mc_workers is forced to 1: Monte
+  // Carlo runs on the calling thread, so a request never spawns threads.
+  // eval.enum_cache_capacity has no effect here, because the service folds
+  // and caches exact answers itself. Setting eval.vm_profiler threads
   // the bytecode VM profiler through every snapshot evaluator, giving
   // per-interface hot-op attribution for service traffic.
   EvalOptions eval;
   // Calibration for abstract-energy returns (borrowed; may be null).
   const EnergyCalibration* calibration = nullptr;
-  // Continuous observability (src/obs): every N-th query per thread is
-  // timed into the per-kind latency histograms and journalled as a span
-  // (with cache-lookup / snapshot-pin / eval / fold phase spans on the
-  // sampled query). Unsampled queries pay one thread-local countdown.
+  // Continuous observability (src/obs): every N-th query of each kind per
+  // thread is timed into its kind's latency histogram and journalled as a
+  // span (with cache-lookup / snapshot-pin / eval / fold phase spans on the
+  // sampled query). Each kind counts down on its own gate, so a periodic
+  // mix cannot starve a rare kind of samples. Unsampled queries pay one
+  // thread-local countdown.
   // 0 disables sampling. The default keeps the self-accounted overhead
   // (eclarity_obs_overhead_ratio) well under the 1% telemetry budget even
   // at cache-hit speeds (~10^7 queries/s); diagnostic tools can lower it.
@@ -159,7 +153,7 @@ class QueryService {
 
   Result<Energy> Expected(const Query& query) const;
   Result<Distribution> EvalDistribution(const Query& query) const;
-  // Runs on the bounded worker pool; blocks until the result is ready.
+  // Draws query.samples samples on the calling thread.
   Result<Energy> MonteCarlo(const Query& query) const;
   Result<Value> Sample(const Query& query) const;
 
@@ -210,8 +204,6 @@ class QueryService {
                             const Query& query) const;
 
  private:
-  class McPool;
-
   QueryService(std::shared_ptr<const Snapshot> initial, Options options);
 
   // The calling thread's cached snapshot slot (revalidated against
@@ -281,7 +273,6 @@ class QueryService {
   std::atomic<uint64_t> publish_seq_;
   std::atomic<uint64_t> next_generation_;
   mutable ShardedLruMap<std::string, SharedFold> cache_;
-  std::unique_ptr<McPool> mc_pool_;
 };
 
 }  // namespace eclarity

@@ -6,8 +6,8 @@
 // Logging defaults to Warning-and-above on stderr; tests and benches can
 // raise or lower the threshold with SetLogThreshold(). Each record is
 // formatted into one string and emitted with a single write under a lock,
-// so records never interleave even when the Monte Carlo worker pool logs
-// from several threads at once.
+// so records never interleave even when Monte Carlo workers or concurrent
+// service callers log from several threads at once.
 
 #ifndef ECLARITY_SRC_UTIL_LOGGING_H_
 #define ECLARITY_SRC_UTIL_LOGGING_H_

@@ -13,8 +13,6 @@
 //     fingerprint (computed once per distinct override, asserted via
 //     MetricsRegistry); divergent-lane scalar fallback is bit-identical;
 //     zero-length and single-lane batches are legal.
-//   * MONTE CARLO — single-worker MonteCarloMean (the batch-lane path) is
-//     bit-identical to the multi-worker scalar chunk loop for one seed.
 
 #include <gtest/gtest.h>
 
@@ -529,81 +527,6 @@ interface f(n) {
           << "item " << i;
     }
   }
-}
-
-// --- Monte Carlo routing --------------------------------------------------
-
-TEST(BatchMonteCarloTest, SingleWorkerBatchPathMatchesThreadedScalar) {
-  // Value-form draws (no per-lane control flow) keep the vector sampler
-  // engaged; the single-worker batch path must reproduce the threaded
-  // scalar chunk loop bit for bit — same seed, same chunk layout, same
-  // fixed-order reduction.
-  constexpr char kSource[] = R"(
-interface g(n) {
-  ecv tier ~ categorical(0: 0.5, 1: 0.3, 2: 0.2);
-  ecv extra ~ uniform_int(0, 3);
-  return (n + tier * 2 + extra) * 1mJ;
-}
-)";
-  const Program program = MustParse(kSource);
-  EvalOptions single_opts;
-  single_opts.mc_workers = 1;
-  EvalOptions threaded_opts;
-  threaded_opts.mc_workers = 4;
-  const Evaluator batched(program, single_opts);
-  const Evaluator threaded(program, threaded_opts);
-  const std::vector<Value> args = {Value::Number(5.0)};
-  for (const size_t samples : {1u, 7u, 256u, 1000u, 4096u}) {
-    Rng rng_a(0xC0FFEEu);
-    Rng rng_b(0xC0FFEEu);
-    const auto a = batched.MonteCarloMean("g", args, {}, rng_a, samples);
-    const auto b = threaded.MonteCarloMean("g", args, {}, rng_b, samples);
-    ASSERT_TRUE(a.ok()) << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << b.status().ToString();
-    EXPECT_EQ(Bits(a->joules()), Bits(b->joules())) << samples << " samples";
-  }
-}
-
-TEST(BatchMonteCarloTest, DivergentSamplingFallsBackBitIdentically) {
-  // Per-lane bernoulli branching diverges immediately: the vector sampler
-  // aborts without consuming the chunk streams and the scalar loop runs —
-  // results must still match the threaded reference exactly.
-  const Program program = MustParse(parity::kFig1Source);
-  EvalOptions single_opts;
-  single_opts.mc_workers = 1;
-  EvalOptions threaded_opts;
-  threaded_opts.mc_workers = 4;
-  const Evaluator batched(program, single_opts);
-  const Evaluator threaded(program, threaded_opts);
-  const std::vector<Value> args = {Value::Number(50176.0),
-                                   Value::Number(10000.0)};
-  Rng rng_a(0xF16F16u);
-  Rng rng_b(0xF16F16u);
-  const auto a =
-      batched.MonteCarloMean("E_ml_webservice_handle", args, {}, rng_a, 1000);
-  const auto b =
-      threaded.MonteCarloMean("E_ml_webservice_handle", args, {}, rng_b, 1000);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(Bits(a->joules()), Bits(b->joules()));
-}
-
-TEST(BatchMonteCarloTest, ErrorParity) {
-  const Program program = MustParse("interface f(x) { return x + 1J; }");
-  EvalOptions single_opts;
-  single_opts.mc_workers = 1;
-  const Evaluator batched(program, single_opts);
-  Rng rng(7);
-  const auto result =
-      batched.MonteCarloMean("f", {Value::Number(1.0)}, {}, rng, 64);
-  ASSERT_FALSE(result.ok());
-  const Evaluator reference(program, {});
-  Rng rng2(7);
-  const auto want =
-      reference.MonteCarloMean("f", {Value::Number(1.0)}, {}, rng2, 64);
-  ASSERT_FALSE(want.ok());
-  EXPECT_EQ(result.status().code(), want.status().code());
-  EXPECT_EQ(result.status().message(), want.status().message());
 }
 
 }  // namespace

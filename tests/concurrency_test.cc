@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -390,10 +391,8 @@ interface f() {
   EXPECT_EQ(service->TotalCacheStats().misses, 2u);
 }
 
-TEST(QueryServiceConcurrencyTest, MonteCarloDeterministicOnPool) {
-  QueryService::Options options;
-  options.mc_pool_threads = 4;
-  auto service = MustCreate(kFig1Source, options);
+TEST(QueryServiceConcurrencyTest, MonteCarloDeterministicAcrossCallers) {
+  auto service = MustCreate(kFig1Source);
   Query query = MixedQueryAt(0);
   ASSERT_EQ(query.kind, QueryKind::kMonteCarlo);
   query.samples = 1000;
@@ -422,6 +421,31 @@ TEST(QueryServiceConcurrencyTest, MonteCarloDeterministicOnPool) {
   for (std::thread& worker : workers) {
     worker.join();
   }
+}
+
+// The `Threads:` count of /proc/self/status, or -1 if it cannot be read.
+int ProcessThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoi(line.substr(8));
+    }
+  }
+  return -1;
+}
+
+TEST(QueryServiceConcurrencyTest, CreateStartsNoThreads) {
+  // Monte Carlo samples on the calling thread: neither constructing the
+  // service nor answering an MC query may start a thread.
+  const int before = ProcessThreadCount();
+  ASSERT_GT(before, 0);
+  auto service = MustCreate(kFig1Source);
+  const Query query = MixedQueryAt(0);
+  ASSERT_EQ(query.kind, QueryKind::kMonteCarlo);
+  auto mc = service->MonteCarlo(query);
+  ASSERT_TRUE(mc.ok()) << mc.status().ToString();
+  EXPECT_EQ(ProcessThreadCount(), before);
 }
 
 TEST(QueryServiceConcurrencyTest, BatchBitIdenticalToSinglesAndDeduped) {

@@ -4,12 +4,14 @@
 // outcome values and probability bits, ECV draw order, trace events,
 // sampled values, and error codes and messages. Also covers the tree walk
 // serving when bytecode compilation overflows, and the determinism
-// guarantee of the parallel Monte Carlo reduction.
+// guarantee of the parallel Monte Carlo reduction: the same seed gives the
+// same bits, or the same error, at every worker count.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -320,27 +322,65 @@ TEST(EngineParityTest, CompileOverflowFallsBackToTreeWalk) {
   }
 }
 
-TEST(EngineParityTest, MonteCarloDeterministicAcrossWorkerCounts) {
-  const Program p = MustParse(parity::kFig1Source);
-  const std::vector<Value> args = {Value::Number(50176.0),
-                                   Value::Number(10000.0)};
-  double reference = 0.0;
-  bool have_reference = false;
-  for (size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
+constexpr size_t kMcWorkerCounts[] = {1, 2, 4, 0};  // 0: hardware threads
+
+// Runs MonteCarloMean at every worker count from the same seed and returns
+// the first run's result. Every run must return the same bits, or fail with
+// the same code and message.
+Result<Energy> MonteCarloAcrossWorkers(const Program& program,
+                                       const std::string& entry,
+                                       const std::vector<Value>& args,
+                                       uint64_t seed, size_t samples) {
+  SCOPED_TRACE(std::to_string(samples) + " samples");
+  std::optional<Result<Energy>> reference;
+  for (const size_t workers : kMcWorkerCounts) {
     EvalOptions options;
     options.mc_workers = workers;
-    Evaluator eval(p, options);
-    Rng rng(42);
-    auto mean = eval.MonteCarloMean("E_ml_webservice_handle", args, {}, rng,
-                                    2000);
-    ASSERT_TRUE(mean.ok()) << mean.status().ToString();
-    if (!have_reference) {
-      reference = mean->joules();
-      have_reference = true;
+    const Evaluator eval(program, options);
+    Rng rng(seed);
+    Result<Energy> mean = eval.MonteCarloMean(entry, args, {}, rng, samples);
+    if (!reference.has_value()) {
+      reference = std::move(mean);
+    } else if (!mean.ok() || !reference->ok()) {
+      EXPECT_EQ(mean.status().code(), reference->status().code())
+          << "workers=" << workers;
+      EXPECT_EQ(mean.status().message(), reference->status().message())
+          << "workers=" << workers;
     } else {
-      EXPECT_EQ(Bits(mean->joules()), Bits(reference))
+      EXPECT_EQ(Bits(mean->joules()), Bits((*reference)->joules()))
           << "workers=" << workers;
     }
+  }
+  return *std::move(reference);
+}
+
+TEST(EngineParityTest, MonteCarloDeterministicAcrossWorkerCounts) {
+  // Fig. 1 branches on its draws.
+  const Program p = MustParse(parity::kFig1Source);
+  const auto mean = MonteCarloAcrossWorkers(
+      p, "E_ml_webservice_handle",
+      {Value::Number(50176.0), Value::Number(10000.0)}, 42, 2000);
+  EXPECT_TRUE(mean.ok()) << mean.status().ToString();
+}
+
+// BatchMonteCarloTest is named for the batch-lane sampler that single-worker
+// MonteCarloMean once ran. A single worker now runs the scalar chunk loop
+// inline, as QueryService does; these cases pin it to the threaded runs.
+TEST(BatchMonteCarloTest, SingleWorkerBatchPathMatchesThreadedScalar) {
+  // This program returns its draws as values. The sample counts cover
+  // partial single chunks, exactly one chunk, and even and uneven splits
+  // over several chunks.
+  const Program p = MustParse(R"(
+interface g(n) {
+  ecv tier ~ categorical(0: 0.5, 1: 0.3, 2: 0.2);
+  ecv extra ~ uniform_int(0, 3);
+  return (n + tier * 2 + extra) * 1mJ;
+}
+)");
+  for (const size_t samples : {1u, 7u, 256u, 1000u, 4096u}) {
+    const auto mean = MonteCarloAcrossWorkers(p, "g", {Value::Number(5.0)},
+                                              0xC0FFEEu, samples);
+    EXPECT_TRUE(mean.ok()) << mean.status().ToString();
   }
 }
 
@@ -359,12 +399,25 @@ TEST(EngineParityTest, MonteCarloAgreesWithExactExpectation) {
 }
 
 TEST(EngineParityTest, MonteCarloSurfacesSampleErrors) {
+  // A bad ECV parameter fails with the same error at every worker count, in
+  // one chunk and across several.
   const Program p = MustParse(
       "interface f(x) { ecv e ~ bernoulli(2); return e ? 1J : 2J; }");
-  Evaluator eval(p);
-  Rng rng(1);
-  auto mc = eval.MonteCarloMean("f", {Value::Number(0.0)}, {}, rng, 100);
-  EXPECT_FALSE(mc.ok());
+  for (const size_t samples : {100u, 1000u}) {
+    EXPECT_FALSE(
+        MonteCarloAcrossWorkers(p, "f", {Value::Number(0.0)}, 1, samples)
+            .ok());
+  }
+}
+
+TEST(BatchMonteCarloTest, ErrorParity) {
+  // A number-plus-energy type error, in one chunk and across several.
+  const Program p = MustParse("interface f(x) { return x + 1J; }");
+  for (const size_t samples : {64u, 1000u}) {
+    EXPECT_FALSE(
+        MonteCarloAcrossWorkers(p, "f", {Value::Number(1.0)}, 7, samples)
+            .ok());
+  }
 }
 
 }  // namespace

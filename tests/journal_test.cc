@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -200,7 +201,6 @@ std::string RunWorkloadAndFingerprint() {
 
   QueryService::Options options;
   options.obs_sample_interval = 1;  // sample (and journal) every query
-  options.mc_pool_threads = 1;
   auto service =
       QueryService::Create(MustParse(kServiceSource), options);
   EXPECT_TRUE(service.ok()) << service.status().ToString();
@@ -291,6 +291,62 @@ TEST(ObsBudgetTest, SteadyStateServiceOverheadUnderOnePercent) {
   ObsBudget::Global().Publish();
   const std::string text = MetricsRegistry::Global().ToPrometheusText();
   EXPECT_NE(text.find("eclarity_obs_overhead_ratio"), std::string::npos);
+}
+
+// --- Sampling gates ---------------------------------------------------------
+
+// A traffic mix whose period divides the sampling interval (here 16 and 64
+// against 256) must still sample every kind it carries: a countdown shared
+// by all kinds would put every sample on the same position of the mix, an
+// Expected hit. With one gate per kind, kind k's latency histogram grows
+// by exactly floor(N_k / interval).
+TEST(ObsSamplerTest, PeriodicMixSamplesEveryKind) {
+  QueryService::Options options;  // default obs_sample_interval
+  auto service = QueryService::Create(MustParse(parity::kFig1Source), options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ObsSampler::ResetThread();
+
+  const QueryKind kKinds[] = {QueryKind::kExpected, QueryKind::kDistribution,
+                              QueryKind::kMonteCarlo};
+  const char* const kHistograms[] = {"eclarity_svc_latency_ns_expected",
+                                     "eclarity_svc_latency_ns_distribution",
+                                     "eclarity_svc_latency_ns_montecarlo"};
+  auto counts = [&] {
+    std::vector<uint64_t> out;
+    for (const char* name : kHistograms) {
+      out.push_back(
+          MetricsRegistry::Global().GetLatencyHistogram(name).Count());
+    }
+    return out;
+  };
+  const std::vector<uint64_t> before = counts();
+
+  constexpr int kQueries = 40000;
+  std::vector<uint64_t> issued(3, 0);
+  for (int i = 0; i < kQueries; ++i) {
+    Query query;
+    query.interface = "E_ml_webservice_handle";
+    query.args = {Value::Number(50176.0), Value::Number(10000.0)};
+    size_t k = 0;  // expected
+    if (i % 64 == 0) {
+      k = 2;
+      query.seed = static_cast<uint64_t>(i);
+      query.samples = 16;
+    } else if (i % 16 == 8) {
+      k = 1;
+    }
+    query.kind = kKinds[k];
+    ++issued[k];
+    ASSERT_TRUE((*service)->Dispatch(query).ok());
+  }
+
+  const std::vector<uint64_t> after = counts();
+  const uint64_t interval = options.obs_sample_interval;
+  for (size_t k = 0; k < 3; ++k) {
+    SCOPED_TRACE(kHistograms[k]);
+    EXPECT_GT(issued[k] / interval, 0u);
+    EXPECT_EQ(after[k] - before[k], issued[k] / interval);
+  }
 }
 
 }  // namespace
