@@ -418,7 +418,7 @@ BENCHMARK(BM_BatchVsSingle)->Arg(1)->Arg(8)->Arg(16)->Arg(64)->Arg(512);
 // Interface-EAS placement scoring: every Place() call evaluates all
 // candidate (core, OPP) pairs through one EvaluateBatch pass. The task's
 // demand pattern is long enough (4000 phases x ~6 candidates) to cycle
-// past the service's 4096-entry fold cache and the batch memo, so
+// past the service's 4096-entry fold cache and its thread-local front, so
 // successive quanta keep paying the batched scoring pass instead of
 // degenerating into pure cache hits. Items are placements per second.
 void BM_EasScoreBatch(benchmark::State& state) {

@@ -1,7 +1,10 @@
 #include "src/eval/batch.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "src/eval/builtins.h"
@@ -52,6 +55,31 @@ Value LaneValue(const BatchColumn& c, size_t l) {
       return c.vals[l];
   }
   return Value();
+}
+
+// Bit-exact lane equality, as cache keys compare arguments: -0.0 and +0.0
+// (or two NaN payloads) are different lanes, so collapsing lanes to one
+// uniform value never rewrites an argument's bits.
+bool SameBits(double a, double b) {
+  uint64_t x;
+  uint64_t y;
+  std::memcpy(&x, &a, sizeof(x));
+  std::memcpy(&y, &b, sizeof(y));
+  return x == y;
+}
+
+bool SameBits(const Value& a, const Value& b) {
+  if (a.is_number() || b.is_number()) {
+    return a.is_number() && b.is_number() && SameBits(a.number(), b.number());
+  }
+  if (a.is_energy() && b.is_energy()) {
+    std::string fa;
+    std::string fb;
+    a.AppendFingerprint(fa);
+    b.AppendFingerprint(fb);
+    return fa == fb;
+  }
+  return a == b;
 }
 
 // Collapses a freshly filled value plane to its tightest tag so downstream
@@ -129,7 +157,7 @@ bool UniformNumber(const BatchColumn& c, size_t width, double& out) {
       return true;
     case Tag::kNumbers: {
       for (size_t l = 1; l < width; ++l) {
-        if (!(c.nums[l] == c.nums[0])) {
+        if (!SameBits(c.nums[l], c.nums[0])) {
           return false;
         }
       }
@@ -141,7 +169,7 @@ bool UniformNumber(const BatchColumn& c, size_t width, double& out) {
         return false;
       }
       for (size_t l = 1; l < width; ++l) {
-        if (!(c.vals[l] == c.vals[0])) {
+        if (!SameBits(c.vals[l], c.vals[0])) {
           return false;
         }
       }
@@ -659,7 +687,7 @@ bool BuildArgColumns(const std::vector<const std::vector<Value>*>& lanes,
     BatchColumn& col = out[j];
     bool uniform = true;
     for (size_t l = 1; l < width; ++l) {
-      if (!((*lanes[l])[j] == (*lanes[0])[j])) {
+      if (!SameBits((*lanes[l])[j], (*lanes[0])[j])) {
         uniform = false;
         break;
       }

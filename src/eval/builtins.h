@@ -1,4 +1,5 @@
-// Builtin functions available inside EIL interfaces.
+// Builtin functions available inside EIL interfaces. The table of names
+// and arities is declared once, as ECLARITY_BUILTINS in src/lang/ast.h.
 //
 //   min(a,b)  max(a,b)  clamp(x,lo,hi)   — numbers or concrete energies
 //   abs(x) floor(x) ceil(x) round(x)     — numbers (abs also on energies)

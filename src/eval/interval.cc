@@ -727,15 +727,15 @@ class IntervalExecution {
       args.push_back(std::move(v));
     }
     const std::string context = Ctx(iface, call.line, call.column);
-    if (IsBuiltinName(call.callee)) {
-      return EvalBuiltin(call, args, context);
+    if (const BuiltinInfo* builtin = FindBuiltin(call.callee)) {
+      return EvalBuiltin(builtin->id, call, args, context);
     }
     ECLARITY_ASSIGN_OR_RETURN(EnergyInterval result,
                               CallInterface(call.callee, args));
     return IntervalValue::EnergyJoules(result.lo_joules, result.hi_joules);
   }
 
-  Result<IntervalValue> EvalBuiltin(const CallExpr& call,
+  Result<IntervalValue> EvalBuiltin(BuiltinId id, const CallExpr& call,
                                     const std::vector<IntervalValue>& args,
                                     const std::string& context) {
     const std::string& name = call.callee;
@@ -752,125 +752,124 @@ class IntervalExecution {
       }
       return IntervalValue::Number(lo, hi);
     };
-    if (name == "floor") {
-      return monotone1([](double x) { return std::floor(x); });
-    }
-    if (name == "ceil") {
-      return monotone1([](double x) { return std::ceil(x); });
-    }
-    if (name == "round") {
-      return monotone1([](double x) { return std::round(x); });
-    }
-    if (name == "sqrt") {
-      return monotone1([](double x) { return std::sqrt(x); });
-    }
-    if (name == "log") {
-      return monotone1([](double x) { return std::log(x); });
-    }
-    if (name == "log2") {
-      return monotone1([](double x) { return std::log2(x); });
-    }
-    if (name == "exp") {
-      return monotone1([](double x) { return std::exp(x); });
-    }
-    if (name == "abs") {
-      if (args.size() != 1) {
-        return InvalidArgumentError(context + ": abs expects one argument");
+    switch (id) {
+      case BuiltinId::kFloor:
+        return monotone1([](double x) { return std::floor(x); });
+      case BuiltinId::kCeil:
+        return monotone1([](double x) { return std::ceil(x); });
+      case BuiltinId::kRound:
+        return monotone1([](double x) { return std::round(x); });
+      case BuiltinId::kSqrt:
+        return monotone1([](double x) { return std::sqrt(x); });
+      case BuiltinId::kLog:
+        return monotone1([](double x) { return std::log(x); });
+      case BuiltinId::kLog2:
+        return monotone1([](double x) { return std::log2(x); });
+      case BuiltinId::kExp:
+        return monotone1([](double x) { return std::exp(x); });
+      case BuiltinId::kAbs: {
+        if (args.size() != 1) {
+          return InvalidArgumentError(context + ": abs expects one argument");
+        }
+        if (args[0].is_number()) {
+          const NumInterval a = args[0].num();
+          const double lo = a.Contains(0.0)
+                                ? 0.0
+                                : std::min(std::fabs(a.lo), std::fabs(a.hi));
+          const double hi = std::max(std::fabs(a.lo), std::fabs(a.hi));
+          return IntervalValue::Number(lo, hi);
+        }
+        if (args[0].is_energy()) {
+          const EnergyInterval a = args[0].energy();
+          const NumInterval n{a.lo_joules, a.hi_joules};
+          const double lo = n.Contains(0.0)
+                                ? 0.0
+                                : std::min(std::fabs(n.lo), std::fabs(n.hi));
+          const double hi = std::max(std::fabs(n.lo), std::fabs(n.hi));
+          return IntervalValue::EnergyJoules(lo, hi);
+        }
+        return InvalidArgumentError(context + ": abs kind mismatch");
       }
-      if (args[0].is_number()) {
-        const NumInterval a = args[0].num();
-        const double lo = a.Contains(0.0)
-                              ? 0.0
-                              : std::min(std::fabs(a.lo), std::fabs(a.hi));
-        const double hi = std::max(std::fabs(a.lo), std::fabs(a.hi));
+      case BuiltinId::kMin:
+      case BuiltinId::kMax: {
+        if (args.size() != 2) {
+          return InvalidArgumentError(context + ": " + name +
+                                      " expects two arguments");
+        }
+        const bool want_min = id == BuiltinId::kMin;
+        if (args[0].is_number() && args[1].is_number()) {
+          const NumInterval a = args[0].num();
+          const NumInterval b = args[1].num();
+          if (want_min) {
+            return IntervalValue::Number(std::min(a.lo, b.lo),
+                                         std::min(a.hi, b.hi));
+          }
+          return IntervalValue::Number(std::max(a.lo, b.lo),
+                                       std::max(a.hi, b.hi));
+        }
+        if (args[0].is_energy() && args[1].is_energy()) {
+          const EnergyInterval a = args[0].energy();
+          const EnergyInterval b = args[1].energy();
+          if (want_min) {
+            return IntervalValue::EnergyJoules(
+                std::min(a.lo_joules, b.lo_joules),
+                std::min(a.hi_joules, b.hi_joules));
+          }
+          return IntervalValue::EnergyJoules(
+              std::max(a.lo_joules, b.lo_joules),
+              std::max(a.hi_joules, b.hi_joules));
+        }
+        return InvalidArgumentError(context + ": " + name + " kind mismatch");
+      }
+      case BuiltinId::kClamp: {
+        if (args.size() != 3 || !args[0].is_number() ||
+            !args[1].is_number() || !args[2].is_number()) {
+          return InvalidArgumentError(context +
+                                      ": clamp expects three numbers");
+        }
+        const NumInterval x = args[0].num();
+        const NumInterval lo_b = args[1].num();
+        const NumInterval hi_b = args[2].num();
+        const double lo = std::clamp(x.lo, lo_b.lo, hi_b.hi);
+        const double hi = std::clamp(x.hi, lo_b.lo, hi_b.hi);
         return IntervalValue::Number(lo, hi);
       }
-      if (args[0].is_energy()) {
-        const EnergyInterval a = args[0].energy();
-        const NumInterval n{a.lo_joules, a.hi_joules};
-        const double lo = n.Contains(0.0)
-                              ? 0.0
-                              : std::min(std::fabs(n.lo), std::fabs(n.hi));
-        const double hi = std::max(std::fabs(n.lo), std::fabs(n.hi));
-        return IntervalValue::EnergyJoules(lo, hi);
-      }
-      return InvalidArgumentError(context + ": abs kind mismatch");
-    }
-    if (name == "min" || name == "max") {
-      if (args.size() != 2) {
-        return InvalidArgumentError(context + ": " + name +
-                                    " expects two arguments");
-      }
-      const bool want_min = name == "min";
-      if (args[0].is_number() && args[1].is_number()) {
-        const NumInterval a = args[0].num();
-        const NumInterval b = args[1].num();
-        if (want_min) {
-          return IntervalValue::Number(std::min(a.lo, b.lo),
-                                       std::min(a.hi, b.hi));
+      case BuiltinId::kPow: {
+        if (args.size() != 2 || !args[0].is_number() || !args[1].is_number()) {
+          return InvalidArgumentError(context + ": pow expects two numbers");
         }
-        return IntervalValue::Number(std::max(a.lo, b.lo),
-                                     std::max(a.hi, b.hi));
-      }
-      if (args[0].is_energy() && args[1].is_energy()) {
-        const EnergyInterval a = args[0].energy();
-        const EnergyInterval b = args[1].energy();
-        if (want_min) {
-          return IntervalValue::EnergyJoules(
-              std::min(a.lo_joules, b.lo_joules),
-              std::min(a.hi_joules, b.hi_joules));
+        const NumInterval base = args[0].num();
+        const NumInterval exponent = args[1].num();
+        if (!exponent.IsPoint() || base.lo < 0.0) {
+          return UnimplementedError(
+              context + ": interval pow needs a definite exponent and a "
+                        "non-negative base");
         }
-        return IntervalValue::EnergyJoules(std::max(a.lo_joules, b.lo_joules),
-                                           std::max(a.hi_joules, b.hi_joules));
+        const double p1 = std::pow(base.lo, exponent.lo);
+        const double p2 = std::pow(base.hi, exponent.lo);
+        return IntervalValue::Number(std::min(p1, p2), std::max(p1, p2));
       }
-      return InvalidArgumentError(context + ": " + name + " kind mismatch");
-    }
-    if (name == "clamp") {
-      if (args.size() != 3 || !args[0].is_number() || !args[1].is_number() ||
-          !args[2].is_number()) {
-        return InvalidArgumentError(context + ": clamp expects three numbers");
-      }
-      const NumInterval x = args[0].num();
-      const NumInterval lo_b = args[1].num();
-      const NumInterval hi_b = args[2].num();
-      const double lo = std::clamp(x.lo, lo_b.lo, hi_b.hi);
-      const double hi = std::clamp(x.hi, lo_b.lo, hi_b.hi);
-      return IntervalValue::Number(lo, hi);
-    }
-    if (name == "pow") {
-      if (args.size() != 2 || !args[0].is_number() || !args[1].is_number()) {
-        return InvalidArgumentError(context + ": pow expects two numbers");
-      }
-      const NumInterval base = args[0].num();
-      const NumInterval exponent = args[1].num();
-      if (!exponent.IsPoint() || base.lo < 0.0) {
-        return UnimplementedError(
-            context + ": interval pow needs a definite exponent and a "
-                      "non-negative base");
-      }
-      const double p1 = std::pow(base.lo, exponent.lo);
-      const double p2 = std::pow(base.hi, exponent.lo);
-      return IntervalValue::Number(std::min(p1, p2), std::max(p1, p2));
-    }
-    if (name == "au") {
-      if (call.string_args.size() != 1) {
-        return InvalidArgumentError(context + ": au expects a unit name");
-      }
-      double count_lo = 1.0;
-      double count_hi = 1.0;
-      if (args.size() == 2) {
-        if (!args[1].is_number()) {
-          return InvalidArgumentError(context + ": au count must be a number");
+      case BuiltinId::kAu: {
+        if (call.string_args.size() != 1) {
+          return InvalidArgumentError(context + ": au expects a unit name");
         }
-        count_lo = args[1].num().lo;
-        count_hi = args[1].num().hi;
+        double count_lo = 1.0;
+        double count_hi = 1.0;
+        if (args.size() == 2) {
+          if (!args[1].is_number()) {
+            return InvalidArgumentError(context +
+                                        ": au count must be a number");
+          }
+          count_lo = args[1].num().lo;
+          count_hi = args[1].num().hi;
+        }
+        ECLARITY_ASSIGN_OR_RETURN(
+            double per_unit,
+            ResolveEnergy(AbstractEnergy::Unit(call.string_args[0], 1.0)));
+        const double a = per_unit * count_lo;
+        const double b = per_unit * count_hi;
+        return IntervalValue::EnergyJoules(std::min(a, b), std::max(a, b));
       }
-      ECLARITY_ASSIGN_OR_RETURN(
-          double per_unit,
-          ResolveEnergy(AbstractEnergy::Unit(call.string_args[0], 1.0)));
-      const double a = per_unit * count_lo;
-      const double b = per_unit * count_hi;
-      return IntervalValue::EnergyJoules(std::min(a, b), std::max(a, b));
     }
     return InvalidArgumentError(context + ": unknown builtin '" + name + "'");
   }

@@ -306,12 +306,23 @@ std::vector<std::string> Program::UnresolvedCallees() const {
   return unresolved;
 }
 
-bool IsBuiltinName(const std::string& name) {
-  static const std::set<std::string>* kBuiltins = new std::set<std::string>{
-      "min", "max", "abs", "floor", "ceil", "round",
-      "pow", "log", "log2", "exp", "sqrt", "clamp", "au",
+const BuiltinInfo* FindBuiltin(std::string_view name) {
+  static constexpr BuiltinInfo kBuiltins[] = {
+#define ECLARITY_BUILTIN_INFO(id, name, min_args, max_args) \
+  {BuiltinId::id, name, min_args, max_args},
+      ECLARITY_BUILTINS(ECLARITY_BUILTIN_INFO)
+#undef ECLARITY_BUILTIN_INFO
   };
-  return kBuiltins->count(name) > 0;
+  for (const BuiltinInfo& builtin : kBuiltins) {
+    if (builtin.name == name) {
+      return &builtin;
+    }
+  }
+  return nullptr;
+}
+
+bool IsBuiltinName(const std::string& name) {
+  return FindBuiltin(name) != nullptr;
 }
 
 ExprPtr MakeNumber(double value) { return std::make_unique<NumberLit>(value); }

@@ -11,10 +11,13 @@
 #ifndef ECLARITY_SRC_LANG_AST_H_
 #define ECLARITY_SRC_LANG_AST_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/util/status.h"
@@ -311,8 +314,41 @@ class Program {
   std::vector<ExternDecl> externs_;
 };
 
-// True for names in the builtin function table (min, max, abs, floor, ceil,
-// round, pow, log, log2, exp, sqrt, clamp, au).
+// The builtin function table, declared once: X(id, name, min_args,
+// max_args). IsBuiltinName, the checker's arity rule, and the scalar
+// (ApplyBuiltin) and interval evaluators all read this list. `au` also
+// takes a unit-name string as its first argument; the parser keeps a
+// placeholder for it in the argument count.
+#define ECLARITY_BUILTINS(X)  \
+  X(kMin, "min", 2, 2)        \
+  X(kMax, "max", 2, 2)        \
+  X(kAbs, "abs", 1, 1)        \
+  X(kFloor, "floor", 1, 1)    \
+  X(kCeil, "ceil", 1, 1)      \
+  X(kRound, "round", 1, 1)    \
+  X(kPow, "pow", 2, 2)        \
+  X(kLog, "log", 1, 1)        \
+  X(kLog2, "log2", 1, 1)      \
+  X(kExp, "exp", 1, 1)        \
+  X(kSqrt, "sqrt", 1, 1)      \
+  X(kClamp, "clamp", 3, 3)    \
+  X(kAu, "au", 1, 2)
+
+enum class BuiltinId : uint8_t {
+#define ECLARITY_BUILTIN_ENUM(id, name, min_args, max_args) id,
+  ECLARITY_BUILTINS(ECLARITY_BUILTIN_ENUM)
+#undef ECLARITY_BUILTIN_ENUM
+};
+
+struct BuiltinInfo {
+  BuiltinId id;
+  std::string_view name;
+  size_t min_args;
+  size_t max_args;
+};
+
+// The table entry for builtin `name`, or null when `name` is no builtin.
+const BuiltinInfo* FindBuiltin(std::string_view name);
 bool IsBuiltinName(const std::string& name);
 
 // ---------------------------------------------------------------------------

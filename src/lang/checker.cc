@@ -90,8 +90,8 @@ class InterfaceChecker {
     for (const ExprPtr& arg : call.args) {
       CheckExpr(*arg, scope);
     }
-    if (IsBuiltinName(call.callee)) {
-      CheckBuiltinArity(call);
+    if (const BuiltinInfo* builtin = FindBuiltin(call.callee)) {
+      CheckBuiltinArity(call, *builtin);
       return;
     }
     const InterfaceDecl* callee = program_.FindInterface(call.callee);
@@ -123,22 +123,15 @@ class InterfaceChecker {
     }
   }
 
-  void CheckBuiltinArity(const CallExpr& call) {
-    const std::string& name = call.callee;
+  void CheckBuiltinArity(const CallExpr& call, const BuiltinInfo& builtin) {
     const size_t n = call.args.size();
-    bool ok = true;
-    if (name == "min" || name == "max" || name == "pow") {
-      ok = n == 2;
-    } else if (name == "clamp") {
-      ok = n == 3;
-    } else if (name == "au") {
-      ok = (n == 1 || n == 2) && call.string_args.size() == 1;
-    } else {  // abs/floor/ceil/round/log/log2/exp/sqrt
-      ok = n == 1;
+    bool ok = n >= builtin.min_args && n <= builtin.max_args;
+    if (builtin.id == BuiltinId::kAu) {
+      ok = ok && call.string_args.size() == 1;  // the unit name
     }
     if (!ok) {
       Report(call.line, call.column,
-             "wrong number of arguments to builtin '" + name + "'");
+             "wrong number of arguments to builtin '" + call.callee + "'");
     }
   }
 

@@ -1,5 +1,6 @@
 #include "src/lang/parser.h"
 
+#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -75,6 +76,41 @@ class Parser {
     return Advance();
   }
 
+  // --- Nesting limit -------------------------------------------------------
+  //
+  // Every later walker (checker, lowerer, evaluators, printer) recurses down
+  // the tree, so the parser bounds the depth of the tree it builds, not
+  // only its own recursion: a flat `1J + 1J + ...` is parsed by a loop but
+  // builds a left-deep tree as deep as the chain is long. Each parenthesis,
+  // unary operator, binary operator, ternary, call and block adds a level.
+  // depth_ counts the levels open above the current token; height_ is the
+  // height of the expression the last Parse* call built. Entering a level
+  // checks depth_ at the token that opens it, so the parser's own
+  // recursion stays bounded too.
+
+  Status NestingError(const Token& at) const {
+    std::ostringstream os;
+    os << "parse error at " << at.line << ":" << at.column
+       << ": nesting deeper than " << kMaxNesting << " levels";
+    return ResourceExhaustedError(os.str());
+  }
+
+  Status Enter() {
+    if (++depth_ > kMaxNesting) {
+      return NestingError(Peek());
+    }
+    return OkStatus();
+  }
+
+  // Records the height of the expression just built under `at`.
+  Status Built(int height, const Token& at) {
+    height_ = height;
+    if (depth_ + height > kMaxNesting) {
+      return NestingError(at);
+    }
+    return OkStatus();
+  }
+
   // Attaches the position of `token` to `node` and returns it.
   template <typename NodePtr>
   NodePtr At(const Token& token, NodePtr node) {
@@ -146,6 +182,7 @@ class Parser {
   }
 
   Result<Block> ParseBlock() {
+    ECLARITY_RETURN_IF_ERROR(Enter());
     ECLARITY_RETURN_IF_ERROR(Expect(TokenKind::kLBrace, "'{'").status());
     Block block;
     while (!Check(TokenKind::kRBrace)) {
@@ -156,6 +193,7 @@ class Parser {
       block.statements.push_back(std::move(stmt));
     }
     Advance();  // consume '}'
+    --depth_;
     return block;
   }
 
@@ -255,7 +293,9 @@ class Parser {
     if (Match(TokenKind::kElse)) {
       if (Check(TokenKind::kIf)) {
         // else-if chains desugar to a nested block holding the inner if.
+        ECLARITY_RETURN_IF_ERROR(Enter());
         ECLARITY_ASSIGN_OR_RETURN(StmtPtr inner, ParseIf());
+        --depth_;
         Block wrapper;
         wrapper.statements.push_back(std::move(inner));
         else_block = std::move(wrapper);
@@ -296,23 +336,39 @@ class Parser {
 
   Result<ExprPtr> ParseTernary() {
     ECLARITY_ASSIGN_OR_RETURN(ExprPtr condition, ParseOr());
-    if (!Match(TokenKind::kQuestion)) {
+    if (!Check(TokenKind::kQuestion)) {
       return condition;
     }
+    ECLARITY_RETURN_IF_ERROR(Enter());
+    const Token& q = Advance();
+    int height = height_;
     ECLARITY_ASSIGN_OR_RETURN(ExprPtr then_value, ParseExpr());
+    height = std::max(height, height_);
     ECLARITY_RETURN_IF_ERROR(Expect(TokenKind::kColon, "':'").status());
     ECLARITY_ASSIGN_OR_RETURN(ExprPtr else_value, ParseExpr());
+    --depth_;
+    ECLARITY_RETURN_IF_ERROR(Built(std::max(height, height_) + 1, q));
     return ExprPtr(std::make_unique<ConditionalExpr>(
         std::move(condition), std::move(then_value), std::move(else_value)));
+  }
+
+  // Joins `lhs` (of height `lhs_height`) and the operand just parsed under
+  // binary operator `op`, parsed at `at`.
+  Result<ExprPtr> Join(BinaryOp op, const Token& at, ExprPtr lhs,
+                       int lhs_height, ExprPtr rhs) {
+    ECLARITY_RETURN_IF_ERROR(Built(std::max(lhs_height, height_) + 1, at));
+    return ExprPtr(
+        std::make_unique<BinaryExpr>(op, std::move(lhs), std::move(rhs)));
   }
 
   Result<ExprPtr> ParseOr() {
     ECLARITY_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (Check(TokenKind::kOrOr)) {
-      Advance();
+      const Token& t = Advance();
+      const int lhs_height = height_;
       ECLARITY_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
-      lhs = std::make_unique<BinaryExpr>(BinaryOp::kOr, std::move(lhs),
-                                         std::move(rhs));
+      ECLARITY_ASSIGN_OR_RETURN(lhs, Join(BinaryOp::kOr, t, std::move(lhs),
+                                          lhs_height, std::move(rhs)));
     }
     return lhs;
   }
@@ -320,10 +376,11 @@ class Parser {
   Result<ExprPtr> ParseAnd() {
     ECLARITY_ASSIGN_OR_RETURN(ExprPtr lhs, ParseComparison());
     while (Check(TokenKind::kAndAnd)) {
-      Advance();
+      const Token& t = Advance();
+      const int lhs_height = height_;
       ECLARITY_ASSIGN_OR_RETURN(ExprPtr rhs, ParseComparison());
-      lhs = std::make_unique<BinaryExpr>(BinaryOp::kAnd, std::move(lhs),
-                                         std::move(rhs));
+      ECLARITY_ASSIGN_OR_RETURN(lhs, Join(BinaryOp::kAnd, t, std::move(lhs),
+                                          lhs_height, std::move(rhs)));
     }
     return lhs;
   }
@@ -341,10 +398,10 @@ class Parser {
       default:
         return lhs;
     }
-    Advance();
+    const Token& t = Advance();
+    const int lhs_height = height_;
     ECLARITY_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
-    return ExprPtr(std::make_unique<BinaryExpr>(op, std::move(lhs),
-                                                std::move(rhs)));
+    return Join(op, t, std::move(lhs), lhs_height, std::move(rhs));
   }
 
   Result<ExprPtr> ParseAdditive() {
@@ -358,9 +415,11 @@ class Parser {
       } else {
         return lhs;
       }
-      Advance();
+      const Token& t = Advance();
+      const int lhs_height = height_;
       ECLARITY_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
-      lhs = std::make_unique<BinaryExpr>(op, std::move(lhs), std::move(rhs));
+      ECLARITY_ASSIGN_OR_RETURN(
+          lhs, Join(op, t, std::move(lhs), lhs_height, std::move(rhs)));
     }
   }
 
@@ -377,30 +436,31 @@ class Parser {
       } else {
         return lhs;
       }
-      Advance();
+      const Token& t = Advance();
+      const int lhs_height = height_;
       ECLARITY_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
-      lhs = std::make_unique<BinaryExpr>(op, std::move(lhs), std::move(rhs));
+      ECLARITY_ASSIGN_OR_RETURN(
+          lhs, Join(op, t, std::move(lhs), lhs_height, std::move(rhs)));
     }
   }
 
   Result<ExprPtr> ParseUnary() {
-    if (Check(TokenKind::kMinus)) {
-      const Token& t = Advance();
-      ECLARITY_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-      return ExprPtr(At(t, std::make_unique<UnaryExpr>(UnaryOp::kNeg,
-                                                       std::move(operand))));
+    if (!Check(TokenKind::kMinus) && !Check(TokenKind::kBang)) {
+      return ParsePrimary();
     }
-    if (Check(TokenKind::kBang)) {
-      const Token& t = Advance();
-      ECLARITY_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-      return ExprPtr(At(t, std::make_unique<UnaryExpr>(UnaryOp::kNot,
-                                                       std::move(operand))));
-    }
-    return ParsePrimary();
+    ECLARITY_RETURN_IF_ERROR(Enter());
+    const Token& t = Advance();
+    const UnaryOp op =
+        t.kind == TokenKind::kMinus ? UnaryOp::kNeg : UnaryOp::kNot;
+    ECLARITY_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+    --depth_;
+    ECLARITY_RETURN_IF_ERROR(Built(height_ + 1, t));
+    return ExprPtr(At(t, std::make_unique<UnaryExpr>(op, std::move(operand))));
   }
 
   Result<ExprPtr> ParsePrimary() {
     const Token& t = Peek();
+    height_ = 0;  // literals and names are leaves
     switch (t.kind) {
       case TokenKind::kNumber: {
         Advance();
@@ -419,9 +479,12 @@ class Parser {
         return ExprPtr(At(t, std::make_unique<BoolLit>(false)));
       }
       case TokenKind::kLParen: {
+        ECLARITY_RETURN_IF_ERROR(Enter());
         Advance();
         ECLARITY_ASSIGN_OR_RETURN(ExprPtr inner, ParseExpr());
         ECLARITY_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "')'").status());
+        --depth_;
+        ECLARITY_RETURN_IF_ERROR(Built(height_ + 1, t));
         return inner;
       }
       case TokenKind::kIdentifier: {
@@ -429,9 +492,11 @@ class Parser {
         if (!Check(TokenKind::kLParen)) {
           return ExprPtr(At(t, std::make_unique<VarRef>(t.text)));
         }
+        ECLARITY_RETURN_IF_ERROR(Enter());
         Advance();  // '('
         std::vector<ExprPtr> args;
         std::vector<std::string> string_args;
+        int height = 0;
         if (!Check(TokenKind::kRParen)) {
           for (;;) {
             if (Check(TokenKind::kString)) {
@@ -443,6 +508,7 @@ class Parser {
             } else {
               ECLARITY_ASSIGN_OR_RETURN(ExprPtr arg, ParseExpr());
               args.push_back(std::move(arg));
+              height = std::max(height, height_);
             }
             if (!Match(TokenKind::kComma)) {
               break;
@@ -450,6 +516,8 @@ class Parser {
           }
         }
         ECLARITY_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "')'").status());
+        --depth_;
+        ECLARITY_RETURN_IF_ERROR(Built(height + 1, t));
         auto call = std::make_unique<CallExpr>(t.text, std::move(args));
         call->string_args = std::move(string_args);
         return ExprPtr(At(t, std::move(call)));
@@ -459,8 +527,15 @@ class Parser {
     }
   }
 
+  // Deep enough for any hand-written interface, shallow enough that a nest
+  // at the limit still runs check, eval and bounds under ASan's larger
+  // stack frames on an 8 MiB stack.
+  static constexpr int kMaxNesting = 256;
+
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;
+  int height_ = 0;
 };
 
 }  // namespace

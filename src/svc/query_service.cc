@@ -1,6 +1,5 @@
 #include "src/svc/query_service.h"
 
-#include <array>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -51,10 +50,12 @@ struct SvcCounters {
             "QueryService exact-fold cache evictions (all shards)"),
         MetricsRegistry::Global().GetCounter(
             "eclarity_svc_tl_fold_hits_total",
-            "exact-fold lookups answered by the thread-local slot cache"),
+            "base-profile single queries answered by the thread-local fold "
+            "front"),
         MetricsRegistry::Global().GetCounter(
             "eclarity_svc_tl_fold_misses_total",
-            "exact-fold lookups that fell through to the sharded cache"),
+            "base-profile single queries that missed the thread-local fold "
+            "front"),
         MetricsRegistry::Global().GetCounter(
             "eclarity_svc_snapshot_swaps_total",
             "profile/program snapshots published"),
@@ -207,10 +208,10 @@ class QueryTimer {
 };
 
 // Whole-batch work scope for EvaluateBatch. Per-item spans there cover only
-// the pass-1 probe (memo hits are a few ns), while the per-batch
+// the pass-1 probe (front hits are a few ns), while the per-batch
 // setup, the grouped SoA passes, and the fix-up pass run outside them — so
 // crediting work per item both undercounts (shared passes vanish) and
-// distorts the ratio (a memo hit measures ~20 ns of "work" against a fixed
+// distorts the ratio (a front hit measures ~20 ns of "work" against a fixed
 // per-sample telemetry cost). Instead: 1-in-N *batches* (own gate, so the
 // per-item cadence that tests pin down is untouched) measure the whole call
 // and credit (duration - inner instrumentation) x interval as work. The
@@ -256,6 +257,10 @@ class BatchWorkTimer {
   uint32_t interval_ = 0;  // 0: this batch is not sampled
   uint64_t start_ns_ = 0;
 };
+
+// Shards of the exact-fold store: concurrent lookups on different keys
+// take different locks. `eilc serve` prints the per-shard split.
+constexpr size_t kFoldCacheShards = 16;
 
 void AppendBits(std::string& out, double v) {
   uint64_t bits = 0;
@@ -379,7 +384,7 @@ QueryService::QueryService(std::shared_ptr<const Snapshot> initial,
       snapshot_(std::move(initial)),
       publish_seq_(1),
       next_generation_(1),
-      cache_(options.cache_capacity, options.cache_shards) {}
+      cache_(options.cache_capacity, kFoldCacheShards) {}
 
 QueryService::~QueryService() = default;
 
@@ -538,128 +543,6 @@ Result<CertifiedDistribution> QueryService::CertifiedOn(
       options_.calibration, mode);
 }
 
-namespace {
-
-// Per-thread direct-mapped fold cache: a repeated exact query is answered
-// with one key build, one hash, and one string compare — no shard lock, no
-// refcount traffic. The answer path is gated on a non-zero shared-cache
-// capacity so a deliberately uncached service still pays (and counts) one
-// shard miss per lookup, but the slot always pins the most recently
-// returned entry (svc_id 0 marks a pin that must not answer later lookups).
-// Entries are immutable shared_ptrs and the key embeds the program
-// generation and effective-profile fingerprint, so a stale slot — even one
-// outliving a shard eviction or snapshot swap — can only ever answer with
-// the exact fold its key names.
-struct TlFoldSlot {
-  uint64_t svc_id = 0;
-  std::string key;
-  QueryService::SharedFold entry;
-};
-constexpr size_t kTlFoldSlots = 128;  // power of two; ~7 KiB per thread
-
-TlFoldSlot& TlFoldSlotFor(const std::string& key) {
-  thread_local std::array<TlFoldSlot, kTlFoldSlots> slots;
-  return slots[std::hash<std::string>{}(key) & (kTlFoldSlots - 1)];
-}
-
-}  // namespace
-
-QueryService::SharedFold QueryService::LookupFold(
-    const std::string& key) const {
-  TlFoldSlot& slot = TlFoldSlotFor(key);
-  const bool use_tl = cache_.capacity() > 0;
-  // Phase spans (cache lookup, eval, fold) are recorded only inside a
-  // query the QueryTimer already chose to sample, so the unsampled fast
-  // path pays one thread-local bool read here.
-  const bool sampled = ObsSampler::Active();
-  const uint64_t lookup_t0 = sampled ? ObsNowNs() : 0;
-  if (use_tl && slot.svc_id == svc_id_ && slot.key == key) {
-    SvcCounters::Get().cache_hits.Increment();
-    SvcCounters::Get().tl_fold_hits.Increment();
-    if (sampled) {
-      JournalPhase(JournalEventKind::kCacheLookup, /*a=*/1, lookup_t0);
-    }
-    return slot.entry;
-  }
-  if (use_tl) {
-    SvcCounters::Get().tl_fold_misses.Increment();
-  }
-  if (std::optional<SharedFold> hit = cache_.Get(key)) {
-    SvcCounters::Get().cache_hits.Increment();
-    slot.svc_id = svc_id_;
-    slot.key = key;
-    slot.entry = std::move(*hit);
-    if (sampled) {
-      JournalPhase(JournalEventKind::kCacheLookup, /*a=*/2, lookup_t0);
-    }
-    return slot.entry;
-  }
-  SvcCounters::Get().cache_misses.Increment();
-  if (sampled) {
-    JournalPhase(JournalEventKind::kCacheLookup, /*a=*/0, lookup_t0);
-  }
-  return nullptr;
-}
-
-void QueryService::StoreFold(const std::string& key, SharedFold entry) const {
-  if (cache_.Put(key, entry)) {
-    SvcCounters::Get().cache_evictions.Increment();
-    // Always-on: evictions are rare and explain hit-rate cliffs.
-    Journal::Global().Record(JournalEventKind::kShardEviction);
-  }
-  const bool use_tl = cache_.capacity() > 0;
-  TlFoldSlot& slot = TlFoldSlotFor(key);
-  slot.svc_id = use_tl ? svc_id_ : 0;
-  slot.key = use_tl ? key : std::string();
-  slot.entry = std::move(entry);
-}
-
-Result<const ExactFold*> QueryService::FoldCached(
-    const Snapshot& snapshot, const Query& query,
-    const std::string* key_hint) const {
-  // Thread-local scratch: steady-state key builds allocate nothing.
-  thread_local std::string scratch;
-  const std::string* key = key_hint;
-  if (key == nullptr) {
-    scratch.clear();
-    AppendCacheKey(snapshot, query, scratch);
-    key = &scratch;
-  }
-  if (SharedFold hit = LookupFold(*key)) {
-    // The thread-local slot LookupFold touched pins the entry past this
-    // local handle; callers consume the pointer immediately.
-    return hit.get();
-  }
-  const bool sampled = ObsSampler::Active();
-  const uint64_t eval_t0 = sampled ? ObsNowNs() : 0;
-  EcvProfile merged;
-  Result<std::vector<WeightedOutcome>> outcomes =
-      snapshot.bundle().evaluator.Enumerate(
-          query.interface, query.args,
-          EffectiveProfile(snapshot, query, merged));
-  if (!outcomes.ok()) {
-    return outcomes.status();  // errors are never cached
-  }
-  if (sampled) {
-    JournalPhase(JournalEventKind::kEval, outcomes->size(), eval_t0);
-  }
-  // The fold Evaluator::ExpectedEnergy takes, so service answers are
-  // bit-identical to the single-threaded engine's. Folding once at insert
-  // means a cache hit serves Expected and Distribution queries with no
-  // per-query fold.
-  const uint64_t fold_t0 = sampled ? ObsNowNs() : 0;
-  ECLARITY_ASSIGN_OR_RETURN(ExactFold fold,
-                            FoldOutcomes(*outcomes, options_.calibration));
-  if (sampled) {
-    JournalPhase(JournalEventKind::kFold, fold.distribution.atoms().size(),
-                 fold_t0);
-  }
-  auto entry = std::make_shared<const ExactFold>(std::move(fold));
-  const ExactFold* raw = entry.get();
-  StoreFold(*key, std::move(entry));  // the thread-local slot pins `raw`
-  return raw;
-}
-
 Result<Energy> QueryService::ExpectedOn(const Snapshot& snapshot,
                                         const Query& query) const {
   const DistMode mode = EffectiveMode(query);
@@ -669,7 +552,7 @@ Result<Energy> QueryService::ExpectedOn(const Snapshot& snapshot,
     return Energy::Joules(cd.mean);
   }
   ECLARITY_ASSIGN_OR_RETURN(const ExactFold* fold,
-                            FoldCached(snapshot, query, nullptr));
+                            FoldCached(snapshot, query));
   return Energy::Joules(fold->mean);
 }
 
@@ -691,7 +574,7 @@ Result<Distribution> QueryService::EvalDistribution(const Query& query) const {
     JournalInstant(JournalEventKind::kSnapshotPin, snapshot.generation());
   }
   ECLARITY_ASSIGN_OR_RETURN(const ExactFold* fold,
-                            FoldCached(snapshot, query, nullptr));
+                            FoldCached(snapshot, query));
   return fold->distribution;
 }
 
@@ -776,7 +659,7 @@ Result<QueryOutcome> QueryService::DispatchOn(const Snapshot& snapshot,
         return outcome;
       }
       ECLARITY_ASSIGN_OR_RETURN(const ExactFold* fold,
-                                FoldCached(snapshot, query, nullptr));
+                                FoldCached(snapshot, query));
       outcome.joules = fold->mean;
       outcome.distribution = fold->distribution;
       return outcome;
@@ -807,33 +690,33 @@ Result<QueryOutcome> QueryService::Dispatch(const Query& query) const {
 
 namespace {
 
-// --- EvaluateBatch dedup scratch --------------------------------------------
+// --- The thread-local fold front ---------------------------------------------
 //
-// The batch fast path must stay far below one Dispatch per item. A
-// base-profile item repeated across batches is answered by the cross-batch
-// memo: one content hash (interface bytes + argument bits) and one compare,
-// no cache key. Every item that misses the memo builds its own cache key
-// and dedups through one key index, so K distinct keys cost K fold-cache
-// lookups however many items share them. The scratch is thread-local and
-// reused across batches.
+// The service's one thread-local fold cache, probed by single dispatch and
+// EvaluateBatch alike: a per-thread, direct-mapped array that answers a
+// repeated base-profile exact query from one content hash (interface bytes
+// + argument bits) and one bit-level compare — no cache key, no shard
+// lock, no refcount traffic. Only a miss builds the key and asks the
+// sharded store. Queries carrying profile overrides bypass the front, and
+// so does a service with no fold-cache capacity.
 
-// Hash quality only costs memo misses — every memo hit is confirmed by a
+// Hash quality only costs front misses — every front hit is confirmed by a
 // full bit-level content compare — so the mixers favour speed: forced inline
 // (the per-item interface hash is the hot loop's largest line item when
 // outlined) and two accumulator lanes so consecutive 8-byte chunks multiply
 // in parallel instead of serialising on one chain.
 #if defined(__GNUC__)
-#define ECLARITY_BATCH_INLINE inline __attribute__((always_inline))
+#define ECLARITY_FRONT_INLINE inline __attribute__((always_inline))
 #else
-#define ECLARITY_BATCH_INLINE inline
+#define ECLARITY_FRONT_INLINE inline
 #endif
 
-ECLARITY_BATCH_INLINE uint64_t BatchHashMix(uint64_t h, uint64_t v) {
+ECLARITY_FRONT_INLINE uint64_t FrontHashMix(uint64_t h, uint64_t v) {
   h = (h ^ v) * 0x9E3779B97F4A7C15ull;
   return h ^ (h >> 32);
 }
 
-ECLARITY_BATCH_INLINE uint64_t BatchHashBytes(uint64_t h, const char* data,
+ECLARITY_FRONT_INLINE uint64_t FrontHashBytes(uint64_t h, const char* data,
                                               size_t n) {
   // Tails read a final overlapping 8-byte word instead of a variable-length
   // memcpy (which GCC lowers to a byte loop). Overlap double-mixes a few
@@ -883,7 +766,7 @@ ECLARITY_BATCH_INLINE uint64_t BatchHashBytes(uint64_t h, const char* data,
   return x ^ (x >> 32);
 }
 
-ECLARITY_BATCH_INLINE uint64_t BatchHashValue(uint64_t h, const Value& v,
+ECLARITY_FRONT_INLINE uint64_t FrontHashValue(uint64_t h, const Value& v,
                                               std::string& scratch) {
   if (v.is_number()) {
     uint64_t bits;
@@ -891,19 +774,19 @@ ECLARITY_BATCH_INLINE uint64_t BatchHashValue(uint64_t h, const Value& v,
     std::memcpy(&bits, &d, sizeof(bits));
     // One mix, kind-tagged by constant: number/bool collisions are possible
     // in principle and harmless (the content compare rejects them).
-    return BatchHashMix(h, bits ^ 0x4E554Dull);
+    return FrontHashMix(h, bits ^ 0x4E554Dull);
   }
   if (v.is_bool()) {
-    return BatchHashMix(h, v.boolean() ? 'T' : 'F');
+    return FrontHashMix(h, v.boolean() ? 'T' : 'F');
   }
   scratch.clear();
   v.AppendFingerprint(scratch);
-  return BatchHashBytes(h, scratch.data(), scratch.size());
+  return FrontHashBytes(h, scratch.data(), scratch.size());
 }
 
 // Bit-level equality, matching fingerprint keying exactly: distinct NaN or
 // ±0.0 bit patterns fingerprint differently, so they must not dedup.
-ECLARITY_BATCH_INLINE bool SameValueBits(const Value& a, const Value& b,
+ECLARITY_FRONT_INLINE bool SameValueBits(const Value& a, const Value& b,
                                          std::string& sa, std::string& sb) {
   if (a.is_number()) {
     if (!b.is_number()) {
@@ -930,15 +813,11 @@ ECLARITY_BATCH_INLINE bool SameValueBits(const Value& a, const Value& b,
   return sa == sb;
 }
 
-// Cross-batch memo entry: a base-profile item repeated across batches is
-// answered straight from the pinned fold — no cache key build, no fold
-// cache lookup, no distinct record. An entry is valid only for the exact
-// (service, snapshot) pair that filled it; both ids are process-unique and
-// never reused, and the pinned fold is immutable, so a stale entry can
-// only miss, never answer wrongly. Like the single-dispatch TL slot, the
-// memo is gated on a non-zero fold-cache capacity — a deliberately
-// uncached service pays (and counts) every lookup.
-struct BatchMemoEntry {
+// A front entry answers only the exact (service, snapshot, interface,
+// argument bits) it was filled for: both ids are process-unique and never
+// reused, and the pinned fold is immutable, so a stale entry can only miss,
+// never answer wrongly (a publication therefore empties the front).
+struct FrontEntry {
   uint64_t hash = 0;
   uint64_t svc = 0;
   uint64_t snap = 0;  // 0: empty
@@ -949,7 +828,7 @@ struct BatchMemoEntry {
 
 // Inline chunked byte compare: interface names are short (tens of bytes),
 // so the libc memcmp call overhead would dominate the compare itself.
-ECLARITY_BATCH_INLINE bool SameBytes(const char* a, const char* b, size_t n) {
+ECLARITY_FRONT_INLINE bool SameBytes(const char* a, const char* b, size_t n) {
   if (n >= 8) {
     size_t i = 0;
     for (; i + 8 <= n; i += 8) {
@@ -979,8 +858,8 @@ ECLARITY_BATCH_INLINE bool SameBytes(const char* a, const char* b, size_t n) {
   return true;
 }
 
-ECLARITY_BATCH_INLINE bool MemoMatches(const BatchMemoEntry& m, const Query& q,
-                                       std::string& sa, std::string& sb) {
+ECLARITY_FRONT_INLINE bool FrontMatches(const FrontEntry& m, const Query& q,
+                                        std::string& sa, std::string& sb) {
   if (m.interface.size() != q.interface.size() ||
       m.args.size() != q.args.size() ||
       !SameBytes(m.interface.data(), q.interface.data(),
@@ -995,8 +874,8 @@ ECLARITY_BATCH_INLINE bool MemoMatches(const BatchMemoEntry& m, const Query& q,
   return true;
 }
 
-void FillMemo(BatchMemoEntry& m, uint64_t hash, uint64_t svc, uint64_t snap,
-              const Query& q, QueryService::SharedFold fold) {
+void FillFront(FrontEntry& m, uint64_t hash, uint64_t svc, uint64_t snap,
+               const Query& q, QueryService::SharedFold fold) {
   m.hash = hash;
   m.svc = svc;
   m.snap = snap;
@@ -1005,10 +884,49 @@ void FillMemo(BatchMemoEntry& m, uint64_t hash, uint64_t svc, uint64_t snap,
   m.fold = std::move(fold);
 }
 
+struct FoldFront {
+  static constexpr int kSlotBits = 9;  // 512 slots, direct-mapped
+  std::vector<FrontEntry> slots =
+      std::vector<FrontEntry>(size_t{1} << kSlotBits);
+  std::string va;  // fingerprint scratch for energy-valued arguments
+  std::string vb;
+
+  // The slot for `q`, indexed by the hash's top bits: a product's high
+  // bits depend on every input bit, so keys that differ only in a double's
+  // sign or exponent still spread. `hash` receives the content hash.
+  ECLARITY_FRONT_INLINE FrontEntry& SlotFor(const Query& q, uint64_t& hash) {
+    hash = FrontHashBytes(0x9E3779B97F4A7C15ull, q.interface.data(),
+                          q.interface.size());
+    for (const Value& arg : q.args) {
+      hash = FrontHashValue(hash, arg, va);
+    }
+    return slots[hash >> (64 - kSlotBits)];
+  }
+
+  ECLARITY_FRONT_INLINE bool Answers(const FrontEntry& m, uint64_t hash,
+                                     uint64_t svc, uint64_t snap,
+                                     const Query& q) {
+    return m.snap == snap && m.svc == svc && m.hash == hash &&
+           FrontMatches(m, q, va, vb);
+  }
+};
+
+// The calling thread's front, allocated on the thread's first use.
+FoldFront& ThreadFront() {
+  thread_local FoldFront front;
+  return front;
+}
+
+// --- EvaluateBatch dedup scratch --------------------------------------------
+//
+// An item the front does not answer builds its own cache key and dedups
+// through one key index, so K distinct keys cost K store lookups however
+// many items share them. The scratch is thread-local and reused.
+
 // An exact item's answer from its fold, written in place: QueryOutcome is
 // large enough that the construct-then-move idiom dominates the hit path.
 // Fold copies are cheap: the distribution's atoms are shared, not cloned.
-ECLARITY_BATCH_INLINE void AnswerFromFold(QueryOutcome& outcome,
+ECLARITY_FRONT_INLINE void AnswerFromFold(QueryOutcome& outcome,
                                           QueryKind kind,
                                           const ExactFold& fold) {
   outcome.kind = kind;
@@ -1028,10 +946,10 @@ struct BatchDistinct {
   QueryService::SharedFold fold;
   Status error;
   bool resolved = false;
-  // Memo slot to fill once this distinct resolves (base-profile items
+  // Front slot to fill once this distinct resolves (base-profile items
   // only, and only when the fold cache is enabled).
-  BatchMemoEntry* memo_slot = nullptr;
-  uint64_t memo_hash = 0;
+  FrontEntry* front_slot = nullptr;
+  uint64_t front_hash = 0;
 };
 
 struct EffProfileEntry {
@@ -1040,18 +958,14 @@ struct EffProfileEntry {
 };
 
 struct BatchScratch {
-  static constexpr size_t kMemoSlots = 512;  // direct-mapped, power of two
-  std::vector<BatchMemoEntry> memo;          // allocated on first use
-  std::vector<BatchDistinct> distincts;      // indexed by key_index values
-  std::vector<int32_t> item_distinct;        // -1: answered in pass 1
+  std::vector<BatchDistinct> distincts;  // indexed by key_index values
+  std::vector<int32_t> item_distinct;    // -1: answered in pass 1
   // Override-carrying items share one base-profile merge + fingerprint per
   // distinct override.
   std::deque<EffProfileEntry> eff_profiles;
   std::unordered_map<std::string, const EffProfileEntry*> override_index;
   std::unordered_map<std::string, uint32_t> key_index;
   std::string key;  // the current item's cache key
-  std::string va;
-  std::string vb;
 
   void Begin(size_t batch_size) {
     distincts.clear();
@@ -1067,6 +981,96 @@ struct BatchScratch {
 };
 
 }  // namespace
+
+QueryService::SharedFold QueryService::LookupFold(
+    const std::string& key) const {
+  // Phase spans (cache lookup, eval, fold) are recorded only inside a
+  // query the QueryTimer already chose to sample, so the unsampled path
+  // pays one thread-local bool read here.
+  const bool sampled = ObsSampler::Active();
+  const uint64_t lookup_t0 = sampled ? ObsNowNs() : 0;
+  std::optional<SharedFold> hit = cache_.Get(key);
+  (hit ? SvcCounters::Get().cache_hits : SvcCounters::Get().cache_misses)
+      .Increment();
+  if (sampled) {
+    JournalPhase(JournalEventKind::kCacheLookup, hit ? 2 : 0, lookup_t0);
+  }
+  return hit ? std::move(*hit) : nullptr;
+}
+
+void QueryService::StoreFold(const std::string& key, SharedFold entry) const {
+  if (cache_.Put(key, std::move(entry))) {
+    SvcCounters::Get().cache_evictions.Increment();
+    // Journaled only inside a sampled query, charged like its phase spans:
+    // one record per eviction would push sampled spans out of the ring.
+    if (ObsSampler::Active()) {
+      JournalInstant(JournalEventKind::kShardEviction, 0);
+    }
+  }
+}
+
+Result<const ExactFold*> QueryService::FoldCached(const Snapshot& snapshot,
+                                                  const Query& query) const {
+  const bool sampled = ObsSampler::Active();
+  FrontEntry* slot = nullptr;
+  uint64_t hash = 0;
+  if (query.profile.empty() && cache_.capacity() > 0) {
+    const uint64_t lookup_t0 = sampled ? ObsNowNs() : 0;
+    FoldFront& front = ThreadFront();
+    slot = &front.SlotFor(query, hash);
+    if (front.Answers(*slot, hash, svc_id_, snapshot.unique_id(), query)) {
+      SvcCounters::Get().cache_hits.Increment();
+      SvcCounters::Get().tl_fold_hits.Increment();
+      if (sampled) {
+        JournalPhase(JournalEventKind::kCacheLookup, /*a=*/1, lookup_t0);
+      }
+      return slot->fold.get();  // pinned by the slot, consumed at once
+    }
+    SvcCounters::Get().tl_fold_misses.Increment();
+  }
+  // Thread-local scratch: steady-state key builds allocate nothing.
+  thread_local std::string key;
+  key.clear();
+  AppendCacheKey(snapshot, query, key);
+  SharedFold fold = LookupFold(key);
+  if (fold == nullptr) {
+    const uint64_t eval_t0 = sampled ? ObsNowNs() : 0;
+    EcvProfile merged;
+    Result<std::vector<WeightedOutcome>> outcomes =
+        snapshot.bundle().evaluator.Enumerate(
+            query.interface, query.args,
+            EffectiveProfile(snapshot, query, merged));
+    if (!outcomes.ok()) {
+      return outcomes.status();  // errors are never cached
+    }
+    if (sampled) {
+      JournalPhase(JournalEventKind::kEval, outcomes->size(), eval_t0);
+    }
+    // The fold Evaluator::ExpectedEnergy takes, so service answers are
+    // bit-identical to the single-threaded engine's. Folding once at insert
+    // means a cache hit serves Expected and Distribution queries with no
+    // per-query fold.
+    const uint64_t fold_t0 = sampled ? ObsNowNs() : 0;
+    ECLARITY_ASSIGN_OR_RETURN(ExactFold folded,
+                              FoldOutcomes(*outcomes, options_.calibration));
+    if (sampled) {
+      JournalPhase(JournalEventKind::kFold, folded.distribution.atoms().size(),
+                   fold_t0);
+    }
+    fold = std::make_shared<const ExactFold>(std::move(folded));
+    StoreFold(key, fold);
+  }
+  // Pin the answer past a later eviction: in the front slot for a
+  // base-profile query, else in the thread's last-answer pin.
+  if (slot != nullptr) {
+    FillFront(*slot, hash, svc_id_, snapshot.unique_id(), query,
+              std::move(fold));
+    return slot->fold.get();
+  }
+  thread_local SharedFold pin;
+  pin = std::move(fold);
+  return pin.get();
+}
 
 std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
     const std::vector<Query>& batch) const {
@@ -1090,11 +1094,8 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
   thread_local BatchScratch scratch;
   BatchScratch& sc = scratch;
   sc.Begin(batch.size());
-  const bool memo_on = cache_.capacity() > 0;
+  FoldFront* front = cache_.capacity() > 0 ? &ThreadFront() : nullptr;
   const uint64_t snap_id = snapshot.unique_id();
-  if (memo_on && sc.memo.empty()) {
-    sc.memo.resize(BatchScratch::kMemoSlots);
-  }
   bool any_miss = false;
 
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -1117,8 +1118,8 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
 
     const EcvProfile* profile = &snapshot.profile();
     const std::string* fingerprint = &snapshot.profile_fingerprint();
-    BatchMemoEntry* memo_slot = nullptr;
-    uint64_t memo_hash = 0;
+    FrontEntry* front_slot = nullptr;
+    uint64_t front_hash = 0;
     if (!query.profile.empty()) {
       // Effective profiles, hoisted: one base-profile merge + one
       // fingerprint per *distinct* override in the batch, not per item.
@@ -1134,20 +1135,14 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
       }
       profile = &it->second->merged;
       fingerprint = &it->second->fingerprint;
-    } else if (memo_on) {
-      memo_hash = BatchHashBytes(0x9E3779B97F4A7C15ull,
-                                 query.interface.data(),
-                                 query.interface.size());
-      for (const Value& arg : query.args) {
-        memo_hash = BatchHashValue(memo_hash, arg, sc.va);
-      }
-      BatchMemoEntry& m = sc.memo[memo_hash & (BatchScratch::kMemoSlots - 1)];
-      if (m.snap == snap_id && m.svc == svc_id_ && m.hash == memo_hash &&
-          MemoMatches(m, query, sc.va, sc.vb)) {
+    } else if (front != nullptr) {
+      // Front hits stay uncounted: the batch counters own the item.
+      FrontEntry& m = front->SlotFor(query, front_hash);
+      if (front->Answers(m, front_hash, svc_id_, snap_id, query)) {
         AnswerFromFold(*results[i], query.kind, *m.fold);
         continue;
       }
-      memo_slot = &m;
+      front_slot = &m;
     }
 
     sc.key.clear();
@@ -1160,13 +1155,13 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
       d.key = &kit->first;
       d.query = &query;
       d.profile = profile;
-      d.memo_slot = memo_slot;
-      d.memo_hash = memo_hash;
+      d.front_slot = front_slot;
+      d.front_hash = front_hash;
       if (SharedFold hit = LookupFold(*d.key)) {
         d.fold = std::move(hit);
         d.resolved = true;
-        if (memo_slot != nullptr) {
-          FillMemo(*memo_slot, memo_hash, svc_id_, snap_id, query, d.fold);
+        if (front_slot != nullptr) {
+          FillFront(*front_slot, front_hash, svc_id_, snap_id, query, d.fold);
         }
       }
     }
@@ -1217,9 +1212,9 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
       auto entry = std::make_shared<const ExactFold>(*std::move(folds[l]));
       d->fold = entry;
       StoreFold(*d->key, std::move(entry));
-      if (d->memo_slot != nullptr) {
-        FillMemo(*d->memo_slot, d->memo_hash, svc_id_, snap_id, *d->query,
-                 d->fold);
+      if (d->front_slot != nullptr) {
+        FillFront(*d->front_slot, d->front_hash, svc_id_, snap_id, *d->query,
+                  d->fold);
       }
     }
   }

@@ -19,7 +19,8 @@
 //     fingerprints, effective-profile fingerprint); concurrent queries on
 //     different keys take different shard locks, and a hit answers an
 //     Expected or Distribution query with no re-fold. Errors are never
-//     cached.
+//     cached. A per-thread fold front answers a repeated base-profile
+//     query, single or batched, without building its key.
 //
 //   * Snapshot-time bytecode specialization. Each publication specializes
 //     the bundle's bytecode program against the snapshot's base profile
@@ -111,10 +112,9 @@ struct QueryOutcome {
 // Namespace-scope (not nested) so `Options options = {}` default arguments
 // work around GCC bug 88165; spelled QueryService::Options at use sites.
 struct QueryServiceOptions {
-  // Total exact-fold cache capacity in entries, split across shards. 0
-  // disables it, with its thread-local front and the cross-batch memo.
+  // Total exact-fold cache capacity in entries, split across 16 shards. 0
+  // disables it together with the thread-local fold front before it.
   size_t cache_capacity = 4096;
-  size_t cache_shards = 16;
   // Evaluation budgets / engine. eval.mc_workers is forced to 1: Monte
   // Carlo runs on the calling thread, so a request never spawns threads.
   // eval.enum_cache_capacity has no effect here, because the service folds
@@ -163,10 +163,11 @@ class QueryService {
   // Evaluates a batch against ONE snapshot, amortising the snapshot
   // acquisition and deduplicating enumeration work: exact queries sharing a
   // cache key (interface, args, effective profile) cost one fold-cache
-  // lookup and, on a miss, one enumeration. A base-profile query repeated
-  // across batches is answered from a per-thread memo without building its
-  // key. Results are positionally aligned with `batch` and bit-identical to
-  // dispatching each query alone.
+  // lookup and, on a miss, one enumeration. A base-profile item this thread
+  // answered before, in a batch or by single dispatch, is answered by the
+  // thread-local fold front without building its key. Results are
+  // positionally aligned with `batch` and bit-identical to dispatching each
+  // query alone.
   std::vector<Result<QueryOutcome>> EvaluateBatch(
       const std::vector<Query>& batch) const;
 
@@ -215,17 +216,17 @@ class QueryService {
   // within the query and never stash it.
   const Snapshot& AcquireSnapshotRef() const { return *SnapshotSlot(); }
 
-  // Cache-or-(enumerate+fold) against `snapshot`; `key_hint` (may be null)
-  // carries a precomputed cache key from the batch path. The returned
-  // pointer stays valid until the calling thread's next FoldCached call (a
-  // thread-local MRU slot pins the entry); callers consume it immediately.
+  // Cache-or-(enumerate+fold) against `snapshot`. A base-profile query
+  // probes the thread-local fold front first (see query_service.cc); only a
+  // miss builds the cache key and asks the sharded store. The returned
+  // pointer is pinned by a thread-local slot until the calling thread's
+  // next query; callers consume it immediately.
   Result<const ExactFold*> FoldCached(const Snapshot& snapshot,
-                                      const Query& query,
-                                      const std::string* key_hint) const;
-  // Fold-cache primitives shared by FoldCached and the batch path. Both go
-  // through the same thread-local MRU slots and count exactly one cache hit
-  // or miss per LookupFold call; StoreFold publishes a freshly folded entry
-  // (shard insert + thread-local slot fill, counting evictions).
+                                      const Query& query) const;
+  // Sharded-store primitives shared by FoldCached and the batch path; they
+  // touch only the store. LookupFold counts exactly one cache hit or miss;
+  // StoreFold inserts a freshly folded entry and counts an eviction,
+  // journaling it only inside a sampled query.
   SharedFold LookupFold(const std::string& key) const;
   void StoreFold(const std::string& key, SharedFold entry) const;
   void AppendCacheKey(const Snapshot& snapshot, const Query& query,

@@ -485,6 +485,36 @@ TEST(BatchPropertyTest, ZeroLengthAndSingleLaneBatchesAreLegal) {
   EXPECT_TRUE(plan.EnumerateFold({}, {}, nullptr).empty());
 }
 
+TEST(BatchPropertyTest, SignedZeroLanesKeepTheirBits) {
+  // +0.0 and -0.0 compare equal but are different arguments: a batch must
+  // not collapse them into one uniform lane value. The distribution's atom
+  // keeps the argument's sign, so a collapsed lane answers other bits.
+  constexpr char kSource[] = R"(
+interface f(x) {
+  return 1mJ * x;
+}
+)";
+  auto service = MustCreate(kSource);
+  auto singles = MustCreate(kSource);
+  std::vector<Query> batch;
+  for (const double x : {0.0, -0.0, -0.0, 0.0}) {
+    Query query;
+    query.interface = "f";
+    query.args = {Value::Number(x)};
+    query.kind = QueryKind::kDistribution;
+    batch.push_back(std::move(query));
+  }
+  const auto results = service->EvaluateBatch(batch);
+  ASSERT_EQ(results.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const auto single = singles->Dispatch(batch[i]);
+    ASSERT_TRUE(single.ok()) << single.status().ToString();
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    EXPECT_EQ(results[i]->Fingerprint(), single->Fingerprint())
+        << "item " << i;
+  }
+}
+
 TEST(BatchPropertyTest, BatchErrorLanesMatchSingleDispatch) {
   // A batch mixing healthy lanes with failing lanes (unknown interface,
   // over-budget lanes) must report per-lane statuses identical to singles.

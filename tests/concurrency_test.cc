@@ -18,6 +18,7 @@
 
 #include "src/eval/interp.h"
 #include "src/lang/parser.h"
+#include "src/obs/metrics.h"
 #include "src/svc/query_service.h"
 #include "src/svc/sharded_cache.h"
 #include "src/util/rng.h"
@@ -850,6 +851,128 @@ TEST(QueryServiceSnapshotTest, ZeroCapacityCacheStillAnswersCorrectly) {
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 3u);  // nothing ever sticks, every lookup misses
   EXPECT_EQ(stats.size, 0u);
+}
+
+// --- The thread-local fold front ---------------------------------------------
+
+// The front's counters, read as deltas: the registry is process-wide.
+struct FrontCounts {
+  uint64_t cache_hits;
+  uint64_t tl_hits;
+  uint64_t tl_misses;
+
+  static FrontCounts Now() {
+    MetricsRegistry& m = MetricsRegistry::Global();
+    return {m.GetCounter("eclarity_svc_cache_hits_total").value(),
+            m.GetCounter("eclarity_svc_tl_fold_hits_total").value(),
+            m.GetCounter("eclarity_svc_tl_fold_misses_total").value()};
+  }
+};
+
+Query Fig1ExpectedQuery(double image_size) {
+  Query query;
+  query.interface = "E_ml_webservice_handle";
+  query.args = {Value::Number(image_size), Value::Number(10000.0)};
+  return query;
+}
+
+TEST(QueryServiceFrontTest, RepeatedSingleQueryIsAFrontHit) {
+  auto service = MustCreate(kFig1Source);
+  const Query query = Fig1ExpectedQuery(50176.0);
+  const FrontCounts before = FrontCounts::Now();
+  auto first = service->Dispatch(query);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const FrontCounts after_first = FrontCounts::Now();
+  EXPECT_EQ(after_first.tl_misses - before.tl_misses, 1u);
+  EXPECT_EQ(after_first.tl_hits - before.tl_hits, 0u);
+  EXPECT_EQ(service->TotalCacheStats().lookups(), 1u);
+
+  auto repeat = service->Dispatch(query);
+  ASSERT_TRUE(repeat.ok()) << repeat.status().ToString();
+  EXPECT_EQ(repeat->Fingerprint(), first->Fingerprint());
+  const FrontCounts after_repeat = FrontCounts::Now();
+  EXPECT_EQ(after_repeat.cache_hits - after_first.cache_hits, 1u);
+  EXPECT_EQ(after_repeat.tl_hits - after_first.tl_hits, 1u);
+  EXPECT_EQ(after_repeat.tl_misses - after_first.tl_misses, 0u);
+  // The front answered: the sharded store saw no second lookup.
+  EXPECT_EQ(service->TotalCacheStats().lookups(), 1u);
+}
+
+TEST(QueryServiceFrontTest, BatchAndSingleDispatchShareTheFront) {
+  auto service = MustCreate(kFig1Source);
+  // A batch fills the front; single dispatch of the same item then hits.
+  const Query batched = Fig1ExpectedQuery(50176.0);
+  auto results = service->EvaluateBatch({batched});
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].ok()) << results[0].status().ToString();
+  EXPECT_EQ(service->TotalCacheStats().lookups(), 1u);
+  const FrontCounts before = FrontCounts::Now();
+  auto single = service->Dispatch(batched);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_EQ(single->Fingerprint(), results[0]->Fingerprint());
+  EXPECT_EQ(FrontCounts::Now().tl_hits - before.tl_hits, 1u);
+  EXPECT_EQ(service->TotalCacheStats().lookups(), 1u);
+
+  // And the reverse: single dispatch fills the front, and a batch item
+  // repeating it builds no key and asks the store nothing.
+  const Query dispatched = Fig1ExpectedQuery(40960.0);
+  auto first = service->Dispatch(dispatched);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(service->TotalCacheStats().lookups(), 2u);
+  auto again = service->EvaluateBatch({dispatched, batched});
+  ASSERT_EQ(again.size(), 2u);
+  ASSERT_TRUE(again[0].ok()) << again[0].status().ToString();
+  EXPECT_EQ(again[0]->Fingerprint(), first->Fingerprint());
+  EXPECT_EQ(service->TotalCacheStats().lookups(), 2u);
+}
+
+TEST(QueryServiceFrontTest, SignedZerosAreSeparateEntriesOnBothPaths) {
+  // Keys are bit-exact, so +0.0 and -0.0 must neither share a front entry
+  // nor a store key. The distribution's atom keeps the argument's sign, so
+  // a conflated entry would also answer with the wrong bits.
+  constexpr char kSource[] = R"(
+interface f(x) {
+  return 1mJ * x;
+}
+)";
+  auto query_at = [](double x) {
+    Query query;
+    query.interface = "f";
+    query.args = {Value::Number(x)};
+    query.kind = QueryKind::kDistribution;
+    return query;
+  };
+  const Query pos = query_at(0.0);
+  const Query neg = query_at(-0.0);
+  auto atom_bits = [](const Result<QueryOutcome>& outcome) {
+    EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
+    if (!outcome.ok() || !outcome->distribution.has_value() ||
+        outcome->distribution->atoms().size() != 1) {
+      ADD_FAILURE() << "expected a one-atom distribution";
+      return uint64_t{0};
+    }
+    return Bits(outcome->distribution->atoms()[0].value);
+  };
+
+  auto single = MustCreate(kSource);
+  EXPECT_EQ(atom_bits(single->Dispatch(pos)), Bits(0.0));
+  EXPECT_EQ(atom_bits(single->Dispatch(neg)), Bits(-0.0));
+  EXPECT_EQ(single->TotalCacheStats().misses, 2u);
+  const FrontCounts before = FrontCounts::Now();
+  EXPECT_EQ(atom_bits(single->Dispatch(pos)), Bits(0.0));
+  EXPECT_EQ(atom_bits(single->Dispatch(neg)), Bits(-0.0));
+  EXPECT_EQ(FrontCounts::Now().tl_hits - before.tl_hits, 2u);
+  EXPECT_EQ(single->TotalCacheStats().lookups(), 2u);
+
+  auto batch = MustCreate(kSource);
+  auto first = batch->EvaluateBatch({pos, neg});
+  EXPECT_EQ(atom_bits(first[0]), Bits(0.0));
+  EXPECT_EQ(atom_bits(first[1]), Bits(-0.0));
+  EXPECT_EQ(batch->TotalCacheStats().misses, 2u);
+  auto second = batch->EvaluateBatch({neg, pos});
+  EXPECT_EQ(atom_bits(second[0]), Bits(-0.0));
+  EXPECT_EQ(atom_bits(second[1]), Bits(0.0));
+  EXPECT_EQ(batch->TotalCacheStats().lookups(), 2u);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "src/lang/checker.h"
 #include "src/lang/lexer.h"
 #include "src/lang/parser.h"
@@ -265,6 +268,95 @@ extern interface E_hw(n);
 extern interface E_hw(n);
 extern interface E_hw(n, m);
 )").ok());
+}
+
+// --- Nesting limit -----------------------------------------------------------
+
+// The parser's nesting limit, in levels. Each construct below nests one
+// level per repetition.
+constexpr int kNestLimit = 256;
+
+std::string Repeat(const std::string& piece, int n) {
+  std::string out;
+  for (int i = 0; i < n; ++i) {
+    out += piece;
+  }
+  return out;
+}
+
+std::string Pos(int line, int column) {
+  return std::to_string(line) + ":" + std::to_string(column);
+}
+
+// A nest of `levels` parses; one level more fails with kResourceExhausted
+// at `where`, the line:column of the token that opens the extra level.
+void ExpectNestingLimit(const std::function<Status(int)>& parse, int levels,
+                        const std::string& where) {
+  const Status at_limit = parse(levels);
+  EXPECT_TRUE(at_limit.ok()) << at_limit.ToString();
+  const Status over = parse(levels + 1);
+  EXPECT_EQ(over.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(over.message().find("parse error at " + where +
+                                ": nesting deeper than " +
+                                std::to_string(kNestLimit) + " levels"),
+            std::string::npos)
+      << over.ToString();
+}
+
+TEST(ParserTest, NestingLimitCoversEveryConstruct) {
+  auto expr = [](const std::string& source) {
+    return ParseExpression(source).status();
+  };
+  // Expressions parsed alone start at level 0; the extra level opens at
+  // column kNestLimit + 1 of a one-character-per-level prefix.
+  ExpectNestingLimit(
+      [&](int n) { return expr(Repeat("(", n) + "1" + Repeat(")", n)); },
+      kNestLimit, Pos(1, kNestLimit + 1));
+  ExpectNestingLimit([&](int n) { return expr(Repeat("-", n) + "1"); },
+                     kNestLimit, Pos(1, kNestLimit + 1));
+  ExpectNestingLimit([&](int n) { return expr(Repeat("!", n) + "true"); },
+                     kNestLimit, Pos(1, kNestLimit + 1));
+  // A chain of n binary operators is n levels; the extra operator fails.
+  ExpectNestingLimit([&](int n) { return expr("1" + Repeat(" + 1", n)); },
+                     kNestLimit, Pos(1, 3 + 4 * kNestLimit));
+  ExpectNestingLimit([&](int n) { return expr("2" + Repeat(" * 2", n)); },
+                     kNestLimit, Pos(1, 3 + 4 * kNestLimit));
+  ExpectNestingLimit(
+      [&](int n) { return expr("true" + Repeat(" && true", n)); },
+      kNestLimit, Pos(1, 6 + 8 * kNestLimit));
+  ExpectNestingLimit(
+      [&](int n) { return expr(Repeat("true ? 1 : ", n) + "1"); },
+      kNestLimit, Pos(1, 6 + 11 * kNestLimit));
+  ExpectNestingLimit(
+      [&](int n) { return expr(Repeat("abs(", n) + "1" + Repeat(")", n)); },
+      kNestLimit, Pos(1, 4 * (kNestLimit + 1)));
+  // A chain adds its operators to the height of its deepest operand.
+  constexpr int kHalf = kNestLimit / 2;
+  ExpectNestingLimit(
+      [&](int n) {
+        return expr(Repeat("-", kHalf) + "1" + Repeat(" + 1", n - kHalf));
+      },
+      kNestLimit, Pos(1, kHalf + 3 + 4 * kHalf));
+  // An interface body is a block, one level; each nested `if` block adds
+  // one more.
+  auto program = [](const std::string& source) {
+    return ParseProgram(source).status();
+  };
+  ExpectNestingLimit(
+      [&](int n) {
+        return program("interface f(x) {\n" + Repeat("if (true) {\n", n) +
+                       "return 1J;\n" + Repeat("}\n", n) +
+                       "return 2J;\n}\n");
+      },
+      kNestLimit - 1, Pos(kNestLimit + 1, 11));
+  // Each `else if` nests its `if` in one more block.
+  ExpectNestingLimit(
+      [&](int n) {
+        return program("interface f(x) {\nif (true) { return 1J; }" +
+                       Repeat("\nelse if (true) { return 1J; }", n) +
+                       "\nreturn 2J;\n}\n");
+      },
+      kNestLimit - 2, Pos(kNestLimit + 1, 16));
 }
 
 TEST(PrinterTest, ExternsRoundTrip) {

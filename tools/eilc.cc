@@ -45,8 +45,9 @@
 // pins an ECV (VALUE in {true,false} or a number); --ecv NAME~P sets a
 // Bernoulli probability.
 //
-// Exit codes: 0 success, 1 error, 2 usage, 3 evaluation budget exhausted
-// (max_steps / max_call_depth / max_paths), 4 telemetry unavailable (the
+// Exit codes: 0 success, 1 error, 2 usage, 3 resource limit exhausted (an
+// evaluation budget: max_steps / max_call_depth / max_paths, or the
+// parser's nesting limit), 4 telemetry unavailable (the
 // chaos run ended with the counter's circuit breaker open), 5 determinism
 // violation (a concurrent serve run diverged from its single-threaded
 // replay).
@@ -105,8 +106,8 @@ int Usage() {
                "  0  success\n"
                "  1  error (I/O, parse, static check, evaluation)\n"
                "  2  usage\n"
-               "  3  evaluation budget exhausted (max_steps / max_call_depth"
-               " / max_paths)\n"
+               "  3  resource limit exhausted (max_steps / max_call_depth"
+               " / max_paths, or source nested deeper than 256 levels)\n"
                "  4  telemetry unavailable (chaos ended with the counter's"
                " circuit open)\n"
                "  5  determinism violation (concurrent serve diverged from"
@@ -114,15 +115,17 @@ int Usage() {
   return 2;
 }
 
-// Evaluation budgets (max_steps, max_call_depth, max_paths) exhausting is a
-// distinct failure mode — the program may be fine but too big to analyse
-// with the current limits — so it gets its own exit code.
+// Exhausting a resource limit — an evaluation budget (max_steps,
+// max_call_depth, max_paths) or the parser's nesting limit — is a distinct
+// failure mode: the program may be fine but too big to analyse with the
+// current limits, so it gets its own exit code.
 int FailWith(const Status& status) {
   std::fprintf(stderr, "%s\n", status.ToString().c_str());
   if (status.code() == StatusCode::kResourceExhausted) {
     std::fprintf(stderr,
-                 "evaluation budget exhausted (exit 3); raise the relevant "
-                 "budget or simplify the entry call\n");
+                 "resource limit exhausted (exit 3); raise the relevant "
+                 "budget, simplify the entry call, or flatten the source's "
+                 "nesting\n");
     return 3;
   }
   return 1;
@@ -194,8 +197,7 @@ int Check(const std::string& path) {
   }
   auto program = ParseProgram(*source);
   if (!program.ok()) {
-    std::fprintf(stderr, "%s\n", program.status().ToString().c_str());
-    return 1;
+    return FailWith(program.status());
   }
   CheckOptions options;
   options.allow_any_unresolved = true;
@@ -235,8 +237,7 @@ int Print(const std::string& path) {
   }
   auto program = ParseProgram(*source);
   if (!program.ok()) {
-    std::fprintf(stderr, "%s\n", program.status().ToString().c_str());
-    return 1;
+    return FailWith(program.status());
   }
   std::printf("%s", PrintProgram(*program).c_str());
   return 0;
@@ -289,8 +290,7 @@ int EvalOrPaths(const std::string& mode, const std::string& path,
   }
   auto program = ParseProgram(*source);
   if (!program.ok()) {
-    std::fprintf(stderr, "%s\n", program.status().ToString().c_str());
-    return 1;
+    return FailWith(program.status());
   }
   auto profile = ExtractProfile(rest);
   if (!profile.ok()) {
@@ -405,8 +405,7 @@ int Trace(const std::string& path, const std::string& entry,
   }
   auto program = ParseProgram(*source);
   if (!program.ok()) {
-    std::fprintf(stderr, "%s\n", program.status().ToString().c_str());
-    return 1;
+    return FailWith(program.status());
   }
   std::string chrome_out;
   std::vector<std::string> kept;
@@ -495,8 +494,7 @@ int Chaos(const std::string& path, const std::string& entry,
   }
   auto program = ParseProgram(*source);
   if (!program.ok()) {
-    std::fprintf(stderr, "%s\n", program.status().ToString().c_str());
-    return 1;
+    return FailWith(program.status());
   }
   auto profile = ExtractProfile(rest);
   if (!profile.ok()) {
@@ -646,8 +644,7 @@ int Profile(const std::string& path, const std::string& entry,
   }
   auto program = ParseProgram(*source);
   if (!program.ok()) {
-    std::fprintf(stderr, "%s\n", program.status().ToString().c_str());
-    return 1;
+    return FailWith(program.status());
   }
   auto profile = ExtractProfile(rest);
   if (!profile.ok()) {
@@ -759,8 +756,7 @@ int Serve(const std::string& path, const std::string& entry,
   }
   auto program = ParseProgram(*source);
   if (!program.ok()) {
-    std::fprintf(stderr, "%s\n", program.status().ToString().c_str());
-    return 1;
+    return FailWith(program.status());
   }
   auto profile = ExtractProfile(rest);
   if (!profile.ok()) {
@@ -963,8 +959,7 @@ int Bounds(const std::string& path, const std::string& entry,
   }
   auto program = ParseProgram(*source);
   if (!program.ok()) {
-    std::fprintf(stderr, "%s\n", program.status().ToString().c_str());
-    return 1;
+    return FailWith(program.status());
   }
   std::vector<IntervalValue> args;
   for (const std::string& text : rest) {
