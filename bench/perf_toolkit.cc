@@ -220,28 +220,11 @@ void BM_EnumerateDepth(benchmark::State& state) {
 }
 BENCHMARK(BM_EnumerateDepth)->Arg(4)->Arg(8)->Arg(12);
 
-// The same program through the analytic exact engine (collapsed-path DFS
-// over raw doubles; bit-identical answers). The sub-distribution cache is
-// disabled so every iteration pays the full evaluation — compare against
-// BM_EnumerateDepth at equal depth for the collapse factor.
-void BM_AnalyticExactDepth(benchmark::State& state) {
-  const int depth = static_cast<int>(state.range(0));
-  auto program = ParseProgram(DeepEcvSource(depth));
-  EvalOptions options;
-  options.analytic_cache_capacity = 0;
-  options.dist_mode = DistMode::kAnalyticExact;
-  Evaluator evaluator(*program, options);
-  const std::vector<Value> args = {Value::Number(3.0)};
-  for (auto _ : state) {
-    auto cd = evaluator.EvalCertified("E_deep", args, {});
-    benchmark::DoNotOptimize(cd.ok());
-  }
-  state.SetComplexityN(int64_t{1} << depth);
-}
-BENCHMARK(BM_AnalyticExactDepth)->Arg(4)->Arg(8)->Arg(12);
-
-// And through the bounded convolution algebra: O(depth * |support|^2) work
-// instead of 2^depth paths, every answer carrying a certified error bound.
+// The same program through the bounded convolution algebra:
+// O(depth * |support|^2) work instead of 2^depth paths, every answer carrying
+// a certified error bound. The sub-distribution cache is disabled so every
+// iteration pays the full evaluation — compare against BM_EnumerateDepth at
+// equal depth for the collapse factor.
 void BM_AnalyticBoundedDepth(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   auto program = ParseProgram(DeepEcvSource(depth));

@@ -65,9 +65,9 @@ struct CertifiedDistribution {
   double max_joules = 0.0;
 
   // True only when `distribution` is bit-identical to the exact
-  // enumeration fold (same atoms, same probability bits) — set by the
-  // exact analytic engine and the enumeration fallback, never by the
-  // bounded or moments engines.
+  // enumeration fold (same atoms, same probability bits) — set when
+  // enumeration answered (kEnumerate, or an analytic mode falling back),
+  // never by the bounded or moments engines.
   bool exact = false;
 };
 

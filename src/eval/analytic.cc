@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <optional>
 #include <unordered_map>
@@ -10,7 +9,6 @@
 #include <utility>
 
 #include "src/eval/builtins.h"
-#include "src/units/abstract_energy.h"
 
 namespace eclarity {
 namespace {
@@ -192,13 +190,6 @@ Result<const EcvSupport*> ResolveSupport(const LStmt& stmt,
     }
   }
   return InternalError("unknown ECV distribution kind");
-}
-
-// Concrete Joules of a value (resolving abstract energy through the
-// calibration when available).
-Result<double> ConcreteJoules(const Value& v,
-                              const EnergyCalibration* calibration) {
-  return OutcomeJoules(v, calibration);
 }
 
 }  // namespace
@@ -690,7 +681,6 @@ class AnalyticAnalyzer {
       s->reason = "increments target multiple accumulators";
       return;
     }
-    s->acc_slot = s->increments.empty() ? -1 : acc;
 
     // Mixture-only interfaces are bounded-evaluable with no further
     // discipline: every draw binds its slot and everything downstream is
@@ -797,577 +787,6 @@ std::unique_ptr<const AnalyticAnalysis> AnalyticAnalysis::Analyze(
   AnalyticAnalyzer analyzer;
   analysis->shapes_ = analyzer.Run(program, lowered);
   return analysis;
-}
-
-// ---------------------------------------------------------------------------
-// Exact collapsed-path engine
-// ---------------------------------------------------------------------------
-
-namespace {
-
-// Leaf sink. EmitValue receives the path's return value and its probability
-// (the same left-to-right prefix product the enumeration chooser computes);
-// EmitJoules is the raw-double shortcut for values already known to be
-// concrete Joules.
-class Emitter {
- public:
-  virtual ~Emitter() = default;
-  virtual Status EmitValue(const Value& v, double prob) = 0;
-  virtual Status EmitJoules(double joules, double prob) {
-    return EmitValue(Value::Joules(joules), prob);
-  }
-};
-
-struct ExactCtx {
-  const AnalyticAnalysis& analysis;
-  const EcvProfile& profile;
-  const EvalOptions& options;
-  const EnergyCalibration* calibration;
-  std::vector<Atom> atoms;  // (joules, probability) in enumeration order
-  size_t emitted = 0;
-  bool exhausted = false;  // max_paths: the one genuine (non-anomaly) error
-};
-
-class TopEmitter : public Emitter {
- public:
-  explicit TopEmitter(ExactCtx& ctx) : ctx_(ctx) {}
-
-  Status EmitValue(const Value& v, double prob) override {
-    ECLARITY_RETURN_IF_ERROR(CheckBudget());
-    ECLARITY_ASSIGN_OR_RETURN(double joules,
-                              OutcomeJoules(v, ctx_.calibration));
-    ctx_.atoms.push_back({joules, prob});
-    ++ctx_.emitted;
-    return OkStatus();
-  }
-
-  Status EmitJoules(double joules, double prob) override {
-    ECLARITY_RETURN_IF_ERROR(CheckBudget());
-    ctx_.atoms.push_back({joules, prob});
-    ++ctx_.emitted;
-    return OkStatus();
-  }
-
- private:
-  Status CheckBudget() {
-    // Mirrors Evaluator::Enumerate's loop-top check: attempting path number
-    // max_paths (0-based) is the error; exactly max_paths paths is fine.
-    if (ctx_.emitted >= ctx_.options.max_paths) {
-      ctx_.exhausted = true;
-      return ResourceExhaustedError(
-          "ECV assignment enumeration exceeded max_paths");
-    }
-    return OkStatus();
-  }
-
-  ExactCtx& ctx_;
-};
-
-class ExactEngine {
- public:
-  explicit ExactEngine(ExactCtx& ctx) : ctx_(ctx) {}
-
-  Status WalkInterface(const LoweredInterface& iface,
-                       const std::vector<Value>& args, double prob,
-                       Emitter& emit) {
-    const AnalyticShape* shape = ctx_.analysis.Find(&iface);
-    if (shape == nullptr || !shape->exact_ok) {
-      return InternalError("callee escaped analysis");
-    }
-    std::vector<Value> frame(iface.frame_size);
-    for (size_t i = 0; i < args.size(); ++i) {
-      frame[iface.param_slots[i]] = args[i];
-    }
-    return WalkBlock(*shape, iface.body, 0, frame, prob, emit);
-  }
-
- private:
-  Status WalkBlock(const AnalyticShape& shape,
-                   const std::vector<LStmtPtr>& block, size_t start,
-                   std::vector<Value>& frame, double prob, Emitter& emit) {
-    for (size_t i = start; i < block.size(); ++i) {
-      const LStmt& stmt = *block[i];
-      switch (stmt.kind) {
-        case LStmtKind::kStore:
-        case LStmtKind::kAssign: {
-          ECLARITY_ASSIGN_OR_RETURN(Value v, EvalDet(*stmt.a, frame));
-          frame[stmt.slot] = std::move(v);
-          break;
-        }
-        case LStmtKind::kEcv: {
-          if (shape.conv_pair.count(&stmt) > 0) {
-            std::optional<Status> run =
-                TryFastRun(shape, block, i, frame, prob, emit);
-            if (run.has_value()) {
-              return *run;
-            }
-            // Preconditions failed: handle this draw generically.
-          }
-          EcvSupport storage;
-          ECLARITY_ASSIGN_OR_RETURN(
-              const EcvSupport* support,
-              ResolveSupport(stmt, ctx_.profile, ctx_.options, frame,
-                             &storage));
-          // Each outcome's path gets a pristine copy of the frame: paths
-          // may mutate read-modify-write slots (accumulators), and those
-          // writes must not leak into sibling outcomes.
-          const std::vector<Value> saved = frame;
-          for (const auto& [value, p] : support->outcomes) {
-            frame = saved;
-            frame[stmt.slot] = value;
-            ECLARITY_RETURN_IF_ERROR(
-                WalkBlock(shape, block, i + 1, frame, prob * p, emit));
-          }
-          return OkStatus();
-        }
-        case LStmtKind::kIf: {
-          ECLARITY_ASSIGN_OR_RETURN(Value cond, EvalDet(*stmt.a, frame));
-          ECLARITY_ASSIGN_OR_RETURN(bool truth, cond.AsBool());
-          const std::vector<LStmtPtr>& arm =
-              truth ? stmt.then_block : stmt.else_block;
-          if (BlockTerminal(arm)) {
-            return WalkBlock(shape, arm, 0, frame, prob, emit);
-          }
-          for (const LStmtPtr& s : arm) {  // simple det statements only
-            ECLARITY_ASSIGN_OR_RETURN(Value v, EvalDet(*s->a, frame));
-            frame[s->slot] = std::move(v);
-          }
-          break;
-        }
-        case LStmtKind::kFor:
-          return InternalError("for loop escaped analysis");
-        case LStmtKind::kReturn:
-          return EvalLeaf(*stmt.a, frame, prob, emit);
-      }
-    }
-    return InternalError("block fell off the end");
-  }
-
-  // Return-expression leaf: deterministic values emit directly; a single
-  // interface call recurses into the callee with the affine/conditional
-  // wrapper replayed around every callee leaf, operand by operand, through
-  // the shared value operators.
-  Status EvalLeaf(const LExpr& e, std::vector<Value>& frame, double prob,
-                  Emitter& emit) {
-    if (!HasCall(e)) {
-      ECLARITY_ASSIGN_OR_RETURN(Value v, EvalDet(e, frame));
-      return emit.EmitValue(v, prob);
-    }
-    struct PendingOp {
-      const LExpr* node;
-      Value other;     // the deterministic operand (binary only)
-      bool call_left;  // call side of the binary operator
-    };
-    std::vector<PendingOp> steps;
-    const LExpr* cur = &e;
-    while (cur->kind != LExprKind::kCall) {
-      switch (cur->kind) {
-        case LExprKind::kUnary:
-          steps.push_back({cur, Value(), false});
-          cur = cur->children[0].get();
-          break;
-        case LExprKind::kBinary: {
-          if (cur->bop == BinaryOp::kAnd || cur->bop == BinaryOp::kOr) {
-            return InternalError("call under short-circuit operator");
-          }
-          const bool left = HasCall(*cur->children[0]);
-          const bool right = HasCall(*cur->children[1]);
-          if (left == right) {
-            return InternalError("ambiguous call position");
-          }
-          ECLARITY_ASSIGN_OR_RETURN(
-              Value other, EvalDet(*cur->children[left ? 1 : 0], frame));
-          steps.push_back({cur, std::move(other), left});
-          cur = cur->children[left ? 0 : 1].get();
-          break;
-        }
-        case LExprKind::kConditional: {
-          ECLARITY_ASSIGN_OR_RETURN(Value cond,
-                                    EvalDet(*cur->children[0], frame));
-          ECLARITY_ASSIGN_OR_RETURN(bool truth, cond.AsBool());
-          const LExpr* chosen = cur->children[truth ? 1 : 2].get();
-          if (!HasCall(*chosen)) {
-            // The executed branch is call-free after all: the whole leaf is
-            // deterministic (EvalDet only evaluates taken branches).
-            ECLARITY_ASSIGN_OR_RETURN(Value v, EvalDet(e, frame));
-            return emit.EmitValue(v, prob);
-          }
-          cur = chosen;
-          break;
-        }
-        default:
-          return InternalError("call in unsupported position");
-      }
-    }
-    std::vector<Value> args;
-    args.reserve(cur->children.size());
-    for (const LExprPtr& child : cur->children) {
-      ECLARITY_ASSIGN_OR_RETURN(Value v, EvalDet(*child, frame));
-      args.push_back(std::move(v));
-    }
-    if (cur->callee == nullptr || !cur->call_error.ok()) {
-      return InternalError("unresolved call escaped analysis");
-    }
-
-    class WrapEmitter : public Emitter {
-     public:
-      WrapEmitter(const std::vector<PendingOp>& steps, Emitter& next)
-          : steps_(steps), next_(next) {}
-      Status EmitValue(const Value& v, double prob) override {
-        Value cv = v;
-        for (auto it = steps_.rbegin(); it != steps_.rend(); ++it) {
-          Result<Value> r =
-              it->node->kind == LExprKind::kUnary
-                  ? ApplyUnary(it->node->uop, cv, it->node->context)
-                  : ApplyBinary(it->node->bop,
-                                it->call_left ? cv : it->other,
-                                it->call_left ? it->other : cv,
-                                it->node->context);
-          if (!r.ok()) {
-            return r.status();
-          }
-          cv = *std::move(r);
-        }
-        return next_.EmitValue(cv, prob);
-      }
-
-     private:
-      const std::vector<PendingOp>& steps_;
-      Emitter& next_;
-    };
-    WrapEmitter wrapped(steps, emit);
-    return WalkInterface(*cur->callee, args, prob, wrapped);
-  }
-
-  // -------------------------------------------------------------------------
-  // Raw-double backbone for runs of conv draw/increment pairs
-  // -------------------------------------------------------------------------
-  //
-  // A run is a maximal sequence of statements starting at a conv draw in
-  // which every statement is (a) a conv draw immediately awaiting its
-  // paired increment, (b) that increment, (c) a deterministic add to the
-  // accumulator, or (d) any other deterministic store/assign not touching
-  // the accumulator. Within a run the accumulator only ever receives raw
-  // double additions (ApplyBinary on concrete energies IS a double add on
-  // the Joules payload), so the 2^k paths reduce to a double-only DFS with
-  // per-level (delta, probability) tables — the O(paths) constant drops by
-  // ~two orders of magnitude while staying bit-identical.
-  //
-  // Returns nullopt when a precondition fails before any level closes (the
-  // caller then handles the draw generically); any side effects up to that
-  // point are idempotent deterministic frame writes.
-  std::optional<Status> TryFastRun(const AnalyticShape& shape,
-                                   const std::vector<LStmtPtr>& block,
-                                   size_t start, std::vector<Value>& frame,
-                                   double prob, Emitter& emit) {
-    if (shape.acc_slot < 0) {
-      return std::nullopt;
-    }
-    struct Level {
-      size_t stmt_index = 0;  // position of the closing statement
-      bool is_shift = false;
-      double shift = 0.0;                        // det add
-      std::vector<double> probs;                 // draw level, outcome order
-      std::vector<std::optional<double>> deltas;  // nullopt: arm absent
-    };
-    // Every frame write during the gather is logged; writes at or after the
-    // final continuation point are rolled back so the continuation (which
-    // re-executes those statements) sees each effect exactly once.
-    struct UndoEntry {
-      int slot;
-      Value old_value;
-      size_t stmt_index;
-    };
-    std::vector<UndoEntry> undo;
-    auto write_slot = [&](int slot, Value v, size_t j) {
-      undo.push_back({slot, frame[slot], j});
-      frame[slot] = std::move(v);
-    };
-    // Accumulator base must already be a concrete energy.
-    double acc0 = 0.0;
-    {
-      const Value& base = frame[shape.acc_slot];
-      if (!base.is_energy() || !base.energy().IsConcrete()) {
-        return std::nullopt;
-      }
-      acc0 = base.energy().concrete().joules();
-    }
-    auto term_joules = [&](const LExpr& term) -> std::optional<double> {
-      Result<Value> v = EvalDet(term, frame);
-      if (!v.ok() || !v->is_energy() || !v->energy().IsConcrete()) {
-        return std::nullopt;
-      }
-      return v->energy().concrete().joules();
-    };
-
-    std::vector<Level> levels;
-    const LStmt* pending_draw = nullptr;   // resolved, awaiting its add
-    const EcvSupport* pending_support = nullptr;
-    EcvSupport pending_storage;
-    size_t pending_index = 0;
-    size_t cont = start;  // resume point for the generic walker
-    bool scanning = true;
-    for (size_t j = start; scanning && j < block.size(); ++j) {
-      const LStmt& stmt = *block[j];
-      switch (stmt.kind) {
-        case LStmtKind::kEcv: {
-          if (pending_draw != nullptr || shape.conv_pair.count(&stmt) == 0) {
-            scanning = false;  // nested pending or mix draw: end the run
-            break;
-          }
-          Result<const EcvSupport*> support = ResolveSupport(
-              stmt, ctx_.profile, ctx_.options, frame, &pending_storage);
-          if (!support.ok()) {
-            scanning = false;  // generic path reproduces the anomaly
-            break;
-          }
-          pending_draw = &stmt;
-          pending_support = *support;
-          pending_index = j;
-          break;
-        }
-        case LStmtKind::kStore:
-        case LStmtKind::kAssign: {
-          const auto inc_it = shape.increments.find(&stmt);
-          if (inc_it != shape.increments.end()) {
-            // Value-form increment for the pending draw.
-            if (pending_draw == nullptr ||
-                inc_it->second.draw != pending_draw) {
-              scanning = false;
-              break;
-            }
-            Level level;
-            level.stmt_index = j;
-            bool ok = true;
-            for (const auto& [value, p] : pending_support->outcomes) {
-              write_slot(pending_draw->slot, value, j);
-              std::optional<double> t = term_joules(*inc_it->second.value_term);
-              if (!t.has_value()) {
-                ok = false;
-                break;
-              }
-              level.probs.push_back(p);
-              level.deltas.emplace_back(*t);
-            }
-            if (!ok) {
-              scanning = false;
-              break;
-            }
-            levels.push_back(std::move(level));
-            pending_draw = nullptr;
-            pending_support = nullptr;
-            cont = j + 1;
-            break;
-          }
-          if (stmt.slot == shape.acc_slot) {
-            // Deterministic shift `acc = acc + T` keeps its statement-order
-            // position as a single-outcome level; anything else ends the run.
-            const LExpr& a = *stmt.a;
-            const bool add_form =
-                stmt.kind == LStmtKind::kAssign &&
-                a.kind == LExprKind::kBinary && a.bop == BinaryOp::kAdd &&
-                a.children[0]->kind == LExprKind::kSlot &&
-                a.children[0]->slot == stmt.slot;
-            if (!add_form) {
-              scanning = false;
-              break;
-            }
-            std::optional<double> t = term_joules(*a.children[1]);
-            if (!t.has_value()) {
-              scanning = false;
-              break;
-            }
-            Level level;
-            level.stmt_index = j;
-            level.is_shift = true;
-            level.shift = *t;
-            levels.push_back(std::move(level));
-            if (pending_draw == nullptr) {
-              cont = j + 1;
-            }
-            break;
-          }
-          // Unrelated deterministic write: execute it, logged for rollback
-          // in case the continuation re-runs this statement.
-          Result<Value> v = EvalDet(*stmt.a, frame);
-          if (!v.ok()) {
-            scanning = false;
-            break;
-          }
-          write_slot(stmt.slot, *std::move(v), j);
-          if (pending_draw == nullptr) {
-            cont = j + 1;
-          }
-          break;
-        }
-        case LStmtKind::kIf: {
-          const auto inc_it = shape.increments.find(&stmt);
-          if (inc_it == shape.increments.end() || pending_draw == nullptr ||
-              inc_it->second.draw != pending_draw) {
-            scanning = false;
-            break;
-          }
-          // Guard-form increment: outcome truth picks the arm's term.
-          std::optional<double> t_then;
-          std::optional<double> t_else;
-          if (inc_it->second.then_term != nullptr) {
-            t_then = term_joules(*inc_it->second.then_term);
-            if (!t_then.has_value()) {
-              scanning = false;
-              break;
-            }
-          }
-          if (inc_it->second.else_term != nullptr) {
-            t_else = term_joules(*inc_it->second.else_term);
-            if (!t_else.has_value()) {
-              scanning = false;
-              break;
-            }
-          }
-          Level level;
-          level.stmt_index = j;
-          bool ok = true;
-          for (const auto& [value, p] : pending_support->outcomes) {
-            if (!value.is_bool()) {
-              ok = false;
-              break;
-            }
-            level.probs.push_back(p);
-            level.deltas.push_back(value.boolean() ? t_then : t_else);
-          }
-          if (!ok) {
-            scanning = false;
-            break;
-          }
-          levels.push_back(std::move(level));
-          pending_draw = nullptr;
-          pending_support = nullptr;
-          cont = j + 1;
-          break;
-        }
-        default:
-          scanning = false;
-          break;
-      }
-    }
-    // Drop levels whose closing statement lies in the continuation (shifts
-    // pushed under a never-closed draw) and roll back frame writes the
-    // continuation will re-execute, newest first.
-    while (!levels.empty() && levels.back().stmt_index >= cont) {
-      levels.pop_back();
-    }
-    for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
-      if (it->stmt_index >= cont) {
-        frame[it->slot] = std::move(it->old_value);
-      }
-    }
-    if (levels.empty()) {
-      return std::nullopt;  // no progress: generic path takes over at start
-    }
-
-    // Continuation classification: `return acc` and `return acc + det`
-    // (either operand order) reduce each leaf to one more double add; any
-    // other continuation re-enters the general walker per path with the
-    // frame's accumulator synced.
-    enum class Tail { kAccOnly, kAccPlus, kGeneral };
-    Tail tail = Tail::kGeneral;
-    double tail_joules = 0.0;
-    if (cont < block.size() && block[cont]->kind == LStmtKind::kReturn) {
-      const LExpr& r = *block[cont]->a;
-      if (r.kind == LExprKind::kSlot && r.slot == shape.acc_slot) {
-        tail = Tail::kAccOnly;
-      } else if (r.kind == LExprKind::kBinary && r.bop == BinaryOp::kAdd &&
-                 !HasCall(r)) {
-        const LExpr* acc_side = nullptr;
-        const LExpr* det_side = nullptr;
-        for (int side : {0, 1}) {
-          if (r.children[side]->kind == LExprKind::kSlot &&
-              r.children[side]->slot == shape.acc_slot) {
-            acc_side = r.children[side].get();
-            det_side = r.children[1 - side].get();
-          }
-        }
-        if (acc_side != nullptr &&
-            CountSlotReads(*det_side, shape.acc_slot) == 0) {
-          std::optional<double> t = term_joules(*det_side);
-          if (t.has_value()) {
-            tail = Tail::kAccPlus;
-            tail_joules = *t;
-          }
-        }
-      }
-    }
-
-    // Double-only DFS over the levels, in enumeration order: outcome 0
-    // first, probabilities multiplied left to right, deltas added in
-    // statement order — the identical sequence of floating-point operations
-    // the interpreter performs per path.
-    std::function<Status(size_t, double, double)> dfs =
-        [&](size_t li, double acc, double p) -> Status {
-      if (li == levels.size()) {
-        switch (tail) {
-          case Tail::kAccOnly:
-            return emit.EmitJoules(acc, p);
-          case Tail::kAccPlus:
-            return emit.EmitJoules(acc + tail_joules, p);
-          case Tail::kGeneral: {
-            // Fresh frame per leaf: the continuation may itself mutate
-            // read-modify-write slots, and leaves are siblings.
-            std::vector<Value> leaf_frame = frame;
-            leaf_frame[shape.acc_slot] = Value::Joules(acc);
-            return WalkBlock(shape, block, cont, leaf_frame, p, emit);
-          }
-        }
-        return InternalError("unreachable");
-      }
-      const Level& level = levels[li];
-      if (level.is_shift) {
-        return dfs(li + 1, acc + level.shift, p);
-      }
-      for (size_t k = 0; k < level.probs.size(); ++k) {
-        const double next =
-            level.deltas[k].has_value() ? acc + *level.deltas[k] : acc;
-        ECLARITY_RETURN_IF_ERROR(dfs(li + 1, next, p * level.probs[k]));
-      }
-      return OkStatus();
-    };
-    return dfs(0, acc0, prob);
-  }
-
-  ExactCtx& ctx_;
-};
-
-}  // namespace
-
-Result<std::optional<CertifiedDistribution>> AnalyticExact(
-    const AnalyticAnalysis& analysis, const LoweredInterface& iface,
-    const std::vector<Value>& args, const EcvProfile& profile,
-    const EvalOptions& options, const EnergyCalibration* calibration) {
-  ExactCtx ctx{analysis, profile, options, calibration};
-  TopEmitter top(ctx);
-  ExactEngine engine(ctx);
-  Status status = engine.WalkInterface(iface, args, 1.0, top);
-  if (!status.ok()) {
-    if (ctx.exhausted) {
-      return status;  // genuine: identical to enumeration's budget error
-    }
-    return std::optional<CertifiedDistribution>();  // anomaly: fall back
-  }
-  // The identical fold enumeration performs: path-ordered atoms into
-  // Distribution::Categorical.
-  Result<Distribution> dist = Distribution::Categorical(std::move(ctx.atoms));
-  if (!dist.ok()) {
-    return std::optional<CertifiedDistribution>();
-  }
-  CertifiedDistribution cd;
-  cd.distribution = *std::move(dist);
-  cd.has_distribution = true;
-  cd.mean = cd.distribution.Mean();
-  cd.variance = cd.distribution.Variance();
-  cd.min_joules = cd.distribution.MinValue();
-  cd.max_joules = cd.distribution.MaxValue();
-  cd.exact = true;
-  return std::optional<CertifiedDistribution>(std::move(cd));
 }
 
 // ---------------------------------------------------------------------------
@@ -1679,7 +1098,7 @@ class ApproxWalker {
         if (!t.ok()) {
           return std::nullopt;
         }
-        Result<double> joules = ConcreteJoules(*t, calibration_);
+        Result<double> joules = OutcomeJoules(*t, calibration_);
         if (!joules.ok()) {
           return std::nullopt;
         }
@@ -1693,7 +1112,7 @@ class ApproxWalker {
         if (!t.ok()) {
           return std::nullopt;
         }
-        Result<double> joules = ConcreteJoules(*t, calibration_);
+        Result<double> joules = OutcomeJoules(*t, calibration_);
         if (!joules.ok()) {
           return std::nullopt;
         }
@@ -1704,7 +1123,7 @@ class ApproxWalker {
         if (!t.ok()) {
           return std::nullopt;
         }
-        Result<double> joules = ConcreteJoules(*t, calibration_);
+        Result<double> joules = OutcomeJoules(*t, calibration_);
         if (!joules.ok()) {
           return std::nullopt;
         }
@@ -1758,7 +1177,7 @@ class ApproxWalker {
           }
           switch (cur->bop) {
             case BinaryOp::kAdd: {
-              Result<double> j = ConcreteJoules(*dv, calibration_);
+              Result<double> j = OutcomeJoules(*dv, calibration_);
               if (!j.ok()) {
                 return std::nullopt;
               }
@@ -1766,7 +1185,7 @@ class ApproxWalker {
               break;
             }
             case BinaryOp::kSub: {
-              Result<double> j = ConcreteJoules(*dv, calibration_);
+              Result<double> j = OutcomeJoules(*dv, calibration_);
               if (!j.ok()) {
                 return std::nullopt;
               }
@@ -1842,7 +1261,7 @@ class ApproxWalker {
     if (!v.ok()) {
       return std::nullopt;
     }
-    Result<double> joules = ConcreteJoules(*v, calibration_);
+    Result<double> joules = OutcomeJoules(*v, calibration_);
     if (!joules.ok()) {
       return std::nullopt;
     }

@@ -1,28 +1,14 @@
 // Analytic distribution evaluation over the lowered IR.
 //
 // Exact enumeration visits every ECV assignment — exponential in draw
-// depth. The engines here answer the same questions by composing
+// depth. The engines here answer with a certified error bound by composing
 // distributions instead of paths:
 //
 //   * AnalyticAnalysis — a one-shot shape analysis over the lowered program
 //     (eval/lower.h) deciding, per interface, whether the analytic engines
-//     apply. `exact_ok` admits the collapsed-path engine; `bounded_ok`
-//     additionally admits the convolution/mixture and moments engines.
-//     Anything outside the analyzable fragment (for loops, multi-call
-//     returns, unresolved callees, bodies that can fall off the end) is
-//     rejected, and the evaluator falls back to enumeration.
-//
-//   * AnalyticExact — a depth-first walk over ECV choice points that emits
-//     (joules, probability) leaves in exactly the enumeration order, using
-//     the same shared value operators (ApplyBinary/ApplyUnary/ApplyBuiltin),
-//     the same left-to-right probability prefix products, and the same
-//     max_paths budget semantics. Its results are bit-identical to the
-//     enumeration fold by construction; the speedup comes from sharing the
-//     deterministic prefix work across paths and from a raw-double backbone
-//     for the common "guarded accumulator increment" shape. Any construct
-//     it cannot reproduce exactly makes it bow out (nullopt) so the caller
-//     can fall back; the only genuine error it raises itself is the
-//     enumeration max_paths budget, with the identical status.
+//     apply. Anything outside the analyzable fragment (for loops,
+//     multi-call returns, unresolved callees, bodies that can fall off the
+//     end) is rejected, and the evaluator falls back to enumeration.
 //
 //   * AnalyticApprox — the certified approximate engines. Independent
 //     additive ECV contributions convolve in O(|support|^2); draws consumed
@@ -32,8 +18,8 @@
 //     pruned (EvalOptions::prune_threshold) with the dropped mass certified
 //     into the final bound; in moments mode only mean/variance/range
 //     propagate and no distribution is materialised. Approximation never
-//     errors: anything off-template returns nullopt and the caller falls
-//     back to the exact engines.
+//     errors: anything off-template returns nullopt and the caller answers
+//     through enumeration, which also raises any genuine error.
 //
 // Everything here is internal to Evaluator::EvalCertified; the analysis is
 // built once per evaluator and shared across threads (it is immutable after
@@ -59,7 +45,7 @@ namespace eclarity {
 // One "accumulator increment" site: an ECV draw whose only consumer adds a
 // deterministic term to the single accumulator slot, either guarded by the
 // drawn boolean or scaled through a term reading the drawn value. The
-// engines convolve (or fast-sum) these without branching per path.
+// engines convolve these without branching per path.
 struct AnalyticIncrement {
   const LStmt* draw = nullptr;       // the paired kEcv statement
   const LExpr* then_term = nullptr;  // guard form: term added when true
@@ -69,9 +55,13 @@ struct AnalyticIncrement {
 
 // Per-interface verdict of the shape analysis.
 struct AnalyticShape {
-  // The collapsed-path exact engine may run on this interface.
+  // The body lies in the analyzable fragment, so the step and call-depth
+  // bounds below hold. An interface calling this one is analyzable only
+  // when it is set, and the increment classification runs only then. (No
+  // engine answers exactly from it: exact answers come from enumeration.)
   bool exact_ok = false;
-  // The convolution/mixture and moments engines may additionally run.
+  // The convolution/mixture and moments engines may run on this interface.
+  // Set only together with exact_ok.
   bool bounded_ok = false;
   // First disqualifier, for metrics/debugging ("for loop", ...). Set when
   // exact_ok or bounded_ok is false.
@@ -85,8 +75,6 @@ struct AnalyticShape {
   // compared against EvalOptions::max_call_depth for the same reason.
   int call_depth = 1;
 
-  // Accumulator slot targeted by every increment site (-1 when none).
-  int acc_slot = -1;
   // draw statement -> its paired increment statement (the kIf or kAssign).
   std::unordered_map<const LStmt*, const LStmt*> conv_pair;
   // increment statement -> site description. Walkers skip these statements
@@ -110,19 +98,6 @@ class AnalyticAnalysis {
   friend class AnalyticAnalyzer;
   std::unordered_map<const LoweredInterface*, AnalyticShape> shapes_;
 };
-
-// Exact collapsed-path evaluation of `iface` (which must be exact_ok).
-// Returns:
-//   * a CertifiedDistribution (exact == true, zero bound) bit-identical to
-//     the enumeration fold, or
-//   * nullopt when some construct falls outside what the engine reproduces
-//     exactly — the caller must fall back to enumeration, or
-//   * a genuine error: only the enumeration max_paths budget, raised with
-//     the identical status enumeration would raise.
-Result<std::optional<CertifiedDistribution>> AnalyticExact(
-    const AnalyticAnalysis& analysis, const LoweredInterface& iface,
-    const std::vector<Value>& args, const EcvProfile& profile,
-    const EvalOptions& options, const EnergyCalibration* calibration);
 
 // Resolves a callee's certified sub-distribution (cache-aware; supplied by
 // the evaluator). nullopt aborts the approximate evaluation.

@@ -19,23 +19,20 @@ namespace {
 using eval_internal::EnumeratingChooser;
 
 // Batch-engine instrumentation: resolved once, relaxed increments after.
+#define ECLARITY_BATCH_COUNTERS(X)                                  \
+  X(lanes, "eclarity_eval_batch_lanes_total",                       \
+    "lanes submitted to the SoA batch evaluator")                   \
+  X(passes, "eclarity_eval_batch_passes_total",                     \
+    "SoA tiles the vector engine completed without aborting")       \
+  X(scalar_fallbacks, "eclarity_eval_batch_scalar_fallbacks_total", \
+    "lanes rerun on the scalar engine after a vector-pass abort")
+
 struct BatchCounters {
-  Counter& lanes;
-  Counter& passes;
-  Counter& scalar_fallbacks;
+  ECLARITY_BATCH_COUNTERS(ECLARITY_COUNTER_MEMBER)
 
   static BatchCounters& Get() {
-    static BatchCounters* counters = new BatchCounters{
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_eval_batch_lanes_total",
-            "lanes submitted to the SoA batch evaluator"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_eval_batch_passes_total",
-            "SoA tiles the vector engine completed without aborting"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_eval_batch_scalar_fallbacks_total",
-            "lanes rerun on the scalar engine after a vector-pass abort"),
-    };
+    static BatchCounters* counters =
+        new BatchCounters{ECLARITY_BATCH_COUNTERS(ECLARITY_COUNTER_LOOKUP)};
     return *counters;
   }
 };

@@ -40,64 +40,43 @@ inline std::string PosContext(const InterfaceDecl& iface, int line,
 // Built-in instrumentation. The references are resolved once; every update
 // afterwards is a single relaxed atomic increment, and all of them sit on
 // cold paths (construction, analytic dispatch, budget failures).
+#define ECLARITY_EVAL_METRICS(COUNTER, HISTOGRAM)                              \
+  COUNTER(engine_treewalk, "eclarity_eval_engine_treewalk_total",              \
+          "evaluators the tree walk serves (the kTreeWalk engine or a "        \
+          "bytecode compile fallback)")                                        \
+  COUNTER(engine_bytecode, "eclarity_eval_engine_bytecode_total",              \
+          "evaluators the bytecode VM serves")                                 \
+  COUNTER(bytecode_fallbacks, "eclarity_eval_bytecode_fallback_total",         \
+          "bytecode-engine evaluators that fell back to the tree walk "        \
+          "because the program did not compile (e.g. register overflow)")      \
+  COUNTER(bytecode_specializations, "eclarity_eval_bytecode_specialize_total", \
+          "bytecode programs re-specialized against an ECV profile")           \
+  COUNTER(budget_steps, "eclarity_eval_budget_steps_exhausted_total",          \
+          "evaluations aborted by the max_steps statement budget")             \
+  COUNTER(budget_depth, "eclarity_eval_budget_depth_exhausted_total",          \
+          "evaluations aborted by the max_call_depth budget")                  \
+  COUNTER(budget_paths, "eclarity_eval_budget_paths_exhausted_total",          \
+          "enumerations aborted by the max_paths budget")                      \
+  COUNTER(mc_samples, "eclarity_mc_samples_total",                             \
+          "Monte Carlo samples drawn by MonteCarloMean")                       \
+  COUNTER(analytic_hits, "eclarity_eval_analytic_hits_total",                  \
+          "certified evaluations answered by the analytic engines")            \
+  COUNTER(analytic_fallbacks, "eclarity_eval_analytic_fallbacks_total",        \
+          "certified evaluations that fell back to exact enumeration")         \
+  HISTOGRAM(analytic_pruned_mass, "eclarity_eval_analytic_pruned_mass",        \
+            "certified pruned probability mass per analytic evaluation",       \
+            LinearBuckets(0.0, 0.05, 20))                                      \
+  HISTOGRAM(bytecode_compile_micros, "eclarity_bytecode_compile_micros",       \
+            "wall-clock microseconds spent compiling or specializing one "     \
+            "bytecode program",                                                \
+            LinearBuckets(0.0, 50.0, 20))
+
 struct EvalCounters {
-  Counter& engine_treewalk;
-  Counter& engine_bytecode;
-  Counter& bytecode_fallbacks;
-  Counter& bytecode_specializations;
-  Counter& budget_steps;
-  Counter& budget_depth;
-  Counter& budget_paths;
-  Counter& mc_samples;
-  Counter& analytic_hits;
-  Counter& analytic_fallbacks;
-  Histogram& analytic_pruned_mass;
-  Histogram& bytecode_compile_micros;
+  ECLARITY_EVAL_METRICS(ECLARITY_COUNTER_MEMBER, ECLARITY_HISTOGRAM_MEMBER)
 
   static EvalCounters& Get() {
-    static EvalCounters* counters = new EvalCounters{
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_eval_engine_treewalk_total",
-            "evaluators the tree walk serves (the kTreeWalk engine or a "
-            "bytecode compile fallback)"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_eval_engine_bytecode_total",
-            "evaluators the bytecode VM serves"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_eval_bytecode_fallback_total",
-            "bytecode-engine evaluators that fell back to the tree walk "
-            "because the program did not compile (e.g. register overflow)"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_eval_bytecode_specialize_total",
-            "bytecode programs re-specialized against an ECV profile"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_eval_budget_steps_exhausted_total",
-            "evaluations aborted by the max_steps statement budget"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_eval_budget_depth_exhausted_total",
-            "evaluations aborted by the max_call_depth budget"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_eval_budget_paths_exhausted_total",
-            "enumerations aborted by the max_paths budget"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_mc_samples_total",
-            "Monte Carlo samples drawn by MonteCarloMean"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_eval_analytic_hits_total",
-            "certified evaluations answered by the analytic engines"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_eval_analytic_fallbacks_total",
-            "certified evaluations that fell back to exact enumeration"),
-        MetricsRegistry::Global().GetHistogram(
-            "eclarity_eval_analytic_pruned_mass",
-            "certified pruned probability mass per analytic evaluation",
-            LinearBuckets(0.0, 0.05, 20)),
-        MetricsRegistry::Global().GetHistogram(
-            "eclarity_bytecode_compile_micros",
-            "wall-clock microseconds spent compiling or specializing one "
-            "bytecode program",
-            LinearBuckets(0.0, 50.0, 20)),
-    };
+    static EvalCounters* counters = new EvalCounters{ECLARITY_EVAL_METRICS(
+        ECLARITY_COUNTER_LOOKUP, ECLARITY_HISTOGRAM_LOOKUP)};
     return *counters;
   }
 };

@@ -599,16 +599,19 @@ Result<CertifiedDistribution> Evaluator::EvalCertifiedMode(
   }
   const AnalyticAnalysis* analysis = EnsureAnalysis();
   const AnalyticShape* shape = analysis->Find(iface);
-  // Budget pre-checks: the analytic engines run only when no enumeration
-  // path could exhaust the step or call-depth budgets, so an analytic
-  // answer never succeeds where enumeration would error (and vice versa —
-  // the max_paths budget is enforced inside the exact engine itself).
-  if (shape == nullptr || !shape->exact_ok ||
-      shape->max_path_stmts > options_.max_steps ||
-      shape->call_depth > options_.max_call_depth) {
+  // Everything the approximate engines cannot answer is enumerated. The
+  // budget pre-checks run them only when no enumeration path could exhaust
+  // the step or call-depth budgets, so an analytic answer never succeeds
+  // where enumeration would error on those.
+  const auto fall_back = [&] {
     analytic_fallbacks_.fetch_add(1, std::memory_order_relaxed);
     EvalCounters::Get().analytic_fallbacks.Increment();
     return EnumerateToCertified(interface_name, args, profile, calibration);
+  };
+  if (shape == nullptr || !shape->bounded_ok ||
+      shape->max_path_stmts > options_.max_steps ||
+      shape->call_depth > options_.max_call_depth) {
+    return fall_back();
   }
 
   const bool use_cache = options_.analytic_cache_capacity > 0;
@@ -640,45 +643,28 @@ Result<CertifiedDistribution> Evaluator::EvalCertifiedMode(
     }
   }
 
-  CertifiedDistribution result;
-  bool computed = false;
-  if (mode != DistMode::kAnalyticExact && shape->bounded_ok) {
-    // Sub-interface calls resolve through the cache-aware certified
-    // evaluation; any error makes the parent fall back, and the fallback
-    // enumeration reproduces it.
-    const AnalyticSubEval subeval =
-        [&](const LoweredInterface& callee,
-            const std::vector<Value>& callee_args)
-        -> std::optional<CertifiedDistribution> {
-      Result<CertifiedDistribution> sub = EvalCertifiedMode(
-          callee.decl->name, callee_args, profile, calibration, mode);
-      if (!sub.ok()) {
-        return std::nullopt;
-      }
-      return *std::move(sub);
-    };
-    std::optional<CertifiedDistribution> approx = AnalyticApprox(
-        *analysis, *iface, args, profile, options_, calibration,
-        mode == DistMode::kAnalyticMoments, subeval);
-    if (approx.has_value()) {
-      result = *std::move(approx);
-      computed = true;
-      EvalCounters::Get().analytic_pruned_mass.Observe(result.pruned_mass);
+  // Sub-interface calls resolve through the cache-aware certified
+  // evaluation; any error makes the parent fall back, and the fallback
+  // enumeration reproduces it.
+  const AnalyticSubEval subeval =
+      [&](const LoweredInterface& callee,
+          const std::vector<Value>& callee_args)
+      -> std::optional<CertifiedDistribution> {
+    Result<CertifiedDistribution> sub = EvalCertifiedMode(
+        callee.decl->name, callee_args, profile, calibration, mode);
+    if (!sub.ok()) {
+      return std::nullopt;
     }
-    // Off-template for the approximate engines: fall through to exact.
+    return *std::move(sub);
+  };
+  std::optional<CertifiedDistribution> approx =
+      AnalyticApprox(*analysis, *iface, args, profile, options_, calibration,
+                     mode == DistMode::kAnalyticMoments, subeval);
+  if (!approx.has_value()) {
+    return fall_back();  // off-template or over the expansion budget
   }
-  if (!computed) {
-    ECLARITY_ASSIGN_OR_RETURN(
-        std::optional<CertifiedDistribution> exact,
-        AnalyticExact(*analysis, *iface, args, profile, options_,
-                      calibration));
-    if (!exact.has_value()) {
-      analytic_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      EvalCounters::Get().analytic_fallbacks.Increment();
-      return EnumerateToCertified(interface_name, args, profile, calibration);
-    }
-    result = *std::move(exact);
-  }
+  CertifiedDistribution result = *std::move(approx);
+  EvalCounters::Get().analytic_pruned_mass.Observe(result.pruned_mass);
   analytic_hits_.fetch_add(1, std::memory_order_relaxed);
   EvalCounters::Get().analytic_hits.Increment();
   if (use_cache) {

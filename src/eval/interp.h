@@ -69,15 +69,13 @@ enum class DistMode {
   // Exact enumeration fold over every ECV assignment (the default, and the
   // only mode before the analytic algebra existed).
   kEnumerate,
-  // Analytic collapsed-path evaluation when the shape analysis proves it
-  // bit-identical to enumeration; transparent fallback to enumeration
-  // otherwise. Same answers as kEnumerate, often exponentially faster.
-  kAnalyticExact,
   // Convolution/mixture algebra with mass-threshold pruning. Approximate,
   // but every answer carries a certified bound:
-  // |exact_mean - mean| <= mean_error_bound.
+  // |exact_mean - mean| <= mean_error_bound. Programs outside the analyzable
+  // shape are enumerated (exact == true, zero bound).
   kAnalyticBounded,
-  // Mean/variance propagation only — no distribution is materialised.
+  // Mean/variance propagation only — no distribution is materialised. Same
+  // bound contract and enumeration fallback as kAnalyticBounded.
   kAnalyticMoments,
 };
 
@@ -205,11 +203,11 @@ class Evaluator {
       const;
 
   // Certified evaluation through the analytic distribution algebra
-  // (options.dist_mode selects the engine; kEnumerate and the tree-walk
-  // engine answer via exact enumeration with a zero bound). Exact answers —
-  // analytic or enumerated — have exact == true and distributions
-  // bit-identical to the enumeration fold; bounded/moments answers certify
-  // |exact_mean - mean| <= mean_error_bound. Thread-safe.
+  // (options.dist_mode selects the engine; kEnumerate, the tree-walk engine
+  // and every query the analytic engines decline answer via exact
+  // enumeration with a zero bound). Enumerated answers have exact == true
+  // and distributions bit-identical to the enumeration fold; bounded/moments
+  // answers certify |exact_mean - mean| <= mean_error_bound. Thread-safe.
   Result<CertifiedDistribution> EvalCertified(
       const std::string& interface_name, const std::vector<Value>& args,
       const EcvProfile& profile,

@@ -69,7 +69,8 @@ class EnergyInterface {
 
   // Certified evaluation through the analytic distribution algebra:
   // options.dist_mode selects the engine, and every answer carries a sound
-  // bound |exact_mean - mean| <= mean_error_bound (zero for exact modes).
+  // bound |exact_mean - mean| <= mean_error_bound (zero when enumeration
+  // answered: kEnumerate, or a query the analytic engines declined).
   Result<CertifiedDistribution> Certified(
       const std::vector<Value>& args, const EcvProfile& profile = {},
       const EnergyCalibration* calibration = nullptr,

@@ -163,6 +163,26 @@ class MetricsRegistry {
   std::map<std::string, Entry> entries_;
 };
 
+// A built-in metric table is declared once, as a list macro with one row
+// per metric (line continuations omitted here):
+//
+//   #define ECLARITY_FOO_METRICS(COUNTER, HISTOGRAM)
+//     COUNTER(hits, "eclarity_foo_hits_total", "cache hits")
+//     HISTOGRAM(bytes, "eclarity_foo_bytes", "entry size (bytes)",
+//               LinearBuckets(0.0, 64.0, 16))
+//
+// Expanded with the *_MEMBER macros, the list declares the table's
+// reference members; expanded with the *_LOOKUP macros inside the table's
+// aggregate initializer, it resolves them from the global registry in the
+// same order.
+#define ECLARITY_COUNTER_MEMBER(member, name, help) Counter& member;
+#define ECLARITY_COUNTER_LOOKUP(member, name, help) \
+  MetricsRegistry::Global().GetCounter(name, help),
+#define ECLARITY_HISTOGRAM_MEMBER(member, name, help, buckets) \
+  Histogram& member;
+#define ECLARITY_HISTOGRAM_LOOKUP(member, name, help, buckets) \
+  MetricsRegistry::Global().GetHistogram(name, help, buckets),
+
 }  // namespace eclarity
 
 #endif  // ECLARITY_SRC_OBS_METRICS_H_

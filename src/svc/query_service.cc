@@ -16,57 +16,38 @@ namespace eclarity {
 namespace {
 
 // Service instrumentation: resolved once, relaxed increments afterwards.
+#define ECLARITY_SVC_COUNTERS(X)                                     \
+  X(queries, "eclarity_svc_queries_total",                           \
+    "queries dispatched through QueryService")                       \
+  X(batches, "eclarity_svc_batches_total", "EvaluateBatch calls")    \
+  X(batch_queries, "eclarity_svc_batch_queries_total",               \
+    "queries submitted via EvaluateBatch")                           \
+  X(cache_hits, "eclarity_svc_cache_hits_total",                     \
+    "QueryService exact-fold cache hits (all shards)")               \
+  X(cache_misses, "eclarity_svc_cache_misses_total",                 \
+    "QueryService exact-fold cache misses (all shards)")             \
+  X(cache_evictions, "eclarity_svc_cache_evictions_total",           \
+    "QueryService exact-fold cache evictions (all shards)")          \
+  X(tl_fold_hits, "eclarity_svc_tl_fold_hits_total",                 \
+    "base-profile single queries answered by the thread-local fold " \
+    "front")                                                         \
+  X(tl_fold_misses, "eclarity_svc_tl_fold_misses_total",             \
+    "base-profile single queries that missed the thread-local fold " \
+    "front")                                                         \
+  X(snapshot_swaps, "eclarity_svc_snapshot_swaps_total",             \
+    "profile/program snapshots published")                           \
+  X(mc_requests, "eclarity_svc_mc_requests_total",                   \
+    "Monte Carlo requests (sampled on the calling thread)")          \
+  X(profile_fingerprints, "eclarity_svc_profile_fingerprints_total", \
+    "effective-profile merges + fingerprints computed for "          \
+    "override-carrying exact queries")
+
 struct SvcCounters {
-  Counter& queries;
-  Counter& batches;
-  Counter& batch_queries;
-  Counter& cache_hits;
-  Counter& cache_misses;
-  Counter& cache_evictions;
-  Counter& tl_fold_hits;
-  Counter& tl_fold_misses;
-  Counter& snapshot_swaps;
-  Counter& mc_requests;
-  Counter& profile_fingerprints;
+  ECLARITY_SVC_COUNTERS(ECLARITY_COUNTER_MEMBER)
 
   static SvcCounters& Get() {
-    static SvcCounters* counters = new SvcCounters{
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_svc_queries_total",
-            "queries dispatched through QueryService"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_svc_batches_total", "EvaluateBatch calls"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_svc_batch_queries_total",
-            "queries submitted via EvaluateBatch"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_svc_cache_hits_total",
-            "QueryService exact-fold cache hits (all shards)"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_svc_cache_misses_total",
-            "QueryService exact-fold cache misses (all shards)"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_svc_cache_evictions_total",
-            "QueryService exact-fold cache evictions (all shards)"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_svc_tl_fold_hits_total",
-            "base-profile single queries answered by the thread-local fold "
-            "front"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_svc_tl_fold_misses_total",
-            "base-profile single queries that missed the thread-local fold "
-            "front"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_svc_snapshot_swaps_total",
-            "profile/program snapshots published"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_svc_mc_requests_total",
-            "Monte Carlo requests (sampled on the calling thread)"),
-        MetricsRegistry::Global().GetCounter(
-            "eclarity_svc_profile_fingerprints_total",
-            "effective-profile merges + fingerprints computed for "
-            "override-carrying exact queries"),
-    };
+    static SvcCounters* counters =
+        new SvcCounters{ECLARITY_SVC_COUNTERS(ECLARITY_COUNTER_LOOKUP)};
     return *counters;
   }
 };

@@ -6,12 +6,15 @@
 // This service makes that usage pattern first-class:
 //
 //   * Immutable snapshots, RCU-style. The checked program (with its
-//     lowered and compiled form) and the base ECV profile live in an
-//     atomically swappable std::shared_ptr<const Snapshot>. Readers
-//     acquire a snapshot with one atomic load and keep evaluating against
-//     it even while a writer publishes a new profile or program — the old
-//     snapshot stays valid until its last reader drops it, so profile
-//     updates never block queries.
+//     lowered and compiled form) and the base ECV profile live in a
+//     std::shared_ptr<const Snapshot> that writers publish under
+//     snapshot_mu_, bumping publish_seq_ after each publication. Readers
+//     keep a thread-local copy of the pointer and revalidate it with one
+//     atomic load of publish_seq_, taking the mutex only once per
+//     publication per thread. A reader keeps evaluating against its
+//     snapshot even while a writer publishes a new profile or program —
+//     the old snapshot stays valid until its last reader drops it, so
+//     profile updates never block queries.
 //
 //   * Sharded exact-fold cache. Exact enumeration results are folded to a
 //     canonical (distribution, mean) pair at insert time and cached in a

@@ -712,8 +712,8 @@ Query AnalyticQueryAt(size_t global) {
   switch (global % 4) {
     case 0:  // service default (enumeration) baseline
       break;
-    case 1:
-      query.dist_mode = DistMode::kAnalyticExact;
+    case 1:  // explicit per-query enumeration override
+      query.dist_mode = DistMode::kEnumerate;
       break;
     case 2:
       query.kind = QueryKind::kDistribution;
@@ -766,9 +766,9 @@ TEST(QueryServiceConcurrencyTest,
 }
 
 TEST(QueryServiceConcurrencyTest, AnalyticOutcomesMatchEvaluatorAndCertify) {
-  // The concurrent service's certified answers carry the single-threaded
-  // engine's exact bits (exact mode) and a bound containing the exact mean
-  // (bounded/moments modes).
+  // The concurrent service's answers carry the single-threaded engine's
+  // exact bits (explicit kEnumerate override) and a bound containing the
+  // exact mean (bounded/moments modes).
   const Program program = MustParse(parity::kAccumulatorChainSource);
   Evaluator evaluator(program);
   auto exact = evaluator.ExpectedEnergy("acc_chain", {Value::Number(6.0)}, {});
@@ -784,11 +784,12 @@ TEST(QueryServiceConcurrencyTest, AnalyticOutcomesMatchEvaluatorAndCertify) {
         const Query query = AnalyticQueryAt(i % 4 == 0 ? i + 1 : i);
         auto outcome = service->Dispatch(query);
         ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-        EXPECT_TRUE(outcome->analytic);
-        if (query.dist_mode == DistMode::kAnalyticExact) {
+        if (query.dist_mode == DistMode::kEnumerate) {
+          EXPECT_FALSE(outcome->analytic);
           EXPECT_EQ(Bits(outcome->joules), Bits(want));
           EXPECT_EQ(outcome->error_bound, 0.0);
         } else {
+          EXPECT_TRUE(outcome->analytic);
           EXPECT_LE(std::abs(outcome->joules - want), outcome->error_bound);
         }
       }
@@ -813,7 +814,7 @@ interface f() {
 )");
   Query query;
   query.interface = "f";
-  query.dist_mode = DistMode::kAnalyticExact;
+  query.dist_mode = DistMode::kAnalyticBounded;
   auto v1 = service->Dispatch(query);
   ASSERT_TRUE(v1.ok()) << v1.status().ToString();
   EXPECT_DOUBLE_EQ(v1->joules, 0.001);

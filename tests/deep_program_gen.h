@@ -70,7 +70,7 @@ inline void AppendDraw(Rng& rng, int index, bool friendly, bool binary_only,
 
 // Generates a program whose entry interface is `deep(n)` with `depth`
 // independent draws (support 2..4 each). `friendly` == true keeps every
-// construct inside the analytic-exact shape; false mixes in constructs that
+// construct inside the analytic shape; false mixes in constructs that
 // force engine-specific handling or enumeration fallback.
 inline std::string DeepProgram(Rng& rng, int depth, bool friendly,
                                bool binary_only = false) {
@@ -85,8 +85,7 @@ inline std::string DeepProgram(Rng& rng, int depth, bool friendly,
     }
   }
   // Tail: plain accumulator, accumulator + det shift, or (unfriendly) a
-  // nonlinear return that the bounded engine must treat as a mixture /
-  // the exact engine per-leaf.
+  // nonlinear return that the bounded engine must treat as a mixture.
   std::string ret;
   const int tail = static_cast<int>(rng.UniformInt(0, friendly ? 1 : 2));
   if (tail == 0) {

@@ -4,16 +4,15 @@
 //
 //   * the tree-walking reference interpreter (exact enumeration fold),
 //   * the register bytecode VM (exact enumeration fold), and
-//   * the analytic engines (kAnalyticExact / kAnalyticBounded /
-//     kAnalyticMoments),
+//   * the analytic engines (kAnalyticBounded / kAnalyticMoments, each
+//     falling back to enumeration on what it cannot analyze),
 //
 // and the answers are compared under the algebra's contracts:
 //
 //   * EXACT BIT-IDENTITY — whenever an engine claims exactness
 //     (CertifiedDistribution::exact), its atoms, probability bits, and mean
 //     must equal the reference enumeration fold bit for bit, and its error
-//     bound must be zero. kAnalyticExact must always claim exactness
-//     (analytically or through its enumeration fallback).
+//     bound must be zero.
 //   * BOUNDED CONTAINMENT — approximate answers must satisfy
 //     |exact_mean - mean| <= mean_error_bound, with [min_joules,
 //     max_joules] covering the full exact support and pruned_mass in [0, 1].
@@ -24,7 +23,8 @@
 // The corpus is the engine-parity corpus (tests/parity_programs.h, shared
 // with engine_parity_test.cc) plus randomized deep ECV programs
 // (tests/deep_program_gen.h) whose path counts make enumeration the
-// expensive engine and the analytic path the interesting one.
+// expensive engine and the analytic path the interesting one. kEnumerate on
+// the bytecode VM is the second reference below, so no mode row repeats it.
 
 #include <gtest/gtest.h>
 
@@ -71,7 +71,6 @@ struct ModeCase {
 };
 
 const ModeCase kModes[] = {
-    {"exact", DistMode::kAnalyticExact, 0.0},
     {"bounded", DistMode::kAnalyticBounded, 0.0},
     {"bounded_pruned", DistMode::kAnalyticBounded, 1e-3},
     {"moments", DistMode::kAnalyticMoments, 0.0},
@@ -155,7 +154,7 @@ void ExpectDifferentialAgreement(const Program& program,
     Evaluator analytic(program, ModeOptions(mode));
     const auto got = analytic.EvalCertified(entry, args, profile);
     if (!ref.ok() && ref.status().code() == StatusCode::kResourceExhausted &&
-        mode.mode != DistMode::kAnalyticExact && got.ok()) {
+        got.ok()) {
       // The bounded/moments engines never enumerate assignments, so they
       // may legitimately answer a query whose enumeration exceeds
       // max_paths — that is their reason to exist. With no exact reference
@@ -171,22 +170,16 @@ void ExpectDifferentialAgreement(const Program& program,
         << "analytic: " << got.status().ToString()
         << "\nreference: " << ref.status().ToString();
     if (!ref.ok()) {
-      // Error parity: same code, same message, regardless of engine. For
-      // kAnalyticExact this includes the max_paths budget: exact mode may
-      // never silently answer a query enumeration would reject.
+      // Error parity: same code, same message, regardless of engine. When
+      // the analytic engine declines, its enumeration fallback raises the
+      // error, the max_paths budget included.
       EXPECT_EQ(got.status().code(), ref.status().code());
       EXPECT_EQ(got.status().message(), ref.status().message());
       continue;
     }
-    if (mode.mode == DistMode::kAnalyticExact) {
-      // Exact mode must be exact however it got there (analytic collapse or
-      // enumeration fallback).
-      ExpectExactBitIdentity(*ref, *got);
-      continue;
-    }
     if (got->exact) {
-      // The bounded/moments engines fell back (or proved exactness); then
-      // the full bit-identity contract applies.
+      // The bounded/moments engines fell back to enumeration; then the
+      // full bit-identity contract applies.
       ExpectExactBitIdentity(*ref, *got);
     } else {
       ExpectBoundedContainment(*ref, *got);
@@ -225,12 +218,11 @@ TEST(DifferentialTest, ErrorCorpusParity) {
 
 TEST(DifferentialTest, AnalyticEngineActuallyEngages) {
   // Guard against the harness silently passing because every mode fell back
-  // to enumeration: on an analytic-shaped program the exact and bounded
+  // to enumeration: on an analytic-shaped program the bounded and moments
   // engines must answer analytically.
   const Program p = MustParse(parity::kAccumulatorChainSource);
   for (DistMode mode :
-       {DistMode::kAnalyticExact, DistMode::kAnalyticBounded,
-        DistMode::kAnalyticMoments}) {
+       {DistMode::kAnalyticBounded, DistMode::kAnalyticMoments}) {
     EvalOptions options;
     options.dist_mode = mode;
     Evaluator eval(p, options);
@@ -242,24 +234,39 @@ TEST(DifferentialTest, AnalyticEngineActuallyEngages) {
   }
 }
 
+// `depth` Bernoulli draws, each read by a compound guard: no draw pairs
+// with an increment, so the bounded engine expands every draw as a mixture
+// (2^(depth+1) - 2 expansions in all).
+std::string MixtureChainSource(int depth) {
+  std::string source = "interface deep(n) {\n  let mut acc = 0J;\n";
+  for (int i = 0; i < depth; ++i) {
+    const std::string e = "e" + std::to_string(i);
+    source += "  ecv " + e + " ~ bernoulli(0.5);\n";
+    source += "  if (" + e + " && " + e + ") { acc = acc + n * 1uJ; }\n";
+  }
+  source += "  return acc;\n}\n";
+  return source;
+}
+
 TEST(DifferentialTest, MaxPathsBudgetParity) {
-  // The analytic exact engine must reproduce the enumeration budget error
-  // (same code, same message) instead of silently answering a query the
-  // enumeration engine would reject.
-  Rng rng(0xbead);
-  const Program p = MustParse(deepgen::DeepProgram(rng, 12, /*friendly=*/true));
+  // A query over the path budget that the bounded engine declines (its
+  // mixture expansions also exceed max_paths) is enumerated, and must raise
+  // the enumeration budget error (same code, same message) instead of
+  // answering silently.
+  const Program p = MustParse(MixtureChainSource(12));
   EvalOptions tight;
   tight.max_paths = 64;
   Evaluator reference(p, tight);
   const auto ref = reference.EvalCertified("deep", {Value::Number(2.0)}, {});
   ASSERT_FALSE(ref.ok());
-  EvalOptions analytic_tight = tight;
-  analytic_tight.dist_mode = DistMode::kAnalyticExact;
-  Evaluator analytic(p, analytic_tight);
-  const auto got = analytic.EvalCertified("deep", {Value::Number(2.0)}, {});
+  EvalOptions bounded_tight = tight;
+  bounded_tight.dist_mode = DistMode::kAnalyticBounded;
+  Evaluator bounded(p, bounded_tight);
+  const auto got = bounded.EvalCertified("deep", {Value::Number(2.0)}, {});
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), ref.status().code());
   EXPECT_EQ(got.status().message(), ref.status().message());
+  EXPECT_EQ(bounded.analytic_fallbacks(), 1u);
 }
 
 class DeepDifferentialTest : public ::testing::TestWithParam<int> {};

@@ -4,13 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "src/eval/builtins.h"
 #include "src/eval/interp.h"
+#include "src/eval/interval.h"
 #include "src/eval/pure_expr.h"
+#include "src/lang/checker.h"
 #include "src/lang/parser.h"
+#include "src/lang/printer.h"
 
 namespace eclarity {
 namespace {
@@ -282,6 +288,75 @@ TEST(EvalEdgeTest, MaxStepsExhaustedOnAllEngines) {
     auto v = eval.EvalSampled("f", {Value::Number(0.0)}, {}, rng);
     ASSERT_FALSE(v.ok());
     EXPECT_EQ(v.status().code(), StatusCode::kResourceExhausted);
+  }
+}
+
+// --- Nesting limit ----------------------------------------------------------------
+//
+// The parser rejects source nested deeper than 256 levels, so every later
+// walker may recurse once per level. Source at the limit must then run
+// through each of them without exhausting the stack; the sanitizer job runs
+// this with ASan's larger frames.
+
+// `x * 1J + 1J + ...` with `terms` terms: a left-deep chain, one level per
+// `+`.
+std::string FlatSum(int terms) {
+  std::string source = "interface f(x) {\n  return x * 1J";
+  for (int i = 1; i < terms; ++i) {
+    source += " + 1J";
+  }
+  return source + ";\n}\n";
+}
+
+// `x * 1J` inside `depth` parentheses.
+std::string NestedParens(int depth) {
+  return "interface f(x) {\n  return " + std::string(depth, '(') + "x * 1J" +
+         std::string(depth, ')') + ";\n}\n";
+}
+
+TEST(EvalEdgeTest, EveryWalkerRunsAtTheNestingLimit) {
+  struct Case {
+    std::string deepest;   // the deepest source the parser accepts
+    std::string too_deep;  // one level more
+    double joules;         // f(2)
+  };
+  const Case cases[] = {{FlatSum(255), FlatSum(256), 2.0 + 254.0},
+                        {NestedParens(254), NestedParens(255), 2.0}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.deepest.substr(0, 60));
+    const auto rejected = ParseProgram(c.too_deep);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
+
+    const Program p = MustParse(c.deepest.c_str());
+    ASSERT_TRUE(CheckProgramOk(p).ok());
+    EXPECT_NE(PrintProgram(p).find("interface f(x)"), std::string::npos);
+
+    const std::vector<Value> args = {Value::Number(2.0)};
+    for (EvalEngine engine : {EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
+      SCOPED_TRACE(engine == EvalEngine::kTreeWalk ? "tree" : "bytecode");
+      Evaluator eval(p, WithEngine(engine));
+      auto outcomes = eval.Enumerate("f", args, {});
+      ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+      ASSERT_EQ(outcomes->size(), 1u);
+      EXPECT_EQ((*outcomes)[0].value, Value::Joules(c.joules));
+    }
+
+    auto bounds = IntervalEvaluator(p).EvalInterval(
+        "f", {IntervalValue::Number(1.0, 2.0)});
+    ASSERT_TRUE(bounds.ok()) << bounds.status().ToString();
+    EXPECT_TRUE(bounds->Contains(c.joules));
+
+    for (DistMode mode : {DistMode::kAnalyticBounded,
+                          DistMode::kAnalyticMoments}) {
+      EvalOptions options;
+      options.dist_mode = mode;
+      Evaluator eval(p, options);
+      auto cd = eval.EvalCertified("f", args, {});
+      ASSERT_TRUE(cd.ok()) << cd.status().ToString();
+      EXPECT_LE(std::abs(cd->mean - c.joules), cd->mean_error_bound);
+      EXPECT_EQ(eval.analytic_hits(), 1u);
+    }
   }
 }
 

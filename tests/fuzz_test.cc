@@ -148,10 +148,11 @@ TEST_P(FuzzTest, LexerHandlesPathologicalNumbers) {
 
 TEST_P(FuzzTest, DeepEcvProgramsAnalyticAgreement) {
   // Randomized deep ECV programs (depth <= 14) through the analytic
-  // distribution algebra: the exact mode must be bit-identical to the
-  // enumeration fold, and the bounded mode's certified envelope must
-  // contain the exact mean. (differential_test.cc is the exhaustive
-  // harness; this keeps a fast sweep in the fuzz tier.)
+  // distribution algebra: the bounded mode's certified envelope must
+  // contain the exact mean, pruned or not, and an unpruned answer that
+  // claims exactness (the enumeration fallback) must be bit-identical to
+  // the enumeration fold. (differential_test.cc is the exhaustive harness;
+  // this keeps a fast sweep in the fuzz tier.)
   const auto bits = [](double v) {
     uint64_t b = 0;
     std::memcpy(&b, &v, sizeof(b));
@@ -172,21 +173,23 @@ TEST_P(FuzzTest, DeepEcvProgramsAnalyticAgreement) {
     auto ref = reference.EvalCertified("deep", args, {});
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
 
-    EvalOptions exact_options;
-    exact_options.dist_mode = DistMode::kAnalyticExact;
-    Evaluator exact(*program, exact_options);
-    auto got = exact.EvalCertified("deep", args, {});
+    EvalOptions unpruned_options;
+    unpruned_options.dist_mode = DistMode::kAnalyticBounded;
+    Evaluator unpruned(*program, unpruned_options);
+    auto got = unpruned.EvalCertified("deep", args, {});
     ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_TRUE(got->exact);
-    EXPECT_EQ(got->mean_error_bound, 0.0);
-    EXPECT_EQ(bits(got->mean), bits(ref->mean));
-    const auto& ra = ref->distribution.atoms();
-    const auto& ga = got->distribution.atoms();
-    ASSERT_EQ(ga.size(), ra.size());
-    for (size_t i = 0; i < ra.size(); ++i) {
-      EXPECT_EQ(bits(ga[i].value), bits(ra[i].value)) << "atom " << i;
-      EXPECT_EQ(bits(ga[i].probability), bits(ra[i].probability))
-          << "atom " << i;
+    EXPECT_LE(std::abs(ref->mean - got->mean), got->mean_error_bound);
+    if (got->exact) {
+      EXPECT_EQ(got->mean_error_bound, 0.0);
+      EXPECT_EQ(bits(got->mean), bits(ref->mean));
+      const auto& ra = ref->distribution.atoms();
+      const auto& ga = got->distribution.atoms();
+      ASSERT_EQ(ga.size(), ra.size());
+      for (size_t i = 0; i < ra.size(); ++i) {
+        EXPECT_EQ(bits(ga[i].value), bits(ra[i].value)) << "atom " << i;
+        EXPECT_EQ(bits(ga[i].probability), bits(ra[i].probability))
+            << "atom " << i;
+      }
     }
 
     EvalOptions bounded_options;

@@ -1,9 +1,8 @@
 // The engine-parity corpus: EIL programs (with entry + arguments) that every
 // pair of evaluation engines must agree on. engine_parity_test.cc replays it
 // across {tree walk, bytecode}; differential_test.cc replays the same
-// corpus across {tree walk, bytecode, analytic exact, analytic bounded,
-// analytic moments}, so a program added here is automatically exercised by
-// both harnesses.
+// corpus across {tree walk, bytecode, analytic bounded, analytic moments},
+// so a program added here is automatically exercised by both harnesses.
 
 #ifndef ECLARITY_TESTS_PARITY_PROGRAMS_H_
 #define ECLARITY_TESTS_PARITY_PROGRAMS_H_
@@ -78,8 +77,8 @@ interface f() {
 }
 )";
 
-// A guarded-accumulator chain: the analytic exact engine's best case (every
-// draw is an independent additive contribution), and still a useful
+// A guarded-accumulator chain: the analytic engines' best case (every draw
+// is an independent additive contribution), and still a useful
 // engine-parity program.
 inline constexpr char kAccumulatorChainSource[] = R"(
 interface acc_chain(n) {
@@ -111,6 +110,25 @@ interface wrap0(n) {
 }
 )";
 
+// An accumulator read between its increments (`before`), and an affine
+// wrapper over it. The analytic engines must leave this shape to
+// enumeration: a walker that keeps pending increments out of the frame
+// reads a stale accumulator there and answers another distribution.
+inline constexpr char kAccumulatorSnapshotSource[] = R"(
+interface snap_wrap(n) { return 3 * snap(n) + 1mJ; }
+interface snap(n) {
+  let mut acc = 0J;
+  ecv a ~ bernoulli(0.3);
+  if (a) { acc = acc + 2mJ; }
+  let before = acc;
+  ecv b ~ uniform_int(1, 3);
+  acc = acc + b * 1mJ;
+  ecv c ~ categorical(0: 0.5, 1: 0.25, 2: 0.25);
+  acc = acc + c * n * 1uJ;
+  return acc + before;
+}
+)";
+
 // The happy-path corpus (no profile overrides; those are built in the
 // harnesses because EcvProfile is not constexpr-constructible).
 inline const ParityCase kParityCorpus[] = {
@@ -122,6 +140,9 @@ inline const ParityCase kParityCorpus[] = {
     {"profile_override_base", kProfileOverrideSource, "f", {}},
     {"accumulator_chain", kAccumulatorChainSource, "acc_chain", {6.0}},
     {"affine_wrappers", kAffineWrapperSource, "wrap2", {3.0}},
+    {"accumulator_snapshot", kAccumulatorSnapshotSource, "snap", {5.0}},
+    {"accumulator_snapshot_wrapper", kAccumulatorSnapshotSource, "snap_wrap",
+     {5.0}},
 };
 
 // Programs whose evaluation must FAIL — with the same status code and

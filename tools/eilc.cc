@@ -3,12 +3,14 @@
 //   eilc check  FILE                     parse + static checks + summary
 //   eilc print  FILE                     canonical pretty-printed source
 //   eilc eval   FILE ENTRY ARGS... [--ecv NAME=VALUE|NAME~P]
-//               [--mode=enumerate|exact|bounded|moments] [--prune=T]
+//               [--mode=enumerate|bounded|moments] [--prune=T]
 //               [--engine=tree|bytecode]
 //                                        expectation + exact distribution;
 //                                        --mode selects the analytic
 //                                        distribution algebra (answers carry
-//                                        a certified +/- bound), --prune a
+//                                        a certified +/- bound; programs it
+//                                        cannot analyze are enumerated
+//                                        exactly), --prune a
 //                                        mass-pruning threshold for bounded
 //                                        mode, --engine the execution engine
 //                                        (default bytecode; both are
@@ -89,7 +91,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: eilc check|print FILE\n"
                "       eilc eval  FILE ENTRY ARGS... [--ecv NAME=V|NAME~P]"
-               " [--mode=enumerate|exact|bounded|moments] [--prune=T]"
+               " [--mode=enumerate|bounded|moments] [--prune=T]"
                " [--engine=tree|bytecode]\n"
                "       eilc paths FILE ENTRY ARGS... [--ecv NAME=V|NAME~P]\n"
                "       eilc bounds FILE ENTRY LO:HI...\n"
@@ -308,15 +310,13 @@ int EvalOrPaths(const std::string& mode, const std::string& path,
       const std::string name = arg.substr(7);
       if (name == "enumerate") {
         options.dist_mode = DistMode::kEnumerate;
-      } else if (name == "exact") {
-        options.dist_mode = DistMode::kAnalyticExact;
       } else if (name == "bounded") {
         options.dist_mode = DistMode::kAnalyticBounded;
       } else if (name == "moments") {
         options.dist_mode = DistMode::kAnalyticMoments;
       } else {
         std::fprintf(stderr,
-                     "--mode expects enumerate|exact|bounded|moments\n");
+                     "--mode expects enumerate|bounded|moments\n");
         return 2;
       }
       analytic = options.dist_mode != DistMode::kEnumerate;
