@@ -65,20 +65,6 @@ bool SameBits(double a, double b) {
   return x == y;
 }
 
-bool SameBits(const Value& a, const Value& b) {
-  if (a.is_number() || b.is_number()) {
-    return a.is_number() && b.is_number() && SameBits(a.number(), b.number());
-  }
-  if (a.is_energy() && b.is_energy()) {
-    std::string fa;
-    std::string fb;
-    a.AppendFingerprint(fa);
-    b.AppendFingerprint(fb);
-    return fa == fb;
-  }
-  return a == b;
-}
-
 // Collapses a freshly filled value plane to its tightest tag so downstream
 // term loops keep running over contiguous number/bool planes.
 void Reclassify(BatchColumn& c, size_t width) {
@@ -166,7 +152,7 @@ bool UniformNumber(const BatchColumn& c, size_t width, double& out) {
         return false;
       }
       for (size_t l = 1; l < width; ++l) {
-        if (!SameBits(c.vals[l], c.vals[0])) {
+        if (!c.vals[l].SameBits(c.vals[0])) {
           return false;
         }
       }
@@ -684,7 +670,7 @@ bool BuildArgColumns(const std::vector<const std::vector<Value>*>& lanes,
     BatchColumn& col = out[j];
     bool uniform = true;
     for (size_t l = 1; l < width; ++l) {
-      if (!SameBits((*lanes[l])[j], (*lanes[0])[j])) {
+      if (!(*lanes[l])[j].SameBits((*lanes[0])[j])) {
         uniform = false;
         break;
       }

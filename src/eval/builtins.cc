@@ -22,10 +22,9 @@ Result<Value> MinMax(const std::string& name, const std::vector<Value>& args,
     const double b = args[1].number();
     return Value::Number(want_min ? std::min(a, b) : std::max(a, b));
   }
-  if (args[0].is_energy() && args[1].is_energy() &&
-      args[0].energy().IsConcrete() && args[1].energy().IsConcrete()) {
-    const double a = args[0].energy().concrete().joules();
-    const double b = args[1].energy().concrete().joules();
+  if (args[0].is_concrete_energy() && args[1].is_concrete_energy()) {
+    const double a = args[0].joules();
+    const double b = args[1].joules();
     return Value::Joules(want_min ? std::min(a, b) : std::max(a, b));
   }
   return ArgError(context, name,
@@ -75,8 +74,8 @@ Result<Value> ApplyBuiltin(const std::string& name,
       return Value::Number(std::clamp(x, lo, hi));
     }
     case BuiltinId::kAbs: {
-      if (args[0].is_energy() && args[0].energy().IsConcrete()) {
-        return Value::Joules(std::fabs(args[0].energy().concrete().joules()));
+      if (args[0].is_concrete_energy()) {
+        return Value::Joules(std::fabs(args[0].joules()));
       }
       ECLARITY_ASSIGN_OR_RETURN(double x, args[0].AsNumber());
       return Value::Number(std::fabs(x));

@@ -639,10 +639,12 @@ Result<Value> BytecodeInterpreter::RunImpl() {
   for (;;) {
     const Instr& in = code[pc_++];
     // Profiled loop only: count the dispatch, and on every
-    // prof_interval_-th instruction capture the site and a start timestamp
-    // so the matching block after the switch can attribute the measured
-    // cost (see src/eval/vm_profile.h). A timed instruction that returns
-    // out of the switch simply drops its sample.
+    // prof_interval_-th instruction capture the site, time an empty timer
+    // pair and take a start timestamp so the matching block after the
+    // switch can attribute the measured cost (see src/eval/vm_profile.h).
+    // A timed instruction that returns out of the switch simply drops its
+    // sample.
+    [[maybe_unused]] uint64_t prof_pair_t0 = 0;
     [[maybe_unused]] uint64_t prof_t0 = 0;
     [[maybe_unused]] uint32_t prof_pc = 0;
     [[maybe_unused]] uint32_t prof_iface = 0;
@@ -655,6 +657,7 @@ Result<Value> BytecodeInterpreter::RunImpl() {
         prof_timed = true;
         prof_pc = pc_ - 1;
         prof_iface = cur_iface_;
+        prof_pair_t0 = ObsNowNs();
         prof_t0 = ObsNowNs();
       }
     }
@@ -968,20 +971,22 @@ Result<Value> BytecodeInterpreter::RunImpl() {
     }
     if constexpr (kProfiled) {
       if (prof_timed) {
-        // Attribute this one instruction's measured cost, minus the
-        // calibrated cost of the empty timer pair (otherwise cheap,
-        // frequent ops absorb clock overhead proportional to their hit
-        // count and rank above genuinely expensive superinstructions),
-        // scaled by the interval so totals estimate the full stream.
-        double cost = static_cast<double>(ObsNowNs() - prof_t0);
-        cost -= prof_overhead_ns_;
+        // The raw deltas of the instruction and of its empty timer pair go
+        // to their histograms, which rank the opcodes. The site gets the
+        // instruction's cost minus the calibrated cost of the empty timer
+        // pair (otherwise cheap, frequent ops absorb clock overhead
+        // proportional to their hit count), scaled by the interval so
+        // totals estimate the stream.
+        const uint64_t delta = ObsNowNs() - prof_t0;
+        double cost = static_cast<double>(delta) - prof_overhead_ns_;
         if (cost < 0.0) {
           cost = 0.0;
         }
         const uint64_t scaled =
             static_cast<uint64_t>(cost) * prof_interval_;
         const size_t op = static_cast<size_t>(in.op);
-        local_prof_.est_ns[op] += scaled;
+        ++local_prof_.op_costs[VmCostKey(op, delta)];
+        ++local_prof_.op_costs[VmCostKey(kVmTimerRow, prof_t0 - prof_pair_t0)];
         ++local_prof_.samples;
         VmLocalProfile::Site& site = local_prof_.sites[prof_pc];
         site.op = static_cast<uint8_t>(in.op);

@@ -130,12 +130,9 @@ class SamplingChooser : public Chooser {
 
   Result<size_t> Choose(const std::string& /*qualified_name*/,
                         const EcvSupport& support) override {
-    std::vector<double> weights;
-    weights.reserve(support.outcomes.size());
-    for (const auto& [value, prob] : support.outcomes) {
-      weights.push_back(prob);
-    }
-    return rng_.Categorical(weights);
+    return rng_.CategoricalOf(
+        support.outcomes,
+        [](const std::pair<Value, double>& outcome) { return outcome.second; });
   }
 
  private:

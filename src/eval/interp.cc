@@ -677,10 +677,13 @@ Result<CertifiedDistribution> Evaluator::EvalCertifiedMode(
 
 Result<double> OutcomeJoules(const Value& value,
                              const EnergyCalibration* calibration) {
-  ECLARITY_ASSIGN_OR_RETURN(AbstractEnergy energy, value.AsEnergy());
-  if (energy.IsConcrete()) {
-    return energy.concrete().joules();
+  if (value.is_concrete_energy()) {
+    return value.joules();
   }
+  if (!value.is_energy()) {
+    return value.AsEnergy().status();
+  }
+  const AbstractEnergy energy = value.energy();
   if (calibration == nullptr) {
     return FailedPreconditionError(
         "interface returned abstract energy '" + energy.ToString() +
@@ -819,8 +822,9 @@ Result<Energy> Evaluator::MonteCarloMean(
   const size_t num_chunks = std::clamp<size_t>(
       (samples + kTargetChunk - 1) / kTargetChunk, size_t{1}, size_t{64});
   struct Chunk {
+    Chunk(Rng stream, size_t n) : rng(stream), count(n) {}
     Rng rng;
-    size_t count = 0;
+    size_t count;
     double sum = 0.0;
     Status status;
   };
@@ -829,9 +833,7 @@ Result<Energy> Evaluator::MonteCarloMean(
   const size_t base_count = samples / num_chunks;
   const size_t remainder = samples % num_chunks;
   for (size_t c = 0; c < num_chunks; ++c) {
-    Chunk chunk{rng.Fork()};
-    chunk.count = base_count + (c < remainder ? 1 : 0);
-    chunks.push_back(std::move(chunk));
+    chunks.emplace_back(rng.Fork(), base_count + (c < remainder ? 1 : 0));
   }
 
   const std::shared_ptr<const BytecodeProgram> bc = PickBytecode(profile);

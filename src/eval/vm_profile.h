@@ -4,11 +4,18 @@
 //   - VmLocalProfile: interpreter-local per-opcode hit counters plus a
 //     sampled instruction-site histogram. The profiled dispatch loop pays
 //     one array increment and a countdown per instruction; every
-//     sample_interval-th instruction is additionally timed with two clock
-//     reads, and the measured cost (minus calibrated timer overhead,
-//     scaled by the interval) is attributed to that opcode and site. The
-//     estimate converges to hits(op) * mean_cost(op), so expensive
-//     superinstructions rank above frequent-but-trivial ones.
+//     sample_interval-th instruction is additionally timed with three
+//     clock reads: an empty timer pair, then the instruction. Both deltas
+//     land in log-linear histograms (one per opcode, one for the timer
+//     pairs), and the instruction's cost minus the calibrated timer
+//     overhead, scaled by the interval, is added to its site. An opcode's
+//     estimate is hits(op) * (typical delta(op) - typical timer pair),
+//     "typical" being the mean of the middle half of the samples: a sample
+//     that spans a deschedule (one reading worth thousands of ops) cannot
+//     decide the ranking, and the timer cost is the one of the moment the
+//     ops ran. Expensive superinstructions thus rank above
+//     frequent-but-trivial ones. Site and interface totals stay
+//     interval-scaled sums.
 //   - VmProfiler: thread-safe aggregation across interpreter instances
 //     (QueryService snapshots run one interpreter per query), with
 //     hot-op / hot-site / per-interface tables.
@@ -41,6 +48,15 @@ inline constexpr size_t kVmOpCount = 32;
 // range. Defined in bytecode.cc from the opcode list.
 const char* VmOpName(uint8_t op);
 
+// Cost histograms bucket a timed sample's raw clock delta (ns, timer
+// overhead included): exact below 128 ns, then eight buckets per octave,
+// the last bucket open-ended. One row per opcode, then kVmTimerRow: the
+// empty timer pair taken right before each timed instruction.
+inline constexpr size_t kVmCostBuckets = 320;
+inline constexpr size_t kVmTimerRow = kVmOpCount;
+// The VmLocalProfile::op_costs key of one delta in histogram row `row`.
+uint32_t VmCostKey(size_t row, uint64_t delta_ns);
+
 struct VmLocalProfile {
   struct Site {
     uint8_t op = 0;
@@ -49,7 +65,9 @@ struct VmLocalProfile {
     uint64_t est_ns = 0;  // interval-scaled, overhead-subtracted
   };
   std::array<uint64_t, kVmOpCount> hits{};
-  std::array<uint64_t, kVmOpCount> est_ns{};
+  // VmCostKey(row, delta) -> timed samples; sparse, so an interpreter
+  // that times a few ops allocates a few nodes.
+  std::unordered_map<uint32_t, uint32_t> op_costs;
   std::unordered_map<uint32_t, Site> sites;  // keyed by absolute pc
   uint64_t dispatches = 0;
   uint64_t samples = 0;
@@ -73,7 +91,7 @@ class VmProfiler {
   struct OpStat {
     uint8_t op = 0;
     uint64_t hits = 0;
-    uint64_t est_ns = 0;
+    uint64_t est_ns = 0;  // hits * typical timed cost (0 when never timed)
   };
   struct SiteStat {
     std::string iface;
@@ -125,6 +143,10 @@ class VmProfiler {
   }
 
  private:
+  // The mean of a histogram row's middle half of samples, in raw ns; mu_
+  // held.
+  double CentralMeanNs(size_t row) const;
+
   const uint32_t sample_interval_;
   double timer_overhead_ns_ = 0.0;
   std::atomic<uint64_t> phase_counter_{0};
@@ -133,7 +155,7 @@ class VmProfiler {
   uint64_t dispatches_ = 0;
   uint64_t samples_ = 0;
   std::array<uint64_t, kVmOpCount> hits_{};
-  std::array<uint64_t, kVmOpCount> est_ns_{};
+  std::vector<uint64_t> op_costs_;  // (kVmOpCount + 1) x kVmCostBuckets
   struct SiteAgg {
     uint8_t op = 0;
     uint64_t samples = 0;

@@ -14,14 +14,22 @@ Status TypeError(const std::string& context, const std::string& what) {
 
 // Comparison on two concrete energies; abstract terms are not orderable
 // without a calibration, so comparing them is an error.
-Result<double> ComparableEnergy(const AbstractEnergy& e,
+Result<double> ComparableJoules(const Value& energy,
                                 const std::string& context) {
-  if (!e.IsConcrete()) {
+  if (!energy.is_concrete_energy()) {
     return TypeError(context,
-                     "cannot compare abstract energy '" + e.ToString() +
-                         "' without calibration");
+                     "cannot compare abstract energy '" +
+                         energy.energy().ToString() + "' without calibration");
   }
-  return e.concrete().joules();
+  return energy.joules();
+}
+
+// `energy * scale`; a concrete energy scales as a double.
+Value Scaled(const Value& energy, double scale) {
+  if (energy.is_concrete_energy()) {
+    return Value::Joules(energy.joules() * scale);
+  }
+  return Value::EnergyValue(energy.energy() * scale);
 }
 
 }  // namespace
@@ -33,16 +41,6 @@ const char* ValueKindName(ValueKind kind) {
     case ValueKind::kEnergy: return "energy";
   }
   return "unknown";
-}
-
-ValueKind Value::kind() const {
-  if (is_number()) {
-    return ValueKind::kNumber;
-  }
-  if (is_bool()) {
-    return ValueKind::kBool;
-  }
-  return ValueKind::kEnergy;
 }
 
 Result<double> Value::AsNumber() const {
@@ -94,6 +92,11 @@ Result<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs,
         return Value::Number(lhs.number() + sign * rhs.number());
       }
       if (lhs.is_energy() && rhs.is_energy()) {
+        // Concrete energies are doubles, combined in AbstractEnergy's
+        // order: lhs + (rhs * sign).
+        if (lhs.is_concrete_energy() && rhs.is_concrete_energy()) {
+          return Value::Joules(lhs.joules() + rhs.joules() * sign);
+        }
         return Value::EnergyValue(lhs.energy() + rhs.energy() * sign);
       }
       return TypeError(context, std::string("cannot apply '") +
@@ -106,10 +109,10 @@ Result<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs,
         return Value::Number(lhs.number() * rhs.number());
       }
       if (lhs.is_energy() && rhs.is_number()) {
-        return Value::EnergyValue(lhs.energy() * rhs.number());
+        return Scaled(lhs, rhs.number());
       }
       if (lhs.is_number() && rhs.is_energy()) {
-        return Value::EnergyValue(rhs.energy() * lhs.number());
+        return Scaled(rhs, lhs.number());
       }
       return TypeError(context, "cannot multiply " +
                                     std::string(ValueKindName(lhs.kind())) +
@@ -126,7 +129,7 @@ Result<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs,
         if (rhs.number() == 0.0) {
           return TypeError(context, "division by zero");
         }
-        return Value::EnergyValue(lhs.energy() * (1.0 / rhs.number()));
+        return Scaled(lhs, 1.0 / rhs.number());
       }
       if (lhs.is_energy() && rhs.is_energy()) {
         Result<double> ratio = lhs.energy().RatioTo(rhs.energy());
@@ -163,8 +166,8 @@ Result<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs,
         a = lhs.number();
         b = rhs.number();
       } else if (lhs.is_energy() && rhs.is_energy()) {
-        ECLARITY_ASSIGN_OR_RETURN(a, ComparableEnergy(lhs.energy(), context));
-        ECLARITY_ASSIGN_OR_RETURN(b, ComparableEnergy(rhs.energy(), context));
+        ECLARITY_ASSIGN_OR_RETURN(a, ComparableJoules(lhs, context));
+        ECLARITY_ASSIGN_OR_RETURN(b, ComparableJoules(rhs, context));
       } else {
         return TypeError(context,
                          std::string("cannot order ") +
@@ -196,7 +199,7 @@ Result<Value> ApplyUnary(UnaryOp op, const Value& operand,
         return Value::Number(-operand.number());
       }
       if (operand.is_energy()) {
-        return Value::EnergyValue(operand.energy() * -1.0);
+        return Scaled(operand, -1.0);
       }
       return TypeError(context, "cannot negate a bool");
     case UnaryOp::kNot: {
@@ -228,14 +231,15 @@ void Value::AppendFingerprint(std::string& out) const {
     out.push_back(boolean() ? 'T' : 'F');
     return;
   }
-  const AbstractEnergy& e = energy();
   out.push_back('E');
-  AppendDoubleBits(e.concrete().joules(), out);
-  for (const std::string& unit : e.Units()) {
-    out += unit;
-    out.push_back('=');
-    AppendDoubleBits(e.Coefficient(unit), out);
-    out.push_back(',');
+  AppendDoubleBits(payload_, out);
+  if (const AbstractEnergy::Terms* terms = this->terms()) {
+    for (const UnitTerm& term : terms->list) {
+      out += term.unit;
+      out.push_back('=');
+      AppendDoubleBits(term.coefficient, out);
+      out.push_back(',');
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include "src/svc/query_service.h"
 
+#include <bit>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -747,51 +748,22 @@ ECLARITY_FRONT_INLINE uint64_t FrontHashBytes(uint64_t h, const char* data,
   return x ^ (x >> 32);
 }
 
-ECLARITY_FRONT_INLINE uint64_t FrontHashValue(uint64_t h, const Value& v,
-                                              std::string& scratch) {
+ECLARITY_FRONT_INLINE uint64_t FrontHashValue(uint64_t h, const Value& v) {
+  // One mix per double, kind-tagged by constant: cross-kind collisions are
+  // possible in principle and harmless (Value::SameBits rejects them).
   if (v.is_number()) {
-    uint64_t bits;
-    const double d = v.number();
-    std::memcpy(&bits, &d, sizeof(bits));
-    // One mix, kind-tagged by constant: number/bool collisions are possible
-    // in principle and harmless (the content compare rejects them).
-    return FrontHashMix(h, bits ^ 0x4E554Dull);
+    return FrontHashMix(h, std::bit_cast<uint64_t>(v.number()) ^ 0x4E554Dull);
   }
   if (v.is_bool()) {
     return FrontHashMix(h, v.boolean() ? 'T' : 'F');
   }
-  scratch.clear();
-  v.AppendFingerprint(scratch);
-  return FrontHashBytes(h, scratch.data(), scratch.size());
-}
-
-// Bit-level equality, matching fingerprint keying exactly: distinct NaN or
-// ±0.0 bit patterns fingerprint differently, so they must not dedup.
-ECLARITY_FRONT_INLINE bool SameValueBits(const Value& a, const Value& b,
-                                         std::string& sa, std::string& sb) {
-  if (a.is_number()) {
-    if (!b.is_number()) {
-      return false;
-    }
-    uint64_t x;
-    uint64_t y;
-    const double da = a.number();
-    const double db = b.number();
-    std::memcpy(&x, &da, sizeof(x));
-    std::memcpy(&y, &db, sizeof(y));
-    return x == y;
+  h = FrontHashMix(h, std::bit_cast<uint64_t>(v.joules()) ^ 'E');
+  const AbstractEnergy energy = v.energy();
+  for (const UnitTerm& term : energy.terms()) {
+    h = FrontHashBytes(h, term.unit.data(), term.unit.size());
+    h = FrontHashMix(h, std::bit_cast<uint64_t>(term.coefficient));
   }
-  if (a.is_bool()) {
-    return b.is_bool() && a.boolean() == b.boolean();
-  }
-  if (!b.is_energy()) {
-    return false;
-  }
-  sa.clear();
-  sb.clear();
-  a.AppendFingerprint(sa);
-  b.AppendFingerprint(sb);
-  return sa == sb;
+  return h;
 }
 
 // A front entry answers only the exact (service, snapshot, interface,
@@ -839,8 +811,7 @@ ECLARITY_FRONT_INLINE bool SameBytes(const char* a, const char* b, size_t n) {
   return true;
 }
 
-ECLARITY_FRONT_INLINE bool FrontMatches(const FrontEntry& m, const Query& q,
-                                        std::string& sa, std::string& sb) {
+ECLARITY_FRONT_INLINE bool FrontMatches(const FrontEntry& m, const Query& q) {
   if (m.interface.size() != q.interface.size() ||
       m.args.size() != q.args.size() ||
       !SameBytes(m.interface.data(), q.interface.data(),
@@ -848,7 +819,9 @@ ECLARITY_FRONT_INLINE bool FrontMatches(const FrontEntry& m, const Query& q,
     return false;
   }
   for (size_t i = 0; i < m.args.size(); ++i) {
-    if (!SameValueBits(m.args[i], q.args[i], sa, sb)) {
+    // Bit-level, as the store's fingerprint keys compare: distinct NaN or
+    // ±0.0 bit patterns must not share an answer.
+    if (!m.args[i].SameBits(q.args[i])) {
       return false;
     }
   }
@@ -869,8 +842,6 @@ struct FoldFront {
   static constexpr int kSlotBits = 9;  // 512 slots, direct-mapped
   std::vector<FrontEntry> slots =
       std::vector<FrontEntry>(size_t{1} << kSlotBits);
-  std::string va;  // fingerprint scratch for energy-valued arguments
-  std::string vb;
 
   // The slot for `q`, indexed by the hash's top bits: a product's high
   // bits depend on every input bit, so keys that differ only in a double's
@@ -879,7 +850,7 @@ struct FoldFront {
     hash = FrontHashBytes(0x9E3779B97F4A7C15ull, q.interface.data(),
                           q.interface.size());
     for (const Value& arg : q.args) {
-      hash = FrontHashValue(hash, arg, va);
+      hash = FrontHashValue(hash, arg);
     }
     return slots[hash >> (64 - kSlotBits)];
   }
@@ -888,7 +859,7 @@ struct FoldFront {
                                      uint64_t svc, uint64_t snap,
                                      const Query& q) {
     return m.snap == snap && m.svc == svc && m.hash == hash &&
-           FrontMatches(m, q, va, vb);
+           FrontMatches(m, q);
   }
 };
 

@@ -1,9 +1,12 @@
 #include "src/units/abstract_energy.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 namespace eclarity {
 namespace {
@@ -54,28 +57,56 @@ std::string EnergyCalibration::Fingerprint() const {
 }
 
 AbstractEnergy AbstractEnergy::FromConcrete(Energy e) {
-  AbstractEnergy out;
-  out.concrete_ = e;
-  return out;
+  return AbstractEnergy(e, nullptr);
 }
 
 AbstractEnergy AbstractEnergy::Unit(const std::string& unit, double count) {
-  AbstractEnergy out;
-  out.terms_[unit] = count;
-  out.Prune();
-  return out;
+  return AbstractEnergy(Energy::Zero(), Pruned({UnitTerm{unit, count}}));
+}
+
+const AbstractEnergy::Terms* AbstractEnergy::Pruned(
+    std::vector<UnitTerm> list) {
+  std::erase_if(list, [](const UnitTerm& term) {
+    return std::fabs(term.coefficient) < kCoefficientEpsilon;
+  });
+  if (list.empty()) {
+    return nullptr;
+  }
+  Terms* terms = new Terms;
+  terms->list = std::move(list);
+  return terms;
+}
+
+bool AbstractEnergy::SameTermBits(const Terms& a, const Terms& b) {
+  return std::equal(a.list.begin(), a.list.end(), b.list.begin(),
+                    b.list.end(), [](const UnitTerm& x, const UnitTerm& y) {
+                      return x.unit == y.unit &&
+                             std::bit_cast<uint64_t>(x.coefficient) ==
+                                 std::bit_cast<uint64_t>(y.coefficient);
+                    });
+}
+
+std::span<const UnitTerm> AbstractEnergy::terms() const {
+  if (terms_ == nullptr) {
+    return {};
+  }
+  return terms_->list;
 }
 
 double AbstractEnergy::Coefficient(const std::string& unit) const {
-  const auto it = terms_.find(unit);
-  return it == terms_.end() ? 0.0 : it->second;
+  for (const UnitTerm& term : terms()) {
+    if (term.unit == unit) {
+      return term.coefficient;
+    }
+  }
+  return 0.0;
 }
 
 std::vector<std::string> AbstractEnergy::Units() const {
   std::vector<std::string> names;
-  names.reserve(terms_.size());
-  for (const auto& [name, coeff] : terms_) {
-    names.push_back(name);
+  names.reserve(terms().size());
+  for (const UnitTerm& term : terms()) {
+    names.push_back(term.unit);
   }
   return names;
 }
@@ -91,34 +122,58 @@ AbstractEnergy AbstractEnergy::operator-(const AbstractEnergy& other) const {
 }
 
 AbstractEnergy AbstractEnergy::operator*(double scale) const {
-  AbstractEnergy out;
-  out.concrete_ = concrete_ * scale;
-  for (const auto& [name, coeff] : terms_) {
-    out.terms_[name] = coeff * scale;
+  if (terms_ == nullptr) {
+    return AbstractEnergy(concrete_ * scale, nullptr);
   }
-  out.Prune();
-  return out;
+  std::vector<UnitTerm> scaled(terms_->list);
+  for (UnitTerm& term : scaled) {
+    term.coefficient = term.coefficient * scale;
+  }
+  return AbstractEnergy(concrete_ * scale, Pruned(std::move(scaled)));
 }
 
 AbstractEnergy& AbstractEnergy::operator+=(const AbstractEnergy& other) {
   concrete_ += other.concrete_;
-  for (const auto& [name, coeff] : other.terms_) {
-    terms_[name] += coeff;
+  if (other.terms_ == nullptr) {
+    return *this;
   }
-  Prune();
+  // Merge the two sorted term vectors. A unit only `other` has starts from
+  // 0.0, so its coefficient is 0.0 + c, bit for bit what an accumulating
+  // map produces.
+  const std::span<const UnitTerm> a = terms();
+  const std::span<const UnitTerm> b = other.terms();
+  std::vector<UnitTerm> sum;
+  sum.reserve(a.size() + b.size());
+  size_t i = 0;
+  size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    if (j == b.size() || (i < a.size() && a[i].unit < b[j].unit)) {
+      sum.push_back(a[i++]);
+    } else if (i == a.size() || b[j].unit < a[i].unit) {
+      sum.push_back({b[j].unit, 0.0 + b[j].coefficient});
+      ++j;
+    } else {
+      sum.push_back({a[i].unit, a[i].coefficient + b[j].coefficient});
+      ++i;
+      ++j;
+    }
+  }
+  const Terms* merged = Pruned(std::move(sum));
+  Release(terms_);
+  terms_ = merged;
   return *this;
 }
 
 bool AbstractEnergy::operator==(const AbstractEnergy& other) const {
-  return concrete_ == other.concrete_ && terms_ == other.terms_;
+  return concrete_ == other.concrete_ && SameTerms(terms_, other.terms_);
 }
 
 Result<Energy> AbstractEnergy::Resolve(
     const EnergyCalibration& calibration) const {
   Energy total = concrete_;
-  for (const auto& [name, coeff] : terms_) {
-    ECLARITY_ASSIGN_OR_RETURN(Energy per_unit, calibration.Get(name));
-    total += per_unit * coeff;
+  for (const UnitTerm& term : terms()) {
+    ECLARITY_ASSIGN_OR_RETURN(Energy per_unit, calibration.Get(term.unit));
+    total += per_unit * term.coefficient;
   }
   return total;
 }
@@ -130,19 +185,19 @@ Result<double> AbstractEnergy::RatioTo(const AbstractEnergy& other) const {
     }
     return concrete_ / other.concrete_;
   }
-  if (terms_.size() == 1 && other.terms_.size() == 1 &&
+  if (terms().size() == 1 && other.terms().size() == 1 &&
       concrete_ == Energy::Zero() && other.concrete_ == Energy::Zero()) {
-    const auto& [unit_a, coeff_a] = *terms_.begin();
-    const auto& [unit_b, coeff_b] = *other.terms_.begin();
-    if (unit_a != unit_b) {
+    const UnitTerm& a = terms().front();
+    const UnitTerm& b = other.terms().front();
+    if (a.unit != b.unit) {
       return FailedPreconditionError(
-          "RatioTo: incomparable abstract units '" + unit_a + "' vs '" +
-          unit_b + "'");
+          "RatioTo: incomparable abstract units '" + a.unit + "' vs '" +
+          b.unit + "'");
     }
-    if (coeff_b == 0.0) {
+    if (b.coefficient == 0.0) {
       return FailedPreconditionError("RatioTo: division by zero energy");
     }
-    return coeff_a / coeff_b;
+    return a.coefficient / b.coefficient;
   }
   return FailedPreconditionError(
       "RatioTo: quantities are not multiples of a single common unit");
@@ -151,11 +206,11 @@ Result<double> AbstractEnergy::RatioTo(const AbstractEnergy& other) const {
 std::string AbstractEnergy::ToString() const {
   std::ostringstream os;
   bool first = true;
-  for (const auto& [name, coeff] : terms_) {
+  for (const UnitTerm& term : terms()) {
     if (!first) {
       os << " + ";
     }
-    os << coeff << " " << name;
+    os << term.coefficient << " " << term.unit;
     first = false;
   }
   if (concrete_ != Energy::Zero() || first) {
@@ -165,16 +220,6 @@ std::string AbstractEnergy::ToString() const {
     os << concrete_.ToString();
   }
   return os.str();
-}
-
-void AbstractEnergy::Prune() {
-  for (auto it = terms_.begin(); it != terms_.end();) {
-    if (std::fabs(it->second) < kCoefficientEpsilon) {
-      it = terms_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 AbstractEnergy operator*(double scale, const AbstractEnergy& e) {

@@ -10,11 +10,19 @@
 // AbstractEnergy is a sparse linear combination of named units plus an
 // optional concrete Joule component, so mixed expressions like
 // `3 * relu + Energy::Millijoules(2)` remain well-defined.
+//
+// Representation (DESIGN.md, "Values"): the Joules plus one pointer to an
+// immutable, reference-counted, name-sorted term vector that is null for
+// every concrete energy. Copying an energy never allocates; arithmetic that
+// changes abstract terms builds a new vector.
 
 #ifndef ECLARITY_SRC_UNITS_ABSTRACT_ENERGY_H_
 #define ECLARITY_SRC_UNITS_ABSTRACT_ENERGY_H_
 
+#include <atomic>
+#include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,9 +55,42 @@ class EnergyCalibration {
   std::map<std::string, Energy> bindings_;
 };
 
+// `coefficient` units of the abstract unit `unit`.
+struct UnitTerm {
+  std::string unit;
+  double coefficient = 0.0;
+
+  bool operator==(const UnitTerm&) const = default;
+};
+
 class AbstractEnergy {
  public:
   AbstractEnergy() = default;
+  AbstractEnergy(const AbstractEnergy& other)
+      : concrete_(other.concrete_), terms_(other.terms_) {
+    Retain(terms_);
+  }
+  AbstractEnergy(AbstractEnergy&& other) noexcept
+      : concrete_(other.concrete_), terms_(other.terms_) {
+    other.terms_ = nullptr;
+  }
+  AbstractEnergy& operator=(const AbstractEnergy& other) {
+    Retain(other.terms_);
+    Release(terms_);
+    concrete_ = other.concrete_;
+    terms_ = other.terms_;
+    return *this;
+  }
+  AbstractEnergy& operator=(AbstractEnergy&& other) noexcept {
+    if (this != &other) {
+      Release(terms_);
+      concrete_ = other.concrete_;
+      terms_ = other.terms_;
+      other.terms_ = nullptr;
+    }
+    return *this;
+  }
+  ~AbstractEnergy() { Release(terms_); }
 
   // A pure concrete amount (no abstract terms).
   static AbstractEnergy FromConcrete(Energy e);
@@ -62,8 +103,10 @@ class AbstractEnergy {
   double Coefficient(const std::string& unit) const;
   // All abstract unit names with nonzero coefficient, sorted.
   std::vector<std::string> Units() const;
+  // The abstract terms, sorted by unit name; empty when concrete.
+  std::span<const UnitTerm> terms() const;
   // True when there are no abstract terms (purely concrete, possibly zero).
-  bool IsConcrete() const { return terms_.empty(); }
+  bool IsConcrete() const { return terms_ == nullptr; }
 
   AbstractEnergy operator+(const AbstractEnergy& other) const;
   AbstractEnergy operator-(const AbstractEnergy& other) const;
@@ -86,10 +129,46 @@ class AbstractEnergy {
   std::string ToString() const;
 
  private:
-  void Prune();  // drops terms with ~0 coefficients
+  friend class Value;  // stores the same term pointer in its tagged word
+
+  // The shared term vector: sorted by unit name, every |coefficient| at
+  // least 1e-15, never empty, and never written after it is built.
+  struct Terms {
+    mutable std::atomic<uint64_t> refs{1};
+    std::vector<UnitTerm> list;
+  };
+
+  static void Retain(const Terms* terms) {
+    if (terms != nullptr) {
+      terms->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  static void Release(const Terms* terms) {
+    if (terms != nullptr &&
+        terms->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete terms;
+    }
+  }
+  // Drops terms with |coefficient| < 1e-15; returns the rest as a new
+  // vector holding one reference, or null when none is left.
+  static const Terms* Pruned(std::vector<UnitTerm> list);
+  // Term-by-term equality; a NaN coefficient is unequal even to itself.
+  static bool SameTerms(const Terms* a, const Terms* b) {
+    if (a == nullptr || b == nullptr) {
+      return a == b;
+    }
+    return a->list == b->list;
+  }
+
+  // Equal unit names and coefficient bits; both non-null.
+  static bool SameTermBits(const Terms& a, const Terms& b);
+
+  // Adopts one reference to `terms`.
+  AbstractEnergy(Energy concrete, const Terms* terms)
+      : concrete_(concrete), terms_(terms) {}
 
   Energy concrete_;
-  std::map<std::string, double> terms_;
+  const Terms* terms_ = nullptr;  // null: concrete
 };
 
 AbstractEnergy operator*(double scale, const AbstractEnergy& e);

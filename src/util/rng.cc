@@ -92,24 +92,6 @@ double Rng::Normal(double mean, double stddev) {
   return mean + stddev * Normal();
 }
 
-size_t Rng::Categorical(const std::vector<double>& weights) {
-  assert(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    assert(w >= 0.0);
-    total += w;
-  }
-  assert(total > 0.0);
-  double u = UniformDouble() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    u -= weights[i];
-    if (u < 0.0) {
-      return i;
-    }
-  }
-  return weights.size() - 1;
-}
-
 size_t Rng::Zipf(size_t n, double s) {
   ZipfSampler sampler(n, s);
   return sampler.Sample(*this);

@@ -7,8 +7,10 @@
 #ifndef ECLARITY_SRC_UTIL_RNG_H_
 #define ECLARITY_SRC_UTIL_RNG_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 namespace eclarity {
@@ -43,7 +45,33 @@ class Rng {
   // Samples an index from an (unnormalised) weight vector. Weights must be
   // non-negative with positive sum; returns weights.size()-1 as a guard on
   // floating point slack.
-  size_t Categorical(const std::vector<double>& weights);
+  size_t Categorical(const std::vector<double>& weights) {
+    return CategoricalOf(weights, [](double w) { return w; });
+  }
+
+  // Categorical over any non-empty range, `weight(item)` giving each item's
+  // weight: one UniformDouble() draw, the weights summed and subtracted in
+  // range order. Callers draw from their own data without copying weights.
+  template <typename Range, typename Weight>
+  size_t CategoricalOf(const Range& items, Weight weight) {
+    assert(!std::empty(items));
+    double total = 0.0;
+    for (const auto& item : items) {
+      assert(weight(item) >= 0.0);
+      total += weight(item);
+    }
+    assert(total > 0.0);
+    double u = UniformDouble() * total;
+    size_t i = 0;
+    for (const auto& item : items) {
+      u -= weight(item);
+      if (u < 0.0) {
+        return i;
+      }
+      ++i;
+    }
+    return i - 1;
+  }
 
   // Zipf-distributed rank in [0, n) with exponent s > 0. Implemented by
   // precomputing nothing: uses rejection-inversion would be heavy, so this is

@@ -436,6 +436,77 @@ int ProcessThreadCount() {
   return -1;
 }
 
+TEST(QueryServiceConcurrencyTest, AbstractEnergyArgumentSharedAcrossThreads) {
+  // One abstract-energy argument is copied into every thread's queries,
+  // the thread-local fronts and the store's entries, and abstract samples
+  // come back out: its term vector's reference count moves on every copy
+  // and release from several threads at once (the TSan job runs this), and
+  // each answer must still match a single-threaded replay bit for bit.
+  constexpr char kSource[] = R"(
+interface f(e, n) {
+  ecv big ~ bernoulli(0.25);
+  if (big) {
+    return e * n + au("conv2d", 2);
+  }
+  return e * n;
+}
+)";
+  EnergyCalibration calibration;
+  calibration.Bind("relu", Energy::Microjoules(0.8));
+  calibration.Bind("conv2d", Energy::Microjoules(30.0));
+  QueryService::Options options;
+  options.calibration = &calibration;
+  const Value shared =
+      Value::EnergyValue(AbstractEnergy::Unit("relu", 3.0) +
+                         AbstractEnergy::FromConcrete(Energy::Millijoules(1)));
+  const QueryKind kinds[] = {QueryKind::kExpected, QueryKind::kDistribution,
+                             QueryKind::kMonteCarlo, QueryKind::kSample};
+  const auto query_at = [&](int i) {
+    Query query;
+    query.interface = "f";
+    query.args = {shared, Value::Number(1.0 + i % 8)};
+    query.kind = kinds[i % 4];
+    query.seed = static_cast<uint64_t>(i);
+    query.samples = 64;
+    return query;
+  };
+  constexpr int kQueries = 256;
+  std::vector<std::string> want;
+  {
+    auto replay = MustCreate(kSource, options);
+    for (int i = 0; i < kQueries; ++i) {
+      auto outcome = replay->Dispatch(query_at(i));
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      want.push_back(outcome->Fingerprint());
+    }
+  }
+
+  auto service = MustCreate(kSource, options);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      for (int i = 0; i < kQueries; ++i) {
+        const int index = (i + 37 * t) % kQueries;
+        auto outcome = service->Dispatch(query_at(index));
+        ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+        EXPECT_EQ(outcome->Fingerprint(), want[index]) << "query " << index;
+      }
+      std::vector<Query> batch;
+      for (int i = 0; i < kQueries; i += 4) {  // the kExpected queries
+        batch.push_back(query_at(i));
+      }
+      const auto answers = service->EvaluateBatch(batch);
+      for (size_t i = 0; i < answers.size(); ++i) {
+        ASSERT_TRUE(answers[i].ok()) << answers[i].status().ToString();
+        EXPECT_EQ(answers[i]->Fingerprint(), want[4 * i]) << "item " << i;
+      }
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+}
+
 TEST(QueryServiceConcurrencyTest, CreateStartsNoThreads) {
   // Monte Carlo samples on the calling thread: neither constructing the
   // service nor answering an MC query may start a thread.

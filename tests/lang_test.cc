@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/lang/checker.h"
 #include "src/lang/lexer.h"
@@ -592,6 +595,58 @@ TEST(ValueTest, UnaryOps) {
   EXPECT_TRUE(not_v->boolean());
   EXPECT_FALSE(ApplyUnary(UnaryOp::kNeg, Value::Bool(true), "t").ok());
   EXPECT_FALSE(ApplyUnary(UnaryOp::kNot, Value::Number(1.0), "t").ok());
+}
+
+TEST(ValueTest, SixteenBytesSharingTerms) {
+  static_assert(sizeof(Value) == 16);
+  const Value relu = Value::EnergyValue(AbstractEnergy::Unit("relu", 2.0));
+  std::vector<Value> copies(64, relu);  // copies share the one term vector
+  for (const Value& copy : copies) {
+    EXPECT_TRUE(copy == relu);
+    EXPECT_EQ(copy.energy().ToString(), "2 relu");
+  }
+  Value moved = std::move(copies.back());
+  EXPECT_EQ(moved.energy().Units(), std::vector<std::string>{"relu"});
+  copies.clear();
+  EXPECT_EQ(relu.energy().Coefficient("relu"), 2.0);
+  EXPECT_TRUE(Value::Joules(3.0).is_concrete_energy());
+  EXPECT_FALSE(relu.is_concrete_energy());
+  EXPECT_FALSE(Value::Number(3.0).is_concrete_energy());
+}
+
+// SameBits is fingerprint equality without building the fingerprints.
+TEST(ValueTest, SameBitsMatchesFingerprints) {
+  const double nan = std::nan("");
+  const std::vector<Value> values = {
+      Value::Number(0.0),
+      Value::Number(-0.0),
+      Value::Number(1.0),
+      Value::Number(nan),
+      Value::Bool(true),
+      Value::Bool(false),
+      Value::Joules(0.0),
+      Value::Joules(-0.0),
+      Value::Joules(1.0),
+      Value::Joules(nan),
+      Value::EnergyValue(AbstractEnergy::Unit("relu", 2.0)),
+      Value::EnergyValue(AbstractEnergy::Unit("relu", 2.0)),
+      Value::EnergyValue(AbstractEnergy::Unit("relu", -0.0 + 2.0) +
+                         AbstractEnergy::FromConcrete(Energy::Joules(1.0))),
+      Value::EnergyValue(AbstractEnergy::Unit("relu", nan)),
+      Value::EnergyValue(AbstractEnergy::Unit("conv2d", 2.0)),
+      Value::EnergyValue(AbstractEnergy::Unit("relu", 2.0) +
+                         AbstractEnergy::Unit("conv2d", 2.0)),
+  };
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      std::string fa;
+      std::string fb;
+      a.AppendFingerprint(fa);
+      b.AppendFingerprint(fb);
+      EXPECT_EQ(a.SameBits(b), fa == fb) << a.ToString() << " vs "
+                                          << b.ToString();
+    }
+  }
 }
 
 }  // namespace
