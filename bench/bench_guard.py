@@ -2,11 +2,11 @@
 """Regression guard over the checked-in benchmark snapshot.
 
 Re-runs the guarded perf_toolkit benchmarks and fails (exit 1) when any of
-them regresses by more than --factor against the recorded baseline in
-BENCH_perf_toolkit.json. Registered as the `bench_guard` ctest in optimised
-builds only — debug timings would trip the guard on every run, and the
-recording side (bench/record_bench.cmake) refuses debug numbers for the
-same reason.
+them errors (SkipWithError), or regresses by more than --factor against the
+recorded baseline in BENCH_perf_toolkit.json. Registered as the
+`bench_guard` ctest in optimised, unsanitized builds only — debug and
+sanitizer timings would trip the guard on every run, and the recording side
+(bench/record_bench.cmake) refuses debug numbers for the same reason.
 
 Throughput benchmarks (items_per_second in both runs) are compared on
 throughput; everything else on real_time. The factor is deliberately loose
@@ -29,13 +29,21 @@ import tempfile
 
 
 def load_benchmarks(doc):
-    """name -> benchmark dict, aggregates and error runs excluded."""
+    """name -> benchmark dict, aggregates excluded.
+
+    Runs that errored are kept (they carry "error_occurred"): the caller
+    decides whether an error fails the guard.
+    """
     out = {}
     for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate" or "error_occurred" in bench:
+        if bench.get("run_type") == "aggregate":
             continue
         out[bench["name"]] = bench
     return out
+
+
+def errored(bench):
+    return bool(bench.get("error_occurred"))
 
 
 def main():
@@ -88,8 +96,15 @@ def main():
 
     failures = []
     for name, bench in sorted(guarded.items()):
+        if errored(bench):
+            # An erroring benchmark measures nothing: it must not silently
+            # leave the comparison.
+            detail = f"errored: {bench.get('error_message', 'no message')}"
+            print(f"bench_guard: [FAIL] {name}: {detail}")
+            failures.append(f"{name}: {detail}")
+            continue
         base = baseline.get(name)
-        if base is None:
+        if base is None or errored(base):
             failures.append(f"{name}: not in baseline — re-record bench_json")
             continue
         if "items_per_second" in bench and "items_per_second" in base:
@@ -119,6 +134,10 @@ def main():
     if args.obs_filter:
         obs_checked = 0
         for name, bench in sorted(run_benchmarks(args.obs_filter).items()):
+            if errored(bench):
+                failures.append(f"{name}: errored: "
+                                f"{bench.get('error_message', 'no message')}")
+                continue
             obs_ratio = bench.get("obs_overhead_ratio")
             if obs_ratio is None:
                 continue
@@ -135,8 +154,8 @@ def main():
                 "exporting obs_overhead_ratio")
 
     if failures:
-        print(f"bench_guard: {len(failures)} regression(s) beyond "
-              f"{args.factor}x:", file=sys.stderr)
+        print(f"bench_guard: {len(failures)} failure(s) (errors, or "
+              f"regressions beyond {args.factor}x):", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1

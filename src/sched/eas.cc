@@ -66,17 +66,27 @@ Result<Program> TaskEnergyInterface(const Task& task,
        << "}\n";
   }
 
-  // The task's demand pattern, cycled by quantum index.
+  // The task's demand pattern, cycled by quantum index: one flat `if` per
+  // run of equal demand, so the source nests no deeper for a longer
+  // pattern (an `else if` chain nests one level per phase).
   const size_t period = task.pattern.size();
   os << "interface E_task_" << task.name << "_quantum(q, core_kind, opp) {\n"
      << "  let phase = q % " << period << ";\n"
      << "  let mut ops = 0;\n"
      << "  let mut mi = 0;\n";
-  for (size_t i = 0; i < period; ++i) {
-    os << "  " << (i == 0 ? "if" : "else if") << " (phase == " << i << ") {\n"
-       << "    ops = " << Num(task.pattern[i].ops) << ";\n"
-       << "    mi = " << Num(task.pattern[i].memory_intensity) << ";\n"
+  for (size_t lo = 0; lo < period;) {
+    const std::string ops = Num(task.pattern[lo].ops);
+    const std::string mi = Num(task.pattern[lo].memory_intensity);
+    size_t hi = lo + 1;
+    while (hi < period && Num(task.pattern[hi].ops) == ops &&
+           Num(task.pattern[hi].memory_intensity) == mi) {
+      ++hi;
+    }
+    os << "  if (phase >= " << lo << " && phase < " << hi << ") {\n"
+       << "    ops = " << ops << ";\n"
+       << "    mi = " << mi << ";\n"
        << "  }\n";
+    lo = hi;
   }
   for (size_t cluster = 0; cluster < profile.clusters.size(); ++cluster) {
     os << "  " << (cluster == 0 ? "if" : "else if") << " (core_kind == "

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <string_view>
 #include <unordered_map>
@@ -40,8 +41,7 @@ namespace {
   X(mc_requests, "eclarity_svc_mc_requests_total",                   \
     "Monte Carlo requests (sampled on the calling thread)")          \
   X(profile_fingerprints, "eclarity_svc_profile_fingerprints_total", \
-    "effective-profile merges + fingerprints computed for "          \
-    "override-carrying exact queries")
+    "effective-profile merges for override-carrying exact queries")
 
 struct SvcCounters {
   ECLARITY_SVC_COUNTERS(ECLARITY_COUNTER_MEMBER)
@@ -53,42 +53,44 @@ struct SvcCounters {
   }
 };
 
-// Per-kind sampled query latency, resolved once like SvcCounters.
+// Per-kind sampled query latency: one (kind, metric name, help) row per
+// QueryKind, resolved once like SvcCounters.
+struct SvcLatencyRow {
+  QueryKind kind;
+  const char* name;
+  const char* help;
+};
+constexpr SvcLatencyRow kSvcLatencyRows[] = {
+    {QueryKind::kExpected, "eclarity_svc_latency_ns_expected",
+     "sampled Expected query latency (ns)"},
+    {QueryKind::kDistribution, "eclarity_svc_latency_ns_distribution",
+     "sampled Distribution query latency (ns)"},
+    {QueryKind::kMonteCarlo, "eclarity_svc_latency_ns_montecarlo",
+     "sampled Monte Carlo query latency (ns)"},
+    {QueryKind::kSample, "eclarity_svc_latency_ns_sample",
+     "sampled Sample query latency (ns)"},
+};
+static_assert(std::size(kSvcLatencyRows) ==
+                  static_cast<size_t>(QueryKind::kSample) + 1,
+              "one latency row per QueryKind");
+
 struct SvcLatency {
-  LatencyHistogram& expected;
-  LatencyHistogram& distribution;
-  LatencyHistogram& montecarlo;
-  LatencyHistogram& sample;
+  LatencyHistogram* by_kind[std::size(kSvcLatencyRows)] = {};
 
   LatencyHistogram& For(QueryKind kind) {
-    switch (kind) {
-      case QueryKind::kExpected:
-        return expected;
-      case QueryKind::kDistribution:
-        return distribution;
-      case QueryKind::kMonteCarlo:
-        return montecarlo;
-      case QueryKind::kSample:
-        return sample;
-    }
-    return expected;
+    return *by_kind[static_cast<size_t>(kind)];
   }
 
   static SvcLatency& Get() {
-    static SvcLatency* latency = new SvcLatency{
-        MetricsRegistry::Global().GetLatencyHistogram(
-            "eclarity_svc_latency_ns_expected",
-            "sampled Expected query latency (ns)"),
-        MetricsRegistry::Global().GetLatencyHistogram(
-            "eclarity_svc_latency_ns_distribution",
-            "sampled Distribution query latency (ns)"),
-        MetricsRegistry::Global().GetLatencyHistogram(
-            "eclarity_svc_latency_ns_montecarlo",
-            "sampled Monte Carlo query latency (ns)"),
-        MetricsRegistry::Global().GetLatencyHistogram(
-            "eclarity_svc_latency_ns_sample",
-            "sampled Sample query latency (ns)"),
-    };
+    static SvcLatency* latency = [] {
+      auto* table = new SvcLatency;
+      for (const SvcLatencyRow& row : kSvcLatencyRows) {
+        table->by_kind[static_cast<size_t>(row.kind)] =
+            &MetricsRegistry::Global().GetLatencyHistogram(row.name,
+                                                           row.help);
+      }
+      return table;
+    }();
     return *latency;
   }
 };
@@ -190,11 +192,10 @@ class QueryTimer {
 };
 
 // Whole-batch work scope for EvaluateBatch. Per-item spans there cover only
-// the pass-1 probe (front hits are a few ns), while the per-batch
-// setup, the grouped SoA passes, and the fix-up pass run outside them — so
-// crediting work per item both undercounts (shared passes vanish) and
-// distorts the ratio (a front hit measures ~20 ns of "work" against a fixed
-// per-sample telemetry cost). Instead: 1-in-N *batches* (own gate, so the
+// the pass-1 probe (front hits are a few ns), while the per-batch setup and
+// the grouped SoA passes run outside them — so crediting work per item both
+// undercounts (shared passes vanish) and distorts the ratio (a front hit
+// measures ~20 ns of "work" against a fixed per-sample telemetry cost). Instead: 1-in-N *batches* (own gate, so the
 // per-item cadence that tests pin down is untouched) measure the whole call
 // and credit (duration - inner instrumentation) x interval as work. The
 // unsampled-batch cost is one countdown, priced like a sampler tick.
@@ -471,9 +472,8 @@ uint64_t QueryService::snapshot_generation() const {
   return AcquireSnapshot()->generation();
 }
 
-void QueryService::AppendCacheKeyPrefix(const Snapshot& snapshot,
-                                        const Query& query,
-                                        std::string& out) const {
+void QueryService::AppendCacheKey(const Snapshot& snapshot,
+                                  const Query& query, std::string& out) {
   out.append(reinterpret_cast<const char*>(&snapshot.bundle().generation),
              sizeof(uint64_t));
   out += query.interface;
@@ -482,20 +482,7 @@ void QueryService::AppendCacheKeyPrefix(const Snapshot& snapshot,
     arg.AppendFingerprint(out);
   }
   out.push_back('\x1f');
-}
-
-void QueryService::AppendCacheKey(const Snapshot& snapshot,
-                                  const Query& query,
-                                  std::string& out) const {
-  AppendCacheKeyPrefix(snapshot, query, out);
-  if (query.profile.empty()) {
-    out += snapshot.profile_fingerprint();
-  } else {
-    EcvProfile merged = snapshot.profile();
-    merged.MergeFrom(query.profile);
-    SvcCounters::Get().profile_fingerprints.Increment();
-    out += merged.Fingerprint();
-  }
+  out += snapshot.profile_fingerprint();
 }
 
 const EcvProfile& QueryService::EffectiveProfile(const Snapshot& snapshot,
@@ -679,8 +666,9 @@ namespace {
 // repeated base-profile exact query from one content hash (interface bytes
 // + argument bits) and one bit-level compare — no cache key, no shard
 // lock, no refcount traffic. Only a miss builds the key and asks the
-// sharded store. Queries carrying profile overrides bypass the front, and
-// so does a service with no fold-cache capacity.
+// sharded store. What-ifs (queries carrying profile overrides) are never
+// cached, so they bypass the front, and so does a service with no
+// fold-cache capacity.
 
 // Hash quality only costs front misses — every front hit is confirmed by a
 // full bit-level content compare — so the mixers favour speed: forced inline
@@ -869,11 +857,7 @@ FoldFront& ThreadFront() {
   return front;
 }
 
-// --- EvaluateBatch dedup scratch --------------------------------------------
-//
-// An item the front does not answer builds its own cache key and dedups
-// through one key index, so K distinct keys cost K store lookups however
-// many items share them. The scratch is thread-local and reused.
+// --- EvaluateBatch scratch ---------------------------------------------------
 
 // An exact item's answer from its fold, written in place: QueryOutcome is
 // large enough that the construct-then-move idiom dominates the hit path.
@@ -888,46 +872,30 @@ ECLARITY_FRONT_INLINE void AnswerFromFold(QueryOutcome& outcome,
   }
 }
 
-// One lane per distinct cache key. Cache hits resolve in pass 1 through the
-// same LookupFold (and counters) as single dispatch; misses become lanes of
-// the grouped SoA passes.
-struct BatchDistinct {
-  const std::string* key = nullptr;  // the key's key_index node (stable)
-  const Query* query = nullptr;
-  const EcvProfile* profile = nullptr;  // effective (merged or base)
-  QueryService::SharedFold fold;
-  Status error;
-  bool resolved = false;
-  // Front slot to fill once this distinct resolves (base-profile items
-  // only, and only when the fold cache is enabled).
+// An exact item neither cache answered: one lane of its (interface,
+// effective profile) group's SoA pass. Identical items are separate lanes.
+struct BatchLane {
+  size_t item = 0;                      // index into the batch and results
+  const EcvProfile* profile = nullptr;  // the snapshot's, or a merge
+  // Base-profile lanes: the front slot to fill (null when the store is
+  // disabled); their store key is the scratch's keys[lane].
   FrontEntry* front_slot = nullptr;
   uint64_t front_hash = 0;
 };
 
-struct EffProfileEntry {
-  EcvProfile merged;
-  std::string fingerprint;
-};
-
+// Thread-local and reused, so steady-state batches keep their capacity.
 struct BatchScratch {
-  std::vector<BatchDistinct> distincts;  // indexed by key_index values
-  std::vector<int32_t> item_distinct;    // -1: answered in pass 1
-  // Override-carrying items share one base-profile merge + fingerprint per
-  // distinct override.
-  std::deque<EffProfileEntry> eff_profiles;
-  std::unordered_map<std::string, const EffProfileEntry*> override_index;
-  std::unordered_map<std::string, uint32_t> key_index;
-  std::string key;  // the current item's cache key
+  std::vector<BatchLane> lanes;
+  std::vector<std::string> keys;  // parallel to lanes, base lanes only
+  // One base-profile merge per distinct override in the batch.
+  std::deque<EcvProfile> merged;
+  std::unordered_map<std::string, const EcvProfile*> override_index;
 
-  void Begin(size_t batch_size) {
-    distincts.clear();
-    item_distinct.assign(batch_size, -1);
+  void Begin() {
+    lanes.clear();
     if (!override_index.empty()) {
-      eff_profiles.clear();
+      merged.clear();
       override_index.clear();
-    }
-    if (!key_index.empty()) {
-      key_index.clear();
     }
   }
 };
@@ -964,27 +932,35 @@ void QueryService::StoreFold(const std::string& key, SharedFold entry) const {
 Result<const ExactFold*> QueryService::FoldCached(const Snapshot& snapshot,
                                                   const Query& query) const {
   const bool sampled = ObsSampler::Active();
+  // A what-if is evaluated on every call and never cached: it builds no
+  // key and touches neither the front nor the store.
+  const bool what_if = !query.profile.empty();
   FrontEntry* slot = nullptr;
   uint64_t hash = 0;
-  if (query.profile.empty() && cache_.capacity() > 0) {
-    const uint64_t lookup_t0 = sampled ? ObsNowNs() : 0;
-    FoldFront& front = ThreadFront();
-    slot = &front.SlotFor(query, hash);
-    if (front.Answers(*slot, hash, svc_id_, snapshot.unique_id(), query)) {
-      SvcCounters::Get().cache_hits.Increment();
-      SvcCounters::Get().tl_fold_hits.Increment();
-      if (sampled) {
-        JournalPhase(JournalEventKind::kCacheLookup, /*a=*/1, lookup_t0);
-      }
-      return slot->fold.get();  // pinned by the slot, consumed at once
-    }
-    SvcCounters::Get().tl_fold_misses.Increment();
-  }
   // Thread-local scratch: steady-state key builds allocate nothing.
   thread_local std::string key;
-  key.clear();
-  AppendCacheKey(snapshot, query, key);
-  SharedFold fold = LookupFold(key);
+  SharedFold fold;
+  if (what_if) {
+    SvcCounters::Get().profile_fingerprints.Increment();  // merged below
+  } else {
+    if (cache_.capacity() > 0) {
+      const uint64_t lookup_t0 = sampled ? ObsNowNs() : 0;
+      FoldFront& front = ThreadFront();
+      slot = &front.SlotFor(query, hash);
+      if (front.Answers(*slot, hash, svc_id_, snapshot.unique_id(), query)) {
+        SvcCounters::Get().cache_hits.Increment();
+        SvcCounters::Get().tl_fold_hits.Increment();
+        if (sampled) {
+          JournalPhase(JournalEventKind::kCacheLookup, /*a=*/1, lookup_t0);
+        }
+        return slot->fold.get();  // pinned by the slot, consumed at once
+      }
+      SvcCounters::Get().tl_fold_misses.Increment();
+    }
+    key.clear();
+    AppendCacheKey(snapshot, query, key);
+    fold = LookupFold(key);
+  }
   if (fold == nullptr) {
     const uint64_t eval_t0 = sampled ? ObsNowNs() : 0;
     EcvProfile merged;
@@ -1010,10 +986,13 @@ Result<const ExactFold*> QueryService::FoldCached(const Snapshot& snapshot,
                    fold_t0);
     }
     fold = std::make_shared<const ExactFold>(std::move(folded));
-    StoreFold(key, fold);
+    if (!what_if) {
+      StoreFold(key, fold);
+    }
   }
   // Pin the answer past a later eviction: in the front slot for a
-  // base-profile query, else in the thread's last-answer pin.
+  // base-profile query, else (a what-if, or no store) in the thread's
+  // last-answer pin.
   if (slot != nullptr) {
     FillFront(*slot, hash, svc_id_, snapshot.unique_id(), query,
               std::move(fold));
@@ -1038,18 +1017,19 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
   // Fill-construct every slot with a default success outcome up front: one
   // tight inlined loop instead of a per-item emplace_back call (which GCC
   // outlines, growth path and all). Every slot is overwritten before
-  // return — hits in pass 1, distinct answers (or errors) in the fix-up
-  // pass.
+  // return — cache answers in pass 1, lane answers (or errors) in pass 2.
   std::vector<Result<QueryOutcome>> results(
       batch.size(), Result<QueryOutcome>(std::in_place));
 
   thread_local BatchScratch scratch;
   BatchScratch& sc = scratch;
-  sc.Begin(batch.size());
+  sc.Begin();
   FoldFront* front = cache_.capacity() > 0 ? &ThreadFront() : nullptr;
   const uint64_t snap_id = snapshot.unique_id();
-  bool any_miss = false;
 
+  // Pass 1: probe or lane. A base-profile item is answered by the front,
+  // else by the store (a hit fills the front); every other exact item
+  // becomes a lane.
   for (size_t i = 0; i < batch.size(); ++i) {
     const Query& query = batch[i];
     // Batch items sample through the same per-kind gates as single
@@ -1063,125 +1043,100 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
          query.kind != QueryKind::kDistribution) ||
         EffectiveMode(query) != DistMode::kEnumerate) {
       // Certified queries dedup inside the snapshot evaluator's analytic
-      // cache; the service's fold dedup below is kEnumerate-only.
+      // cache; the service's fold caches are kEnumerate-only.
       results[i] = DispatchOn(snapshot, query);
       continue;
     }
 
-    const EcvProfile* profile = &snapshot.profile();
-    const std::string* fingerprint = &snapshot.profile_fingerprint();
-    FrontEntry* front_slot = nullptr;
-    uint64_t front_hash = 0;
+    BatchLane lane;
+    lane.item = i;
+    lane.profile = &snapshot.profile();
     if (!query.profile.empty()) {
-      // Effective profiles, hoisted: one base-profile merge + one
-      // fingerprint per *distinct* override in the batch, not per item.
+      // A what-if: one base-profile merge per *distinct* override in the
+      // batch, not per item.
       auto [it, fresh] =
           sc.override_index.try_emplace(query.profile.Fingerprint(), nullptr);
       if (fresh) {
-        EffProfileEntry& eff = sc.eff_profiles.emplace_back();
-        eff.merged = snapshot.profile();
-        eff.merged.MergeFrom(query.profile);
+        EcvProfile& merged = sc.merged.emplace_back(snapshot.profile());
+        merged.MergeFrom(query.profile);
         SvcCounters::Get().profile_fingerprints.Increment();
-        eff.fingerprint = eff.merged.Fingerprint();
-        it->second = &eff;
+        it->second = &merged;
       }
-      profile = &it->second->merged;
-      fingerprint = &it->second->fingerprint;
-    } else if (front != nullptr) {
-      // Front hits stay uncounted: the batch counters own the item.
-      FrontEntry& m = front->SlotFor(query, front_hash);
-      if (front->Answers(m, front_hash, svc_id_, snap_id, query)) {
-        AnswerFromFold(*results[i], query.kind, *m.fold);
+      lane.profile = it->second;
+    } else {
+      if (front != nullptr) {
+        // Front hits stay uncounted: the batch counters own the item.
+        FrontEntry& m = front->SlotFor(query, lane.front_hash);
+        if (front->Answers(m, lane.front_hash, svc_id_, snap_id, query)) {
+          AnswerFromFold(*results[i], query.kind, *m.fold);
+          continue;
+        }
+        lane.front_slot = &m;
+      }
+      if (sc.keys.size() <= sc.lanes.size()) {
+        sc.keys.resize(sc.lanes.size() + 1);
+      }
+      std::string& key = sc.keys[sc.lanes.size()];
+      key.clear();
+      AppendCacheKey(snapshot, query, key);
+      if (SharedFold hit = LookupFold(key)) {
+        AnswerFromFold(*results[i], query.kind, *hit);
+        if (lane.front_slot != nullptr) {
+          FillFront(*lane.front_slot, lane.front_hash, svc_id_, snap_id,
+                    query, std::move(hit));
+        }
         continue;
       }
-      front_slot = &m;
     }
-
-    sc.key.clear();
-    AppendCacheKeyPrefix(snapshot, query, sc.key);
-    sc.key += *fingerprint;
-    auto [kit, fresh] = sc.key_index.try_emplace(
-        sc.key, static_cast<uint32_t>(sc.distincts.size()));
-    if (fresh) {
-      BatchDistinct& d = sc.distincts.emplace_back();
-      d.key = &kit->first;
-      d.query = &query;
-      d.profile = profile;
-      d.front_slot = front_slot;
-      d.front_hash = front_hash;
-      if (SharedFold hit = LookupFold(*d.key)) {
-        d.fold = std::move(hit);
-        d.resolved = true;
-        if (front_slot != nullptr) {
-          FillFront(*front_slot, front_hash, svc_id_, snap_id, query, d.fold);
-        }
-      }
-    }
-
-    const BatchDistinct& d = sc.distincts[kit->second];
-    if (d.resolved) {
-      AnswerFromFold(*results[i], query.kind, *d.fold);
-    } else {
-      sc.item_distinct[i] = static_cast<int32_t>(kit->second);
-      any_miss = true;
-    }
+    sc.lanes.push_back(lane);
   }
 
-  if (!any_miss) {
+  if (sc.lanes.empty()) {
     return results;
   }
 
-  // Pass 2: distinct cache misses, grouped by (interface, effective
-  // profile) — pointer identity suffices, every override was interned
-  // above — each group one SoA pass. The batch engine's answers (vector or
-  // per-lane scalar fallback) are bit-identical to FoldCached's
-  // enumerate+fold, so duplicates, cache hits, and single dispatch all
-  // agree bit-for-bit. Errors are never cached, exactly like FoldCached.
+  // Pass 2: one SoA pass per (interface, effective profile) group —
+  // pointer identity suffices, every override was merged once above. The
+  // batch engine's answers (vector or per-lane scalar fallback) are
+  // bit-identical to FoldCached's enumerate+fold, so lanes, cache answers
+  // and single dispatch all agree bit-for-bit. Each lane's answer or error
+  // goes straight into its result slot; base-profile answers are stored and
+  // fronted, errors and what-ifs never.
   std::map<std::pair<std::string_view, const EcvProfile*>,
-           std::vector<BatchDistinct*>>
+           std::vector<uint32_t>>
       groups;
-  for (BatchDistinct& d : sc.distincts) {
-    if (!d.resolved) {
-      groups[{std::string_view(d.query->interface), d.profile}].push_back(&d);
-    }
+  for (size_t l = 0; l < sc.lanes.size(); ++l) {
+    const BatchLane& lane = sc.lanes[l];
+    groups[{std::string_view(batch[lane.item].interface), lane.profile}]
+        .push_back(static_cast<uint32_t>(l));
   }
-  for (auto& [group_key, lanes] : groups) {
+  for (const auto& [group_key, lanes] : groups) {
     BatchPlan plan(snapshot.bundle().evaluator, std::string(group_key.first));
     std::vector<const std::vector<Value>*> lane_args;
     lane_args.reserve(lanes.size());
-    for (const BatchDistinct* d : lanes) {
-      lane_args.push_back(&d->query->args);
+    for (const uint32_t l : lanes) {
+      lane_args.push_back(&batch[sc.lanes[l].item].args);
     }
     std::vector<Result<ExactFold>> folds =
         plan.EnumerateFold(lane_args, *group_key.second, options_.calibration);
-    for (size_t l = 0; l < lanes.size(); ++l) {
-      BatchDistinct* d = lanes[l];
-      d->resolved = true;
-      if (!folds[l].ok()) {
-        d->error = folds[l].status();
+    const bool base = group_key.second == &snapshot.profile();
+    for (size_t g = 0; g < lanes.size(); ++g) {
+      const BatchLane& lane = sc.lanes[lanes[g]];
+      const Query& query = batch[lane.item];
+      if (!folds[g].ok()) {
+        results[lane.item] = folds[g].status();
         continue;
       }
-      auto entry = std::make_shared<const ExactFold>(*std::move(folds[l]));
-      d->fold = entry;
-      StoreFold(*d->key, std::move(entry));
-      if (d->front_slot != nullptr) {
-        FillFront(*d->front_slot, d->front_hash, svc_id_, snap_id, *d->query,
-                  d->fold);
+      AnswerFromFold(*results[lane.item], query.kind, *folds[g]);
+      if (base) {
+        auto entry = std::make_shared<const ExactFold>(*std::move(folds[g]));
+        if (lane.front_slot != nullptr) {
+          FillFront(*lane.front_slot, lane.front_hash, svc_id_, snap_id,
+                    query, entry);
+        }
+        StoreFold(sc.keys[lanes[g]], std::move(entry));
       }
     }
-  }
-
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const int32_t idx = sc.item_distinct[i];
-    if (idx < 0) {
-      continue;  // answered in pass 1
-    }
-    const BatchDistinct& d = sc.distincts[static_cast<size_t>(idx)];
-    if (!d.error.ok()) {
-      results[i] = d.error;
-      continue;
-    }
-    AnswerFromFold(*results[i], batch[i].kind, *d.fold);
   }
   return results;
 }

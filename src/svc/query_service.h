@@ -16,14 +16,18 @@
 //     the old snapshot stays valid until its last reader drops it, so
 //     profile updates never block queries.
 //
-//   * Sharded exact-fold cache. Exact enumeration results are folded to a
-//     canonical (distribution, mean) pair at insert time and cached in a
-//     ShardedLruMap keyed on (program generation, interface, argument
-//     fingerprints, effective-profile fingerprint); concurrent queries on
-//     different keys take different shard locks, and a hit answers an
-//     Expected or Distribution query with no re-fold. Errors are never
-//     cached. A per-thread fold front answers a repeated base-profile
-//     query, single or batched, without building its key.
+//   * One caching rule. The thread-local fold front and the sharded store
+//     hold exact answers under the snapshot's own profile; a query carrying
+//     ECV overrides (a what-if) is evaluated on every call and never
+//     cached. A caller that keeps asking one what-if publishes it with
+//     UpdateProfile and gets it cached like any base answer. Exact
+//     enumeration results are folded to a canonical (distribution, mean)
+//     pair at insert time and stored in a ShardedLruMap keyed on (program
+//     generation, interface, argument fingerprints, snapshot profile
+//     fingerprint); concurrent queries on different keys take different
+//     shard locks, and a hit answers an Expected or Distribution query with
+//     no re-fold. Errors are never cached. The per-thread front answers a
+//     repeated query, single or batched, without building its key.
 //
 //   * Snapshot-time bytecode specialization. Each publication specializes
 //     the bundle's bytecode program against the snapshot's base profile
@@ -75,8 +79,10 @@ enum class QueryKind {
 struct Query {
   std::string interface;    // entry interface to evaluate
   std::vector<Value> args;  // call arguments
-  // Per-query ECV overrides, merged over the snapshot's base profile
-  // (query keys win). Leave empty to use the snapshot profile as-is.
+  // Per-query ECV overrides (a what-if), merged over the snapshot's base
+  // profile (query keys win). Leave empty to use the snapshot profile
+  // as-is. Exact answers under overrides are computed on every call and
+  // never cached; publish a recurring what-if with UpdateProfile instead.
   EcvProfile profile;
   QueryKind kind = QueryKind::kExpected;
   uint64_t seed = 0;     // RNG seed for kMonteCarlo / kSample
@@ -164,13 +170,14 @@ class QueryService {
   Result<QueryOutcome> Dispatch(const Query& query) const;
 
   // Evaluates a batch against ONE snapshot, amortising the snapshot
-  // acquisition and deduplicating enumeration work: exact queries sharing a
-  // cache key (interface, args, effective profile) cost one fold-cache
-  // lookup and, on a miss, one enumeration. A base-profile item this thread
-  // answered before, in a batch or by single dispatch, is answered by the
-  // thread-local fold front without building its key. Results are
-  // positionally aligned with `batch` and bit-identical to dispatching each
-  // query alone.
+  // acquisition: probe or lane. A base-profile exact item is answered by
+  // the thread-local fold front, else by the sharded store; every other
+  // exact item (a store miss or a what-if) is one lane of its (interface,
+  // effective profile) group's SoA pass, with overrides merged once per
+  // distinct override. Identical items are separate lanes. Base-profile
+  // lane answers are stored and fronted; what-if answers never are.
+  // Results are positionally aligned with `batch` and bit-identical to
+  // dispatching each query alone.
   std::vector<Result<QueryOutcome>> EvaluateBatch(
       const std::vector<Query>& batch) const;
 
@@ -178,7 +185,7 @@ class QueryService {
 
   // Swaps the base ECV profile. In-flight queries finish on the snapshot
   // they acquired; the fold cache needs no flush because keys carry the
-  // effective-profile fingerprint.
+  // snapshot profile's fingerprint.
   void UpdateProfile(EcvProfile profile);
 
   // Swaps the whole program (re-lowered under a fresh generation, so stale
@@ -221,9 +228,10 @@ class QueryService {
 
   // Cache-or-(enumerate+fold) against `snapshot`. A base-profile query
   // probes the thread-local fold front first (see query_service.cc); only a
-  // miss builds the cache key and asks the sharded store. The returned
-  // pointer is pinned by a thread-local slot until the calling thread's
-  // next query; callers consume it immediately.
+  // miss builds the cache key and asks the sharded store. A what-if skips
+  // both and is enumerated and folded on every call. The returned pointer
+  // is pinned by a thread-local slot until the calling thread's next query;
+  // callers consume it immediately.
   Result<const ExactFold*> FoldCached(const Snapshot& snapshot,
                                       const Query& query) const;
   // Sharded-store primitives shared by FoldCached and the batch path; they
@@ -232,13 +240,10 @@ class QueryService {
   // journaling it only inside a sampled query.
   SharedFold LookupFold(const std::string& key) const;
   void StoreFold(const std::string& key, SharedFold entry) const;
-  void AppendCacheKey(const Snapshot& snapshot, const Query& query,
-                      std::string& out) const;
-  // The cache key minus the trailing effective-profile fingerprint. The
-  // batch path appends a fingerprint hoisted once per distinct override
-  // instead of re-merging and re-fingerprinting per item.
-  void AppendCacheKeyPrefix(const Snapshot& snapshot, const Query& query,
-                            std::string& out) const;
+  // A base-profile query's store key: generation, interface, argument
+  // fingerprints, snapshot profile fingerprint.
+  static void AppendCacheKey(const Snapshot& snapshot, const Query& query,
+                             std::string& out);
   // The profile `query` evaluates under: the snapshot's own, or `merged`
   // filled with a copy that has the query's overrides merged in.
   static const EcvProfile& EffectiveProfile(const Snapshot& snapshot,

@@ -383,13 +383,13 @@ interface f() {
   ASSERT_TRUE(overridden.ok());
   EXPECT_EQ(Bits(overridden->joules()), Bits(reference->joules()));
 
-  // The override and the base answer use distinct cache keys.
+  // The what-if made no store lookup; only the base query asks the store.
   Query base;
   base.interface = "f";
   auto plain = service->Expected(base);
   ASSERT_TRUE(plain.ok());
   EXPECT_NE(Bits(plain->joules()), Bits(overridden->joules()));
-  EXPECT_EQ(service->TotalCacheStats().misses, 2u);
+  EXPECT_EQ(service->TotalCacheStats().lookups(), 1u);
 }
 
 TEST(QueryServiceConcurrencyTest, MonteCarloDeterministicAcrossCallers) {
@@ -528,6 +528,12 @@ TEST(QueryServiceConcurrencyTest, BatchBitIdenticalToSinglesAndDeduped) {
   }
   auto batched = service->EvaluateBatch(batch);
   ASSERT_EQ(batched.size(), batch.size());
+  // One arg vector and one profile: the first batch fronted its answer, so
+  // a second identical batch makes no store lookup.
+  const uint64_t lookups = service->TotalCacheStats().lookups();
+  auto again = service->EvaluateBatch(batch);
+  ASSERT_EQ(again.size(), batch.size());
+  EXPECT_EQ(service->TotalCacheStats().lookups(), lookups);
 
   auto singles = MustCreate(kFig1Source);
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -535,11 +541,9 @@ TEST(QueryServiceConcurrencyTest, BatchBitIdenticalToSinglesAndDeduped) {
     ASSERT_TRUE(one.ok()) << one.status().ToString();
     ASSERT_TRUE(batched[i].ok()) << batched[i].status().ToString();
     EXPECT_EQ(batched[i]->Fingerprint(), one->Fingerprint()) << "query " << i;
+    ASSERT_TRUE(again[i].ok()) << again[i].status().ToString();
+    EXPECT_EQ(again[i]->Fingerprint(), one->Fingerprint()) << "query " << i;
   }
-
-  // One arg vector and one profile: the whole batch shares one enumeration
-  // key, so the sharded cache saw exactly one miss.
-  EXPECT_EQ(service->TotalCacheStats().misses, 1u);
 }
 
 // The batch request log: a pure function of (thread, round, lane), so the
@@ -1045,6 +1049,88 @@ interface f(x) {
   EXPECT_EQ(atom_bits(second[0]), Bits(-0.0));
   EXPECT_EQ(atom_bits(second[1]), Bits(0.0));
   EXPECT_EQ(batch->TotalCacheStats().lookups(), 2u);
+}
+
+TEST(QueryServiceConcurrencyTest, WhatIfIsNeverCached) {
+  // The caching rule: the front and the store hold answers under the
+  // snapshot's own profile only. A what-if (a query carrying ECV overrides)
+  // is evaluated on every call, single or batched, leaves both caches and
+  // their counters as they were, and answers with the engine's bits under
+  // the merged profile.
+  EcvProfile base;
+  base.SetBernoulli("local_cache_hit", 0.6);
+  auto service = MustCreate(kFig1Source, {}, base);
+  EcvProfile hot;
+  hot.SetBernoulli("request_hit", 0.9);
+  EcvProfile cold;
+  cold.SetBernoulli("request_hit", 0.1);
+  const Program program = MustParse(kFig1Source);
+  const Evaluator evaluator(program);
+  auto expect_engine_bits = [&](const Query& query, double joules,
+                                const Distribution* distribution) {
+    EcvProfile merged = base;
+    merged.MergeFrom(query.profile);
+    auto mean = evaluator.ExpectedEnergy(query.interface, query.args, merged);
+    ASSERT_TRUE(mean.ok()) << mean.status().ToString();
+    EXPECT_EQ(Bits(joules), Bits(mean->joules()));
+    if (distribution == nullptr) {
+      return;
+    }
+    auto want = evaluator.EvalDistribution(query.interface, query.args, merged);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    ASSERT_EQ(distribution->atoms().size(), want->atoms().size());
+    for (size_t a = 0; a < want->atoms().size(); ++a) {
+      EXPECT_EQ(Bits(distribution->atoms()[a].value),
+                Bits(want->atoms()[a].value));
+      EXPECT_EQ(Bits(distribution->atoms()[a].probability),
+                Bits(want->atoms()[a].probability));
+    }
+  };
+
+  const QueryService::CacheStats stats = service->TotalCacheStats();
+  const FrontCounts before = FrontCounts::Now();
+  Query single = Fig1ExpectedQuery(50176.0);
+  single.profile = hot;
+  for (int round = 0; round < 3; ++round) {  // repeats are computed again
+    auto expected = service->Expected(single);
+    ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+    expect_engine_bits(single, expected->joules(), nullptr);
+    auto distribution = service->EvalDistribution(single);
+    ASSERT_TRUE(distribution.ok()) << distribution.status().ToString();
+    expect_engine_bits(single, distribution->Mean(), &*distribution);
+  }
+
+  std::vector<Query> batch;
+  for (size_t i = 0; i < 64; ++i) {
+    Query query = Fig1ExpectedQuery(40960.0 + static_cast<double>(i % 8) * 64);
+    query.profile = i % 3 == 0 ? cold : hot;
+    query.kind =
+        i % 4 == 0 ? QueryKind::kDistribution : QueryKind::kExpected;
+    batch.push_back(std::move(query));
+  }
+  for (int round = 0; round < 2; ++round) {
+    const auto results = service->EvaluateBatch(batch);
+    ASSERT_EQ(results.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+      expect_engine_bits(batch[i], results[i]->joules,
+                         results[i]->distribution.has_value()
+                             ? &*results[i]->distribution
+                             : nullptr);
+      EXPECT_EQ(results[i]->distribution.has_value(),
+                batch[i].kind == QueryKind::kDistribution);
+    }
+  }
+
+  const QueryService::CacheStats after = service->TotalCacheStats();
+  EXPECT_EQ(after.hits, stats.hits);
+  EXPECT_EQ(after.misses, stats.misses);
+  EXPECT_EQ(after.evictions, stats.evictions);
+  EXPECT_EQ(after.size, stats.size);
+  const FrontCounts now = FrontCounts::Now();
+  EXPECT_EQ(now.cache_hits, before.cache_hits);
+  EXPECT_EQ(now.tl_hits, before.tl_hits);
+  EXPECT_EQ(now.tl_misses, before.tl_misses);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "src/hw/vendor.h"
 #include "src/sched/cluster.h"
 #include "src/sched/eas.h"
@@ -119,6 +122,71 @@ TEST(TaskInterfaceTest, MatchesDeviceEnergy) {
                   1e-9 + actual->energy.joules() * 1e-6)
           << "phase=" << phase << " kind=" << kind;
     }
+  }
+}
+
+TEST(TaskInterfaceTest, EveryPhaseChargesItsRunsDemand) {
+  // A pattern of several runs of equal demand, the first run recurring:
+  // each phase must charge exactly its own demand, bit for bit.
+  const CpuProfile profile = BigLittleProfile();
+  const QuantumDemand heavy{2.2e7, 0.1};
+  const QuantumDemand light{5e4, 0.0};
+  const QuantumDemand stall{3e6, 0.7};
+  Task task;
+  task.name = "runs";
+  task.pattern = {heavy, heavy, light, stall, stall, stall, heavy, light};
+  auto task_program =
+      TaskEnergyInterface(task, profile, Duration::Milliseconds(10.0));
+  ASSERT_TRUE(task_program.ok()) << task_program.status().ToString();
+  auto vendor = CpuVendorInterface(profile);
+  ASSERT_TRUE(vendor.ok());
+  Program merged = std::move(*vendor);
+  ASSERT_TRUE(merged.Merge(*task_program).ok());
+  Evaluator evaluator(merged);
+
+  const double period = static_cast<double>(task.pattern.size());
+  for (size_t phase = 0; phase < task.pattern.size(); ++phase) {
+    const QuantumDemand& demand = task.pattern[phase];
+    for (size_t kind = 0; kind < profile.clusters.size(); ++kind) {
+      const CoreTypeSpec& type = profile.clusters[kind].type;
+      for (size_t opp = 0; opp < type.opps.size(); ++opp) {
+        auto want = evaluator.ExpectedEnergy(
+            "E_quantum_on_" + type.name,
+            {Value::Number(demand.ops), Value::Number(demand.memory_intensity),
+             Value::Number(static_cast<double>(opp))},
+            {});
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        for (const double q : {static_cast<double>(phase),
+                               static_cast<double>(phase) + period}) {
+          auto got = evaluator.ExpectedEnergy(
+              "E_task_runs_quantum",
+              {Value::Number(q), Value::Number(static_cast<double>(kind)),
+               Value::Number(static_cast<double>(opp))},
+              {});
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(std::bit_cast<uint64_t>(got->joules()),
+                    std::bit_cast<uint64_t>(want->joules()))
+              << "q=" << q << " kind=" << kind << " opp=" << opp;
+        }
+      }
+    }
+  }
+}
+
+TEST(TaskInterfaceTest, LongPatternsStayWithinTheNestingLimit) {
+  // 4,000 phases: an `else if` per phase nested past the parser's 256-level
+  // limit, so the scheduler could not be built for this task.
+  const std::vector<Task> tasks = {
+      Task::Transcode("video", 400, 3600, 2.2e7, 5e4)};
+  auto sched = InterfaceEasScheduler::Create(tasks, BigLittleProfile(),
+                                             Duration::Milliseconds(10.0));
+  ASSERT_TRUE(sched.ok()) << sched.status().ToString();
+  CpuDevice device(BigLittleProfile());
+  const std::vector<bool> used(static_cast<size_t>(device.CoreCount()), false);
+  for (const int q : {0, 399, 400, 3999, 4000}) {
+    auto placement = (*sched)->Place(tasks[0], q, 0.5, device, used);
+    ASSERT_TRUE(placement.ok()) << placement.status().ToString();
+    EXPECT_GT(placement->predicted_joules, 0.0) << "q=" << q;
   }
 }
 
