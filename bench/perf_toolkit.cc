@@ -246,8 +246,8 @@ BENCHMARK(BM_AnalyticBoundedDepth)->Arg(4)->Arg(8)->Arg(12);
 
 // One shared service instance for the threaded benchmark; google-benchmark
 // constructs it on the first thread entering and tears it down with the
-// last. Clients spread over 64 distinct argument vectors, so lookups fan
-// out across cache shards instead of serialising on one stripe.
+// last. Clients cycle over 64 distinct argument vectors, which stay
+// resident in each thread's 4-way fold front.
 QueryService* ServiceThroughputInstance() {
   static QueryService* service = [] {
     auto program = ParseProgram(kFig1Source);
@@ -258,11 +258,9 @@ QueryService* ServiceThroughputInstance() {
 }
 
 // Aggregate queries/second as client threads scale (items_per_second is the
-// whole-process rate under --benchmark_report_aggregates). Run with
-// Threads(1) vs Threads(4) to read the striped-lock scaling; on a
-// single-core host (like the container this snapshot was recorded on) the
-// ratio is flat by construction — re-record on real hardware for the
-// scaling figure.
+// whole-process rate under --benchmark_report_aggregates). Compare
+// Threads(1) with Threads(4) for the scaling of front hits, which write
+// nothing shared; on a single-core host the ratio is flat by construction.
 void BM_ServiceThroughput(benchmark::State& state) {
   QueryService* service = ServiceThroughputInstance();
   if (service == nullptr) {
@@ -401,9 +399,9 @@ BENCHMARK(BM_BatchVsSingle)->Arg(1)->Arg(8)->Arg(16)->Arg(64)->Arg(512);
 // Interface-EAS placement scoring: every Place() call evaluates all
 // candidate (core, OPP) pairs through one EvaluateBatch pass. The task's
 // demand pattern is long enough (4000 phases x ~6 candidates) to cycle
-// past the service's 4096-entry fold cache and its thread-local front, so
-// successive quanta keep paying the batched scoring pass instead of
-// degenerating into pure cache hits. Items are placements per second.
+// past the service's 512-entry thread-local fold front, so successive
+// quanta keep paying the batched scoring pass instead of degenerating into
+// pure cache hits. Items are placements per second.
 void BM_EasScoreBatch(benchmark::State& state) {
   const CpuProfile profile = BigLittleProfile();
   const Duration quantum = Duration::Milliseconds(10.0);

@@ -117,13 +117,12 @@ int main(int argc, char** argv) {
   if (want_metrics) {
     const QueryService::CacheStats stats = (*svc)->TotalCacheStats();
     std::printf(
-        "\n--- query-service cache (%zu shards) ---\n"
-        "lookups %llu  hits %llu  misses %llu  evictions %llu  resident %zu\n",
-        (*svc)->cache_shard_count(),
+        "\n--- query-service fold front ---\n"
+        "lookups %llu  hits %llu  misses %llu  evictions %llu\n",
         static_cast<unsigned long long>(stats.lookups()),
         static_cast<unsigned long long>(stats.hits),
         static_cast<unsigned long long>(stats.misses),
-        static_cast<unsigned long long>(stats.evictions), stats.size);
+        static_cast<unsigned long long>(stats.evictions));
     AccuracyMonitor::Global().ExportTo(MetricsRegistry::Global());
     std::printf("\n--- metrics (Prometheus text) ---\n%s",
                 MetricsRegistry::Global().ToPrometheusText().c_str());

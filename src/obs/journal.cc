@@ -43,8 +43,8 @@ const char* JournalEventKindName(JournalEventKind kind) {
       return "snapshot_swap";
     case JournalEventKind::kRespecialize:
       return "respecialize";
-    case JournalEventKind::kShardEviction:
-      return "shard_eviction";
+    case JournalEventKind::kFrontEviction:
+      return "front_eviction";
     case JournalEventKind::kFaultInjected:
       return "fault_injected";
     case JournalEventKind::kGuardTransition:

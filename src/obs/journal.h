@@ -35,13 +35,13 @@ namespace eclarity {
 enum class JournalEventKind : uint16_t {
   kNone = 0,         // never recorded; marks an empty slot after Clear()
   kQuery,            // span: one sampled service query. a = QueryKind
-  kCacheLookup,      // span: a = 0 miss / 1 thread-local hit / 2 shard hit
+  kCacheLookup,      // span: fold-front probe. a = 0 miss / 1 hit
   kSnapshotPin,      // instant: snapshot acquired. a = program generation
   kEval,             // span: shared enumeration on miss. a = outcome count
   kFold,             // span: distribution fold on miss. a = atom count
   kSnapshotSwap,     // instant: a = generation, b = 1 profile / 2 program
   kRespecialize,     // span: PrepareSpecialized. a = generation
-  kShardEviction,    // instant: one sharded-cache eviction on insert
+  kFrontEviction,    // instant: a front fill displaced its snapshot's entry
   kFaultInjected,    // instant: a = fault code, b = source (0 nvml, 1 rapl)
   kGuardTransition,  // instant: a = new BreakerState, b = old BreakerState
   kMark,             // free-form test/tooling marker. a, b caller-defined

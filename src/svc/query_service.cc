@@ -25,11 +25,14 @@ namespace {
   X(batch_queries, "eclarity_svc_batch_queries_total",               \
     "queries submitted via EvaluateBatch")                           \
   X(cache_hits, "eclarity_svc_cache_hits_total",                     \
-    "QueryService exact-fold cache hits (all shards)")               \
+    "base-profile exact queries answered by the thread-local fold "  \
+    "front (single and batched)")                                    \
   X(cache_misses, "eclarity_svc_cache_misses_total",                 \
-    "QueryService exact-fold cache misses (all shards)")             \
+    "base-profile exact queries that missed the thread-local fold "  \
+    "front (single and batched)")                                    \
   X(cache_evictions, "eclarity_svc_cache_evictions_total",           \
-    "QueryService exact-fold cache evictions (all shards)")          \
+    "fold-front fills that displaced an entry of the same service "  \
+    "and snapshot")                                                  \
   X(tl_fold_hits, "eclarity_svc_tl_fold_hits_total",                 \
     "base-profile single queries answered by the thread-local fold " \
     "front")                                                         \
@@ -241,10 +244,6 @@ class BatchWorkTimer {
   uint64_t start_ns_ = 0;
 };
 
-// Shards of the exact-fold store: concurrent lookups on different keys
-// take different locks. `eilc serve` prints the per-shard split.
-constexpr size_t kFoldCacheShards = 16;
-
 void AppendBits(std::string& out, double v) {
   uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
@@ -294,7 +293,6 @@ class QueryService::Snapshot {
   Snapshot(std::shared_ptr<const Bundle> bundle, EcvProfile profile)
       : bundle_(std::move(bundle)),
         profile_(std::move(profile)),
-        profile_fingerprint_(profile_.Fingerprint()),
         unique_id_([] {
           static std::atomic<uint64_t> next{1};
           return next.fetch_add(1, std::memory_order_relaxed);
@@ -304,9 +302,6 @@ class QueryService::Snapshot {
   std::shared_ptr<const Bundle> bundle_ptr() const { return bundle_; }
   uint64_t generation() const { return bundle_->generation; }
   const EcvProfile& profile() const { return profile_; }
-  const std::string& profile_fingerprint() const {
-    return profile_fingerprint_;
-  }
   // Process-unique identity of this exact snapshot object. publish_seq_
   // cannot serve as one: the writer stores the snapshot before bumping the
   // sequence, so two readers observing equal sequences may hold different
@@ -316,7 +311,6 @@ class QueryService::Snapshot {
  private:
   std::shared_ptr<const Bundle> bundle_;
   EcvProfile profile_;
-  std::string profile_fingerprint_;
   const uint64_t unique_id_;
 };
 
@@ -366,8 +360,7 @@ QueryService::QueryService(std::shared_ptr<const Snapshot> initial,
       }()),
       snapshot_(std::move(initial)),
       publish_seq_(1),
-      next_generation_(1),
-      cache_(options.cache_capacity, kFoldCacheShards) {}
+      next_generation_(1) {}
 
 QueryService::~QueryService() = default;
 
@@ -470,19 +463,6 @@ Status QueryService::UpdateProgram(Program program) {
 
 uint64_t QueryService::snapshot_generation() const {
   return AcquireSnapshot()->generation();
-}
-
-void QueryService::AppendCacheKey(const Snapshot& snapshot,
-                                  const Query& query, std::string& out) {
-  out.append(reinterpret_cast<const char*>(&snapshot.bundle().generation),
-             sizeof(uint64_t));
-  out += query.interface;
-  out.push_back('\x1f');
-  for (const Value& arg : query.args) {
-    arg.AppendFingerprint(out);
-  }
-  out.push_back('\x1f');
-  out += snapshot.profile_fingerprint();
 }
 
 const EcvProfile& QueryService::EffectiveProfile(const Snapshot& snapshot,
@@ -661,14 +641,13 @@ namespace {
 
 // --- The thread-local fold front ---------------------------------------------
 //
-// The service's one thread-local fold cache, probed by single dispatch and
-// EvaluateBatch alike: a per-thread, direct-mapped array that answers a
-// repeated base-profile exact query from one content hash (interface bytes
-// + argument bits) and one bit-level compare — no cache key, no shard
-// lock, no refcount traffic. Only a miss builds the key and asks the
-// sharded store. What-ifs (queries carrying profile overrides) are never
-// cached, so they bypass the front, and so does a service with no
-// fold-cache capacity.
+// The service's one fold cache, probed by single dispatch and EvaluateBatch
+// alike: a per-thread, 4-way set-associative array that answers a repeated
+// base-profile exact query from one content hash (interface bytes +
+// argument bits) and one bit-level compare — no cache key, no lock, no
+// shared write, no refcount traffic. A miss enumerates, folds and fills.
+// What-ifs (queries carrying profile overrides) are never cached, so they
+// bypass the front.
 
 // Hash quality only costs front misses — every front hit is confirmed by a
 // full bit-level content compare — so the mixers favour speed: forced inline
@@ -757,11 +736,11 @@ ECLARITY_FRONT_INLINE uint64_t FrontHashValue(uint64_t h, const Value& v) {
 // A front entry answers only the exact (service, snapshot, interface,
 // argument bits) it was filled for: both ids are process-unique and never
 // reused, and the pinned fold is immutable, so a stale entry can only miss,
-// never answer wrongly (a publication therefore empties the front).
+// never answer wrongly (a publication therefore empties the service's share
+// of the front).
 struct FrontEntry {
-  uint64_t hash = 0;
   uint64_t svc = 0;
-  uint64_t snap = 0;  // 0: empty
+  uint64_t snap = 0;  // 0: empty, never filled
   std::string interface;
   std::vector<Value> args;
   QueryService::SharedFold fold;
@@ -807,8 +786,8 @@ ECLARITY_FRONT_INLINE bool FrontMatches(const FrontEntry& m, const Query& q) {
     return false;
   }
   for (size_t i = 0; i < m.args.size(); ++i) {
-    // Bit-level, as the store's fingerprint keys compare: distinct NaN or
-    // ±0.0 bit patterns must not share an answer.
+    // Bit-level, like Value::AppendFingerprint: distinct NaN or ±0.0 bit
+    // patterns must not share an answer.
     if (!m.args[i].SameBits(q.args[i])) {
       return false;
     }
@@ -816,38 +795,72 @@ ECLARITY_FRONT_INLINE bool FrontMatches(const FrontEntry& m, const Query& q) {
   return true;
 }
 
-void FillFront(FrontEntry& m, uint64_t hash, uint64_t svc, uint64_t snap,
-               const Query& q, QueryService::SharedFold fold) {
-  m.hash = hash;
-  m.svc = svc;
-  m.snap = snap;
-  m.interface = q.interface;  // assignment keeps capacity across refills
-  m.args = q.args;
-  m.fold = std::move(fold);
-}
-
+// 128 sets x 4 ways = 512 entries: a small hot working set stays resident
+// unless five of its keys share a set, where direct mapping loses any two
+// that share a slot. A set keeps its ways' content hashes side by side, so
+// a probe reads one 32-byte row before it touches an entry.
 struct FoldFront {
-  static constexpr int kSlotBits = 9;  // 512 slots, direct-mapped
-  std::vector<FrontEntry> slots =
-      std::vector<FrontEntry>(size_t{1} << kSlotBits);
+  static constexpr int kSetBits = 7;
+  static constexpr size_t kWays = 4;
 
-  // The slot for `q`, indexed by the hash's top bits: a product's high
-  // bits depend on every input bit, so keys that differ only in a double's
-  // sign or exponent still spread. `hash` receives the content hash.
-  ECLARITY_FRONT_INLINE FrontEntry& SlotFor(const Query& q, uint64_t& hash) {
+  struct alignas(64) Set {
+    uint64_t hash[kWays] = {};
+    uint8_t next = 0;  // the way a fill into a full set displaces
+    FrontEntry ways[kWays];
+  };
+  std::vector<Set> sets = std::vector<Set>(size_t{1} << kSetBits);
+
+  // The set for `q`, indexed by the hash's top bits: a product's high bits
+  // depend on every input bit, so keys that differ only in a double's sign
+  // or exponent still spread. `hash` receives the content hash.
+  ECLARITY_FRONT_INLINE Set& SetFor(const Query& q, uint64_t& hash) {
     hash = FrontHashBytes(0x9E3779B97F4A7C15ull, q.interface.data(),
                           q.interface.size());
     for (const Value& arg : q.args) {
       hash = FrontHashValue(hash, arg);
     }
-    return slots[hash >> (64 - kSlotBits)];
+    return sets[hash >> (64 - kSetBits)];
   }
 
-  ECLARITY_FRONT_INLINE bool Answers(const FrontEntry& m, uint64_t hash,
-                                     uint64_t svc, uint64_t snap,
-                                     const Query& q) {
-    return m.snap == snap && m.svc == svc && m.hash == hash &&
-           FrontMatches(m, q);
+  // The way of `set` filled for exactly (service, snapshot, q), or null.
+  static ECLARITY_FRONT_INLINE const FrontEntry* Find(const Set& set,
+                                                      uint64_t hash,
+                                                      uint64_t svc,
+                                                      uint64_t snap,
+                                                      const Query& q) {
+    for (size_t w = 0; w < kWays; ++w) {
+      const FrontEntry& m = set.ways[w];
+      if (set.hash[w] == hash && m.snap == snap && m.svc == svc &&
+          FrontMatches(m, q)) {
+        return &m;
+      }
+    }
+    return nullptr;
+  }
+
+  // Fills an empty way of `set` with q's answer, else the set's next way in
+  // turn (ways fill in index order, so this replaces the oldest entry).
+  // Returns true when the fill displaced an entry of this same service and
+  // snapshot: an eviction. Displacing a stale entry is not one.
+  static bool Fill(Set& set, uint64_t hash, uint64_t svc, uint64_t snap,
+                   const Query& q, QueryService::SharedFold fold) {
+    size_t way = 0;
+    while (way < kWays && set.ways[way].snap != 0) {
+      ++way;
+    }
+    if (way == kWays) {
+      way = set.next;
+      set.next = static_cast<uint8_t>((way + 1) % kWays);
+    }
+    FrontEntry& m = set.ways[way];
+    const bool evicted = m.snap == snap && m.svc == svc;
+    set.hash[way] = hash;
+    m.svc = svc;
+    m.snap = snap;
+    m.interface = q.interface;  // assignment keeps capacity across refills
+    m.args = q.args;
+    m.fold = std::move(fold);
+    return evicted;
   }
 };
 
@@ -872,21 +885,19 @@ ECLARITY_FRONT_INLINE void AnswerFromFold(QueryOutcome& outcome,
   }
 }
 
-// An exact item neither cache answered: one lane of its (interface,
+// An exact item the front did not answer: one lane of its (interface,
 // effective profile) group's SoA pass. Identical items are separate lanes.
 struct BatchLane {
   size_t item = 0;                      // index into the batch and results
   const EcvProfile* profile = nullptr;  // the snapshot's, or a merge
-  // Base-profile lanes: the front slot to fill (null when the store is
-  // disabled); their store key is the scratch's keys[lane].
-  FrontEntry* front_slot = nullptr;
+  // Base-profile lanes: the front set to fill and the item's content hash.
+  FoldFront::Set* front_set = nullptr;
   uint64_t front_hash = 0;
 };
 
 // Thread-local and reused, so steady-state batches keep their capacity.
 struct BatchScratch {
   std::vector<BatchLane> lanes;
-  std::vector<std::string> keys;  // parallel to lanes, base lanes only
   // One base-profile merge per distinct override in the batch.
   std::deque<EcvProfile> merged;
   std::unordered_map<std::string, const EcvProfile*> override_index;
@@ -902,105 +913,86 @@ struct BatchScratch {
 
 }  // namespace
 
-QueryService::SharedFold QueryService::LookupFold(
-    const std::string& key) const {
-  // Phase spans (cache lookup, eval, fold) are recorded only inside a
-  // query the QueryTimer already chose to sample, so the unsampled path
-  // pays one thread-local bool read here.
-  const bool sampled = ObsSampler::Active();
-  const uint64_t lookup_t0 = sampled ? ObsNowNs() : 0;
-  std::optional<SharedFold> hit = cache_.Get(key);
-  (hit ? SvcCounters::Get().cache_hits : SvcCounters::Get().cache_misses)
-      .Increment();
-  if (sampled) {
-    JournalPhase(JournalEventKind::kCacheLookup, hit ? 2 : 0, lookup_t0);
-  }
-  return hit ? std::move(*hit) : nullptr;
-}
-
-void QueryService::StoreFold(const std::string& key, SharedFold entry) const {
-  if (cache_.Put(key, std::move(entry))) {
-    SvcCounters::Get().cache_evictions.Increment();
-    // Journaled only inside a sampled query, charged like its phase spans:
-    // one record per eviction would push sampled spans out of the ring.
-    if (ObsSampler::Active()) {
-      JournalInstant(JournalEventKind::kShardEviction, 0);
-    }
-  }
-}
-
 Result<const ExactFold*> QueryService::FoldCached(const Snapshot& snapshot,
                                                   const Query& query) const {
+  // Phase spans (front probe, eval, fold) are recorded only inside a query
+  // the QueryTimer already chose to sample, so the unsampled path pays one
+  // thread-local bool read here.
   const bool sampled = ObsSampler::Active();
-  // A what-if is evaluated on every call and never cached: it builds no
-  // key and touches neither the front nor the store.
+  // A what-if is evaluated on every call and never cached: it neither
+  // probes nor fills the front.
   const bool what_if = !query.profile.empty();
-  FrontEntry* slot = nullptr;
+  FoldFront::Set* set = nullptr;
   uint64_t hash = 0;
-  // Thread-local scratch: steady-state key builds allocate nothing.
-  thread_local std::string key;
-  SharedFold fold;
   if (what_if) {
     SvcCounters::Get().profile_fingerprints.Increment();  // merged below
   } else {
-    if (cache_.capacity() > 0) {
-      const uint64_t lookup_t0 = sampled ? ObsNowNs() : 0;
-      FoldFront& front = ThreadFront();
-      slot = &front.SlotFor(query, hash);
-      if (front.Answers(*slot, hash, svc_id_, snapshot.unique_id(), query)) {
-        SvcCounters::Get().cache_hits.Increment();
-        SvcCounters::Get().tl_fold_hits.Increment();
-        if (sampled) {
-          JournalPhase(JournalEventKind::kCacheLookup, /*a=*/1, lookup_t0);
-        }
-        return slot->fold.get();  // pinned by the slot, consumed at once
+    const uint64_t lookup_t0 = sampled ? ObsNowNs() : 0;
+    set = &ThreadFront().SetFor(query, hash);
+    const FrontEntry* hit =
+        FoldFront::Find(*set, hash, svc_id_, snapshot.unique_id(), query);
+    SvcCounters& counters = SvcCounters::Get();
+    if (hit != nullptr) {
+      front_hits_.Increment();
+      counters.cache_hits.Increment();
+      counters.tl_fold_hits.Increment();
+    } else {
+      front_misses_.Increment();
+      counters.cache_misses.Increment();
+      counters.tl_fold_misses.Increment();
+    }
+    if (sampled) {
+      JournalPhase(JournalEventKind::kCacheLookup, hit != nullptr ? 1 : 0,
+                   lookup_t0);
+    }
+    if (hit != nullptr) {
+      return hit->fold.get();  // pinned by the entry, consumed at once
+    }
+  }
+  const uint64_t eval_t0 = sampled ? ObsNowNs() : 0;
+  EcvProfile merged;
+  Result<std::vector<WeightedOutcome>> outcomes =
+      snapshot.bundle().evaluator.Enumerate(
+          query.interface, query.args,
+          EffectiveProfile(snapshot, query, merged));
+  if (!outcomes.ok()) {
+    return outcomes.status();  // errors are never cached
+  }
+  if (sampled) {
+    JournalPhase(JournalEventKind::kEval, outcomes->size(), eval_t0);
+  }
+  // The fold Evaluator::ExpectedEnergy takes, so service answers are
+  // bit-identical to the single-threaded engine's. Folding once, when the
+  // front is filled, means a hit serves Expected and Distribution queries
+  // with no per-query fold.
+  const uint64_t fold_t0 = sampled ? ObsNowNs() : 0;
+  ECLARITY_ASSIGN_OR_RETURN(ExactFold folded,
+                            FoldOutcomes(*outcomes, options_.calibration));
+  if (sampled) {
+    JournalPhase(JournalEventKind::kFold, folded.distribution.atoms().size(),
+                 fold_t0);
+  }
+  SharedFold fold = std::make_shared<const ExactFold>(std::move(folded));
+  const ExactFold* answer = fold.get();
+  // Pin the answer until the thread's next query: in the front for a
+  // base-profile query, else (a what-if) in the thread's last-answer pin.
+  if (set != nullptr) {
+    if (FoldFront::Fill(*set, hash, svc_id_, snapshot.unique_id(), query,
+                        std::move(fold))) {
+      front_evictions_.Increment();
+      SvcCounters::Get().cache_evictions.Increment();
+      // Journaled only inside a sampled query, charged like its phase
+      // spans: one record per eviction would push sampled spans out of the
+      // ring.
+      if (sampled) {
+        JournalInstant(JournalEventKind::kFrontEviction, 0);
       }
-      SvcCounters::Get().tl_fold_misses.Increment();
     }
-    key.clear();
-    AppendCacheKey(snapshot, query, key);
-    fold = LookupFold(key);
-  }
-  if (fold == nullptr) {
-    const uint64_t eval_t0 = sampled ? ObsNowNs() : 0;
-    EcvProfile merged;
-    Result<std::vector<WeightedOutcome>> outcomes =
-        snapshot.bundle().evaluator.Enumerate(
-            query.interface, query.args,
-            EffectiveProfile(snapshot, query, merged));
-    if (!outcomes.ok()) {
-      return outcomes.status();  // errors are never cached
-    }
-    if (sampled) {
-      JournalPhase(JournalEventKind::kEval, outcomes->size(), eval_t0);
-    }
-    // The fold Evaluator::ExpectedEnergy takes, so service answers are
-    // bit-identical to the single-threaded engine's. Folding once at insert
-    // means a cache hit serves Expected and Distribution queries with no
-    // per-query fold.
-    const uint64_t fold_t0 = sampled ? ObsNowNs() : 0;
-    ECLARITY_ASSIGN_OR_RETURN(ExactFold folded,
-                              FoldOutcomes(*outcomes, options_.calibration));
-    if (sampled) {
-      JournalPhase(JournalEventKind::kFold, folded.distribution.atoms().size(),
-                   fold_t0);
-    }
-    fold = std::make_shared<const ExactFold>(std::move(folded));
-    if (!what_if) {
-      StoreFold(key, fold);
-    }
-  }
-  // Pin the answer past a later eviction: in the front slot for a
-  // base-profile query, else (a what-if, or no store) in the thread's
-  // last-answer pin.
-  if (slot != nullptr) {
-    FillFront(*slot, hash, svc_id_, snapshot.unique_id(), query,
-              std::move(fold));
-    return slot->fold.get();
+    return answer;
   }
   thread_local SharedFold pin;
   pin = std::move(fold);
-  return pin.get();
+  return answer;
 }
 
 std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
@@ -1017,19 +1009,21 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
   // Fill-construct every slot with a default success outcome up front: one
   // tight inlined loop instead of a per-item emplace_back call (which GCC
   // outlines, growth path and all). Every slot is overwritten before
-  // return — cache answers in pass 1, lane answers (or errors) in pass 2.
+  // return — front answers in pass 1, lane answers (or errors) in pass 2.
   std::vector<Result<QueryOutcome>> results(
       batch.size(), Result<QueryOutcome>(std::in_place));
 
   thread_local BatchScratch scratch;
   BatchScratch& sc = scratch;
   sc.Begin();
-  FoldFront* front = cache_.capacity() > 0 ? &ThreadFront() : nullptr;
+  FoldFront& front = ThreadFront();
   const uint64_t snap_id = snapshot.unique_id();
+  // Front probes, added to the counters once per call.
+  uint64_t hits = 0;
+  uint64_t misses = 0;
 
-  // Pass 1: probe or lane. A base-profile item is answered by the front,
-  // else by the store (a hit fills the front); every other exact item
-  // becomes a lane.
+  // Pass 1: probe or lane. A base-profile item is answered by the front;
+  // every other exact item becomes a lane.
   for (size_t i = 0; i < batch.size(); ++i) {
     const Query& query = batch[i];
     // Batch items sample through the same per-kind gates as single
@@ -1064,31 +1058,26 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
       }
       lane.profile = it->second;
     } else {
-      if (front != nullptr) {
-        // Front hits stay uncounted: the batch counters own the item.
-        FrontEntry& m = front->SlotFor(query, lane.front_hash);
-        if (front->Answers(m, lane.front_hash, svc_id_, snap_id, query)) {
-          AnswerFromFold(*results[i], query.kind, *m.fold);
-          continue;
-        }
-        lane.front_slot = &m;
-      }
-      if (sc.keys.size() <= sc.lanes.size()) {
-        sc.keys.resize(sc.lanes.size() + 1);
-      }
-      std::string& key = sc.keys[sc.lanes.size()];
-      key.clear();
-      AppendCacheKey(snapshot, query, key);
-      if (SharedFold hit = LookupFold(key)) {
-        AnswerFromFold(*results[i], query.kind, *hit);
-        if (lane.front_slot != nullptr) {
-          FillFront(*lane.front_slot, lane.front_hash, svc_id_, snap_id,
-                    query, std::move(hit));
-        }
+      FoldFront::Set& set = front.SetFor(query, lane.front_hash);
+      if (const FrontEntry* hit = FoldFront::Find(set, lane.front_hash,
+                                                  svc_id_, snap_id, query)) {
+        ++hits;
+        AnswerFromFold(*results[i], query.kind, *hit->fold);
         continue;
       }
+      ++misses;
+      lane.front_set = &set;
     }
     sc.lanes.push_back(lane);
+  }
+  SvcCounters& counters = SvcCounters::Get();
+  if (hits > 0) {
+    front_hits_.Increment(hits);
+    counters.cache_hits.Increment(hits);
+  }
+  if (misses > 0) {
+    front_misses_.Increment(misses);
+    counters.cache_misses.Increment(misses);
   }
 
   if (sc.lanes.empty()) {
@@ -1098,10 +1087,11 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
   // Pass 2: one SoA pass per (interface, effective profile) group —
   // pointer identity suffices, every override was merged once above. The
   // batch engine's answers (vector or per-lane scalar fallback) are
-  // bit-identical to FoldCached's enumerate+fold, so lanes, cache answers
+  // bit-identical to FoldCached's enumerate+fold, so lanes, front answers
   // and single dispatch all agree bit-for-bit. Each lane's answer or error
-  // goes straight into its result slot; base-profile answers are stored and
-  // fronted, errors and what-ifs never.
+  // goes straight into its result slot; base-profile answers fill the front
+  // (identical lanes fill one way), errors and what-ifs never. Evictions
+  // here are counted, not journaled: the per-item spans have closed.
   std::map<std::pair<std::string_view, const EcvProfile*>,
            std::vector<uint32_t>>
       groups;
@@ -1110,6 +1100,7 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
     groups[{std::string_view(batch[lane.item].interface), lane.profile}]
         .push_back(static_cast<uint32_t>(l));
   }
+  uint64_t evictions = 0;
   for (const auto& [group_key, lanes] : groups) {
     BatchPlan plan(snapshot.bundle().evaluator, std::string(group_key.first));
     std::vector<const std::vector<Value>*> lane_args;
@@ -1128,33 +1119,27 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
         continue;
       }
       AnswerFromFold(*results[lane.item], query.kind, *folds[g]);
-      if (base) {
-        auto entry = std::make_shared<const ExactFold>(*std::move(folds[g]));
-        if (lane.front_slot != nullptr) {
-          FillFront(*lane.front_slot, lane.front_hash, svc_id_, snap_id,
-                    query, entry);
-        }
-        StoreFold(sc.keys[lanes[g]], std::move(entry));
+      if (base && FoldFront::Find(*lane.front_set, lane.front_hash, svc_id_,
+                                  snap_id, query) == nullptr) {
+        evictions += FoldFront::Fill(
+            *lane.front_set, lane.front_hash, svc_id_, snap_id, query,
+            std::make_shared<const ExactFold>(*std::move(folds[g])));
       }
     }
+  }
+  if (evictions > 0) {
+    front_evictions_.Increment(evictions);
+    counters.cache_evictions.Increment(evictions);
   }
   return results;
 }
 
 QueryService::CacheStats QueryService::TotalCacheStats() const {
-  return cache_.TotalStats();
-}
-
-std::vector<QueryService::CacheStats> QueryService::PerShardCacheStats()
-    const {
-  std::vector<CacheStats> stats;
-  stats.reserve(cache_.shard_count());
-  for (size_t i = 0; i < cache_.shard_count(); ++i) {
-    stats.push_back(cache_.StatsForShard(i));
-  }
+  CacheStats stats;
+  stats.hits = front_hits_.value();
+  stats.misses = front_misses_.value();
+  stats.evictions = front_evictions_.value();
   return stats;
 }
-
-size_t QueryService::cache_shard_count() const { return cache_.shard_count(); }
 
 }  // namespace eclarity

@@ -16,18 +16,16 @@
 //     the old snapshot stays valid until its last reader drops it, so
 //     profile updates never block queries.
 //
-//   * One caching rule. The thread-local fold front and the sharded store
-//     hold exact answers under the snapshot's own profile; a query carrying
-//     ECV overrides (a what-if) is evaluated on every call and never
-//     cached. A caller that keeps asking one what-if publishes it with
-//     UpdateProfile and gets it cached like any base answer. Exact
-//     enumeration results are folded to a canonical (distribution, mean)
-//     pair at insert time and stored in a ShardedLruMap keyed on (program
-//     generation, interface, argument fingerprints, snapshot profile
-//     fingerprint); concurrent queries on different keys take different
-//     shard locks, and a hit answers an Expected or Distribution query with
-//     no re-fold. Errors are never cached. The per-thread front answers a
-//     repeated query, single or batched, without building its key.
+//   * One fold cache, one caching rule. Each querying thread keeps a
+//     4-way set-associative fold front (query_service.cc) holding exact
+//     answers under the snapshot's own profile; a query carrying ECV
+//     overrides (a what-if) is evaluated on every call and never cached. A
+//     caller that keeps asking one what-if publishes it with UpdateProfile
+//     and gets it cached like any base answer. Exact enumeration results
+//     are folded to a canonical (distribution, mean) pair once, when the
+//     front is filled, so a repeat, single or batched, answers an Expected
+//     or Distribution query from one content hash and one bit-level compare:
+//     no key, no lock, no shared write. Errors are never cached.
 //
 //   * Snapshot-time bytecode specialization. Each publication specializes
 //     the bundle's bytecode program against the snapshot's base profile
@@ -63,7 +61,7 @@
 #include "src/eval/ecv_profile.h"
 #include "src/eval/interp.h"
 #include "src/lang/ast.h"
-#include "src/svc/sharded_cache.h"
+#include "src/obs/metrics.h"
 #include "src/units/units.h"
 #include "src/util/status.h"
 
@@ -91,7 +89,7 @@ struct Query {
   // the service-wide options.eval.dist_mode; an analytic mode routes the
   // query through the snapshot evaluator's certified engine (with its
   // memoized sub-distribution cache), kEnumerate through the service's
-  // sharded exact-fold cache.
+  // thread-local fold front.
   std::optional<DistMode> dist_mode;
 };
 
@@ -121,9 +119,6 @@ struct QueryOutcome {
 // Namespace-scope (not nested) so `Options options = {}` default arguments
 // work around GCC bug 88165; spelled QueryService::Options at use sites.
 struct QueryServiceOptions {
-  // Total exact-fold cache capacity in entries, split across 16 shards. 0
-  // disables it together with the thread-local fold front before it.
-  size_t cache_capacity = 4096;
   // Evaluation budgets / engine. eval.mc_workers is forced to 1: Monte
   // Carlo runs on the calling thread, so a request never spawns threads.
   // eval.enum_cache_capacity has no effect here, because the service folds
@@ -139,9 +134,13 @@ struct QueryServiceOptions {
   // sampled query). Each kind counts down on its own gate, so a periodic
   // mix cannot starve a rare kind of samples. Unsampled queries pay one
   // thread-local countdown.
-  // 0 disables sampling. The default keeps the self-accounted overhead
-  // (eclarity_obs_overhead_ratio) well under the 1% telemetry budget even
-  // at cache-hit speeds (~10^7 queries/s); diagnostic tools can lower it.
+  // 0 disables sampling. The default does not keep the self-accounted
+  // overhead (eclarity_obs_overhead_ratio) under the 1% telemetry budget at
+  // front-hit speeds: traced perfbench hot_expected (4 clients, nearly all
+  // front hits, ~1.4e7 queries/s on a 4-vCPU host) read 0.0123, because
+  // one unsampled tick costs about 1% of a front hit. Traffic that
+  // enumerates stays well under it (serve_fig1 0.0022, cold_manager
+  // 0.0016). Diagnostic tools can lower the interval.
   uint32_t obs_sample_interval = 256;
 };
 
@@ -171,38 +170,48 @@ class QueryService {
 
   // Evaluates a batch against ONE snapshot, amortising the snapshot
   // acquisition: probe or lane. A base-profile exact item is answered by
-  // the thread-local fold front, else by the sharded store; every other
-  // exact item (a store miss or a what-if) is one lane of its (interface,
-  // effective profile) group's SoA pass, with overrides merged once per
-  // distinct override. Identical items are separate lanes. Base-profile
-  // lane answers are stored and fronted; what-if answers never are.
-  // Results are positionally aligned with `batch` and bit-identical to
-  // dispatching each query alone.
+  // the thread-local fold front; every other exact item (a front miss or a
+  // what-if) is one lane of its (interface, effective profile) group's SoA
+  // pass, with overrides merged once per distinct override. Identical items
+  // are separate lanes. Base-profile lane answers fill the front (one way
+  // per distinct item); what-if answers never do. Results are positionally
+  // aligned with `batch` and bit-identical to dispatching each query alone.
   std::vector<Result<QueryOutcome>> EvaluateBatch(
       const std::vector<Query>& batch) const;
 
   // --- Snapshot publication (writers; never blocks readers) ---------------
 
   // Swaps the base ECV profile. In-flight queries finish on the snapshot
-  // they acquired; the fold cache needs no flush because keys carry the
-  // snapshot profile's fingerprint.
+  // they acquired; the fold front needs no flush because its entries are
+  // stamped with the snapshot they were filled under, so none of them
+  // answers the new one (even a swap back to an equal profile refolds).
   void UpdateProfile(EcvProfile profile);
 
-  // Swaps the whole program (re-lowered under a fresh generation, so stale
-  // cache entries can never be returned for the new program).
+  // Swaps the whole program, re-lowered under a fresh generation. Like a
+  // profile swap it publishes a new snapshot, so no fold of the old program
+  // can answer for the new one.
   Status UpdateProgram(Program program);
 
   // --- Observability -------------------------------------------------------
 
-  // An exact query's fully folded answer, shared via the cache: the
-  // enumeration folded (FoldOutcomes) once, at insert time, so hits answer
-  // Expected / Distribution queries directly.
+  // An exact query's fully folded answer, pinned by a front entry: the
+  // enumeration folded (FoldOutcomes) once, when the front is filled, so
+  // hits answer Expected / Distribution queries directly.
   using SharedFold = std::shared_ptr<const ExactFold>;
 
-  using CacheStats = ShardedLruMap<std::string, SharedFold>::ShardStats;
+  // This service's fold-front probes, summed over every thread. Each
+  // base-profile kEnumerate exact query, single or batched, is one hit or
+  // one miss (a batch adds its counts once per call); what-ifs probe
+  // nothing. An eviction is a fill that displaced an entry of this same
+  // service and snapshot.
+  struct CacheStats {
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t evictions = 0;
+
+    uint64_t lookups() const { return hits + misses; }
+  };
   CacheStats TotalCacheStats() const;
-  std::vector<CacheStats> PerShardCacheStats() const;
-  size_t cache_shard_count() const;
   uint64_t snapshot_generation() const;
 
   // The snapshot type is opaque to callers; tests hold one to pin the old
@@ -210,7 +219,7 @@ class QueryService {
   class Snapshot;
   std::shared_ptr<const Snapshot> AcquireSnapshot() const;
   // Expected energy evaluated against a pinned snapshot (bypasses the
-  // current publication, still uses the shared cache).
+  // current publication, still uses the calling thread's fold front).
   Result<Energy> ExpectedOn(const Snapshot& snapshot,
                             const Query& query) const;
 
@@ -226,24 +235,13 @@ class QueryService {
   // within the query and never stash it.
   const Snapshot& AcquireSnapshotRef() const { return *SnapshotSlot(); }
 
-  // Cache-or-(enumerate+fold) against `snapshot`. A base-profile query
-  // probes the thread-local fold front first (see query_service.cc); only a
-  // miss builds the cache key and asks the sharded store. A what-if skips
-  // both and is enumerated and folded on every call. The returned pointer
-  // is pinned by a thread-local slot until the calling thread's next query;
-  // callers consume it immediately.
+  // Front-or-(enumerate+fold) against `snapshot`. A base-profile query
+  // probes the thread-local fold front (see query_service.cc) and a miss
+  // fills it; a what-if skips it and is enumerated and folded on every
+  // call. The returned pointer is pinned by a thread-local slot until the
+  // calling thread's next query; callers consume it immediately.
   Result<const ExactFold*> FoldCached(const Snapshot& snapshot,
                                       const Query& query) const;
-  // Sharded-store primitives shared by FoldCached and the batch path; they
-  // touch only the store. LookupFold counts exactly one cache hit or miss;
-  // StoreFold inserts a freshly folded entry and counts an eviction,
-  // journaling it only inside a sampled query.
-  SharedFold LookupFold(const std::string& key) const;
-  void StoreFold(const std::string& key, SharedFold entry) const;
-  // A base-profile query's store key: generation, interface, argument
-  // fingerprints, snapshot profile fingerprint.
-  static void AppendCacheKey(const Snapshot& snapshot, const Query& query,
-                             std::string& out);
   // The profile `query` evaluates under: the snapshot's own, or `merged`
   // filled with a copy that has the query's overrides merged in.
   static const EcvProfile& EffectiveProfile(const Snapshot& snapshot,
@@ -281,7 +279,11 @@ class QueryService {
   // skipping the mutex entirely while no swap happened.
   std::atomic<uint64_t> publish_seq_;
   std::atomic<uint64_t> next_generation_;
-  mutable ShardedLruMap<std::string, SharedFold> cache_;
+  // TotalCacheStats' counts: per-thread cells, so a front hit writes
+  // nothing another thread reads on its own hit path.
+  mutable Counter front_hits_;
+  mutable Counter front_misses_;
+  mutable Counter front_evictions_;
 };
 
 }  // namespace eclarity

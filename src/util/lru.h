@@ -2,10 +2,8 @@
 //
 // The eviction idiom (recency list + index of list iterators) is the one the
 // Fig. 1 web-service cache uses; this template generalises it so the same
-// policy backs the evaluator's fold and analytic caches and each shard of
-// the query service's fold cache (src/svc/sharded_cache.h). Not
-// thread-safe; callers that share an instance across threads must
-// synchronise.
+// policy backs the evaluator's fold and analytic caches. Not thread-safe;
+// callers that share an instance across threads must synchronise.
 
 #ifndef ECLARITY_SRC_UTIL_LRU_H_
 #define ECLARITY_SRC_UTIL_LRU_H_

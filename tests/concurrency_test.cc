@@ -1,6 +1,5 @@
 // Stress and determinism tests for the concurrent query layer (src/svc):
-// the sharded striped-lock LRU cache and the snapshot-swapping
-// QueryService. The load tests run real threads and are meant to be
+// the snapshot-swapping QueryService and its thread-local fold front. The load tests run real threads and are meant to be
 // exercised under ThreadSanitizer (the CI sanitize-thread job does); the
 // determinism tests enforce the service contract that a concurrent run is
 // bit-identical to a single-threaded replay of the same request log.
@@ -20,7 +19,6 @@
 #include "src/lang/parser.h"
 #include "src/obs/metrics.h"
 #include "src/svc/query_service.h"
-#include "src/svc/sharded_cache.h"
 #include "src/util/rng.h"
 #include "tests/parity_programs.h"
 
@@ -74,151 +72,6 @@ interface E_cnn_forward(image_size, n_zeros) {
          16 * n_embedding * 1.5nJ;
 }
 )";
-
-// --- ShardedLruMap ----------------------------------------------------------
-
-TEST(ShardedLruMapTest, SplitsCapacityAcrossShards) {
-  ShardedLruMap<uint64_t, int> cache(10, 4);
-  EXPECT_EQ(cache.shard_count(), 4u);
-  EXPECT_EQ(cache.capacity(), 10u);
-  size_t summed = 0;
-  for (size_t i = 0; i < cache.shard_count(); ++i) {
-    const auto stats = cache.StatsForShard(i);
-    EXPECT_GE(stats.capacity, 2u);  // 10/4 split: {3, 3, 2, 2}
-    summed += stats.capacity;
-  }
-  EXPECT_EQ(summed, 10u);
-}
-
-TEST(ShardedLruMapTest, ClampsShardCountToCapacity) {
-  ShardedLruMap<uint64_t, int> cache(3, 16);
-  EXPECT_EQ(cache.shard_count(), 3u);
-  for (size_t i = 0; i < cache.shard_count(); ++i) {
-    EXPECT_EQ(cache.StatsForShard(i).capacity, 1u);
-  }
-}
-
-TEST(ShardedLruMapTest, ZeroCapacityNeverStores) {
-  ShardedLruMap<uint64_t, int> cache(0, 16);
-  EXPECT_EQ(cache.shard_count(), 1u);  // one (disabled) shard
-  cache.Put(1, 10);
-  EXPECT_FALSE(cache.Get(1).has_value());
-  EXPECT_FALSE(cache.Contains(1));
-  EXPECT_EQ(cache.size(), 0u);
-  const auto stats = cache.TotalStats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.lookups(), 1u);
-}
-
-TEST(ShardedLruMapTest, BasicHitMissAndEviction) {
-  ShardedLruMap<uint64_t, int> cache(2, 1);
-  cache.Put(1, 10);
-  cache.Put(2, 20);
-  ASSERT_TRUE(cache.Get(1).has_value());  // 1 now most-recent
-  EXPECT_EQ(*cache.Get(1), 10);
-  EXPECT_TRUE(cache.Put(3, 30));  // evicts 2
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_FALSE(cache.Contains(2));
-  EXPECT_TRUE(cache.Contains(3));
-  EXPECT_EQ(cache.TotalStats().evictions, 1u);
-}
-
-// A hash that sends every key to the same shard: correctness must not
-// depend on the spreading being good, only the contention does.
-struct CollidingHash {
-  size_t operator()(uint64_t) const { return 42; }
-};
-
-TEST(ShardedLruMapTest, ForcedCollisionsStillBehaveAsOneLru) {
-  ShardedLruMap<uint64_t, uint64_t, CollidingHash> cache(4, 8);
-  const size_t target = cache.ShardIndexOf(0);
-  for (uint64_t key = 0; key < 100; ++key) {
-    EXPECT_EQ(cache.ShardIndexOf(key), target);
-    cache.Put(key, key * 2);
-  }
-  // All residency is in the one shard the colliding hash picked.
-  const auto stats = cache.StatsForShard(target);
-  EXPECT_EQ(stats.size, cache.StatsForShard(target).capacity);
-  EXPECT_EQ(cache.size(), stats.size);
-  // The most recent inserts survived.
-  for (uint64_t key = 100 - stats.size; key < 100; ++key) {
-    ASSERT_TRUE(cache.Get(key).has_value()) << key;
-    EXPECT_EQ(*cache.Get(key), key * 2);
-  }
-}
-
-TEST(ShardedLruMapTest, CapacityOneChurnFromTwoThreads) {
-  // A single capacity-1 shard shared by two writers: pure eviction churn.
-  // Every Put either refreshes the resident key or evicts it, so the final
-  // state is exactly one resident entry and the stats stay coherent.
-  ShardedLruMap<uint64_t, uint64_t> cache(1, 1);
-  constexpr int kOps = 20000;
-  auto churn = [&cache](uint64_t tid) {
-    for (uint64_t i = 0; i < kOps; ++i) {
-      const uint64_t key = tid * kOps + i;
-      cache.Put(key, key);
-      cache.Get(key);  // may hit or miss depending on interleaving
-    }
-  };
-  std::thread a(churn, 0);
-  std::thread b(churn, 1);
-  a.join();
-  b.join();
-  EXPECT_EQ(cache.size(), 1u);
-  const auto stats = cache.TotalStats();
-  EXPECT_EQ(stats.lookups(), static_cast<uint64_t>(2 * kOps));
-  EXPECT_EQ(stats.hits + stats.misses, stats.lookups());
-  // 2*kOps distinct keys went through a 1-entry cache: all but the resident
-  // one were displaced.
-  EXPECT_EQ(stats.evictions, static_cast<uint64_t>(2 * kOps - 1));
-}
-
-TEST(ShardedLruMapTest, ConcurrentMixedLoadStatsAddUp) {
-  ShardedLruMap<uint64_t, uint64_t> cache(64, 8);
-  constexpr size_t kThreads = 8;
-  constexpr size_t kOpsPerThread = 5000;
-  std::atomic<uint64_t> gets{0};
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (size_t t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&cache, &gets, t] {
-      Rng rng(1000 + t);
-      uint64_t local_gets = 0;
-      for (size_t i = 0; i < kOpsPerThread; ++i) {
-        const uint64_t key = rng.NextUint64() % 256;
-        if (rng.NextUint64() % 2 == 0) {
-          cache.Get(key);
-          ++local_gets;
-        } else {
-          cache.Put(key, key);
-        }
-      }
-      gets.fetch_add(local_gets, std::memory_order_relaxed);
-    });
-  }
-  for (std::thread& worker : workers) {
-    worker.join();
-  }
-  const auto total = cache.TotalStats();
-  // Quiescent: the aggregate must account for every Get, and the per-shard
-  // rows must sum to the aggregate.
-  EXPECT_EQ(total.lookups(), gets.load());
-  ShardedLruMap<uint64_t, uint64_t>::ShardStats summed;
-  for (size_t i = 0; i < cache.shard_count(); ++i) {
-    const auto shard = cache.StatsForShard(i);
-    EXPECT_LE(shard.size, shard.capacity);
-    summed.hits += shard.hits;
-    summed.misses += shard.misses;
-    summed.evictions += shard.evictions;
-    summed.size += shard.size;
-  }
-  EXPECT_EQ(summed.hits, total.hits);
-  EXPECT_EQ(summed.misses, total.misses);
-  EXPECT_EQ(summed.evictions, total.evictions);
-  EXPECT_EQ(summed.size, total.size);
-  EXPECT_LE(cache.size(), cache.capacity());
-}
 
 // --- QueryService: determinism under concurrency ----------------------------
 
@@ -277,15 +130,9 @@ TEST(QueryServiceConcurrencyTest, MixedLoadBitIdenticalToSingleThreadedReplay) {
     }
   }
 
-  // Quiescent cache accounting: every lookup is a hit or a miss, and the
-  // per-shard rows sum to the aggregate.
+  // Quiescent cache accounting: every lookup is a hit or a miss.
   const QueryService::CacheStats total = service->TotalCacheStats();
   EXPECT_EQ(total.hits + total.misses, total.lookups());
-  uint64_t shard_lookups = 0;
-  for (const QueryService::CacheStats& shard : service->PerShardCacheStats()) {
-    shard_lookups += shard.lookups();
-  }
-  EXPECT_EQ(shard_lookups, total.lookups());
   EXPECT_GT(total.hits, 0u);  // one arg vector: the cache must be doing work
 }
 
@@ -383,7 +230,7 @@ interface f() {
   ASSERT_TRUE(overridden.ok());
   EXPECT_EQ(Bits(overridden->joules()), Bits(reference->joules()));
 
-  // The what-if made no store lookup; only the base query asks the store.
+  // The what-if made no front probe; only the base query probes the front.
   Query base;
   base.interface = "f";
   auto plain = service->Expected(base);
@@ -529,11 +376,18 @@ TEST(QueryServiceConcurrencyTest, BatchBitIdenticalToSinglesAndDeduped) {
   auto batched = service->EvaluateBatch(batch);
   ASSERT_EQ(batched.size(), batch.size());
   // One arg vector and one profile: the first batch fronted its answer, so
-  // a second identical batch makes no store lookup.
-  const uint64_t lookups = service->TotalCacheStats().lookups();
+  // every exact item of a second identical batch is a front hit.
+  uint64_t exact_items = 0;
+  for (const Query& query : batch) {
+    exact_items += query.kind == QueryKind::kExpected ||
+                   query.kind == QueryKind::kDistribution;
+  }
+  const QueryService::CacheStats first = service->TotalCacheStats();
   auto again = service->EvaluateBatch(batch);
   ASSERT_EQ(again.size(), batch.size());
-  EXPECT_EQ(service->TotalCacheStats().lookups(), lookups);
+  const QueryService::CacheStats second = service->TotalCacheStats();
+  EXPECT_EQ(second.hits - first.hits, exact_items);
+  EXPECT_EQ(second.misses, first.misses);
 
   auto singles = MustCreate(kFig1Source);
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -677,7 +531,6 @@ TEST(QueryServiceConcurrencyTest, ErrorsPropagateAndAreNeverCached) {
   const QueryService::CacheStats stats = service->TotalCacheStats();
   EXPECT_EQ(stats.misses, 3u);  // never satisfied from cache
   EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.size, 0u);
 }
 
 TEST(QueryServiceConcurrencyTest, RejectsOpenPrograms) {
@@ -770,8 +623,8 @@ TEST(QueryServiceSnapshotTest, ProgramSwapBumpsGenerationAndRekeysCache) {
   EXPECT_EQ(service->snapshot_generation(), 1u);
   auto v2 = service->Expected(query);
   ASSERT_TRUE(v2.ok());
-  // The generation is part of the cache key, so the old program's cached
-  // enumeration cannot leak into the new world.
+  // A program swap publishes a new snapshot, so the old program's fronted
+  // fold cannot leak into the new world.
   EXPECT_DOUBLE_EQ(v2->joules(), 2.0);
 }
 
@@ -910,25 +763,6 @@ interface f() {
   EXPECT_DOUBLE_EQ(v2->joules, 0.002);
 }
 
-TEST(QueryServiceSnapshotTest, ZeroCapacityCacheStillAnswersCorrectly) {
-  QueryService::Options options;
-  options.cache_capacity = 0;
-  auto uncached = MustCreate(kFig1Source, options);
-  auto cached = MustCreate(kFig1Source);
-  Query query = MixedQueryAt(1);
-  for (int i = 0; i < 3; ++i) {
-    auto a = uncached->Expected(query);
-    auto b = cached->Expected(query);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(Bits(a->joules()), Bits(b->joules()));
-  }
-  const QueryService::CacheStats stats = uncached->TotalCacheStats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 3u);  // nothing ever sticks, every lookup misses
-  EXPECT_EQ(stats.size, 0u);
-}
-
 // --- The thread-local fold front ---------------------------------------------
 
 // The front's counters, read as deltas: the registry is process-wide.
@@ -970,8 +804,9 @@ TEST(QueryServiceFrontTest, RepeatedSingleQueryIsAFrontHit) {
   EXPECT_EQ(after_repeat.cache_hits - after_first.cache_hits, 1u);
   EXPECT_EQ(after_repeat.tl_hits - after_first.tl_hits, 1u);
   EXPECT_EQ(after_repeat.tl_misses - after_first.tl_misses, 0u);
-  // The front answered: the sharded store saw no second lookup.
-  EXPECT_EQ(service->TotalCacheStats().lookups(), 1u);
+  // The front answered the repeat: one miss, then one hit.
+  EXPECT_EQ(service->TotalCacheStats().hits, 1u);
+  EXPECT_EQ(service->TotalCacheStats().misses, 1u);
 }
 
 TEST(QueryServiceFrontTest, BatchAndSingleDispatchShareTheFront) {
@@ -981,30 +816,32 @@ TEST(QueryServiceFrontTest, BatchAndSingleDispatchShareTheFront) {
   auto results = service->EvaluateBatch({batched});
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].ok()) << results[0].status().ToString();
-  EXPECT_EQ(service->TotalCacheStats().lookups(), 1u);
+  EXPECT_EQ(service->TotalCacheStats().misses, 1u);
   const FrontCounts before = FrontCounts::Now();
   auto single = service->Dispatch(batched);
   ASSERT_TRUE(single.ok()) << single.status().ToString();
   EXPECT_EQ(single->Fingerprint(), results[0]->Fingerprint());
   EXPECT_EQ(FrontCounts::Now().tl_hits - before.tl_hits, 1u);
-  EXPECT_EQ(service->TotalCacheStats().lookups(), 1u);
+  EXPECT_EQ(service->TotalCacheStats().hits, 1u);
+  EXPECT_EQ(service->TotalCacheStats().misses, 1u);
 
   // And the reverse: single dispatch fills the front, and a batch item
-  // repeating it builds no key and asks the store nothing.
+  // repeating it is a front hit, not a lane.
   const Query dispatched = Fig1ExpectedQuery(40960.0);
   auto first = service->Dispatch(dispatched);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(service->TotalCacheStats().lookups(), 2u);
+  EXPECT_EQ(service->TotalCacheStats().misses, 2u);
   auto again = service->EvaluateBatch({dispatched, batched});
   ASSERT_EQ(again.size(), 2u);
   ASSERT_TRUE(again[0].ok()) << again[0].status().ToString();
   EXPECT_EQ(again[0]->Fingerprint(), first->Fingerprint());
-  EXPECT_EQ(service->TotalCacheStats().lookups(), 2u);
+  EXPECT_EQ(service->TotalCacheStats().hits, 3u);
+  EXPECT_EQ(service->TotalCacheStats().misses, 2u);
 }
 
 TEST(QueryServiceFrontTest, SignedZerosAreSeparateEntriesOnBothPaths) {
-  // Keys are bit-exact, so +0.0 and -0.0 must neither share a front entry
-  // nor a store key. The distribution's atom keeps the argument's sign, so
+  // Front entries compare argument bits, so +0.0 and -0.0 must not share
+  // one. The distribution's atom keeps the argument's sign, so
   // a conflated entry would also answer with the wrong bits.
   constexpr char kSource[] = R"(
 interface f(x) {
@@ -1038,7 +875,8 @@ interface f(x) {
   EXPECT_EQ(atom_bits(single->Dispatch(pos)), Bits(0.0));
   EXPECT_EQ(atom_bits(single->Dispatch(neg)), Bits(-0.0));
   EXPECT_EQ(FrontCounts::Now().tl_hits - before.tl_hits, 2u);
-  EXPECT_EQ(single->TotalCacheStats().lookups(), 2u);
+  EXPECT_EQ(single->TotalCacheStats().hits, 2u);
+  EXPECT_EQ(single->TotalCacheStats().misses, 2u);
 
   auto batch = MustCreate(kSource);
   auto first = batch->EvaluateBatch({pos, neg});
@@ -1048,15 +886,128 @@ interface f(x) {
   auto second = batch->EvaluateBatch({neg, pos});
   EXPECT_EQ(atom_bits(second[0]), Bits(-0.0));
   EXPECT_EQ(atom_bits(second[1]), Bits(0.0));
-  EXPECT_EQ(batch->TotalCacheStats().lookups(), 2u);
+  EXPECT_EQ(batch->TotalCacheStats().hits, 2u);
+  EXPECT_EQ(batch->TotalCacheStats().misses, 2u);
+}
+
+// BM_ServiceThroughput's working set: 64 Fig. 1 keys with image = 1024 +
+// 64k and n_zeros = image / 4.
+Query ThroughputKey(size_t k) {
+  const double image = 1024.0 + static_cast<double>(k) * 64.0;
+  Query query;
+  query.interface = "E_ml_webservice_handle";
+  query.args = {Value::Number(image), Value::Number(image / 4.0)};
+  return query;
+}
+
+TEST(QueryServiceFrontTest, SixtyFourKeysStayResident) {
+  // 64 keys in a 512-entry front must not evict one another: a
+  // direct-mapped front of the same size lost 10 of these 64 to slot
+  // collisions, so their repeats missed.
+  auto service = MustCreate(kFig1Source);
+  for (size_t k = 0; k < 64; ++k) {
+    ASSERT_TRUE(service->Expected(ThroughputKey(k)).ok());
+  }
+  const QueryService::CacheStats first = service->TotalCacheStats();
+  const FrontCounts before = FrontCounts::Now();
+  for (size_t k = 0; k < 64; ++k) {
+    ASSERT_TRUE(service->Expected(ThroughputKey(k)).ok());
+  }
+  const FrontCounts after = FrontCounts::Now();
+  EXPECT_EQ(after.tl_hits - before.tl_hits, 64u);
+  EXPECT_EQ(after.tl_misses - before.tl_misses, 0u);
+  const QueryService::CacheStats second = service->TotalCacheStats();
+  EXPECT_EQ(second.hits - first.hits, 64u);
+  EXPECT_EQ(second.misses - first.misses, 0u);
+}
+
+TEST(QueryServiceFrontTest, TotalCacheStatsCountsSingleAndBatchedProbes) {
+  // Each base-profile exact query probes the front once, single or
+  // batched; a what-if, a Monte Carlo query and a certified query probe
+  // nothing.
+  auto service = MustCreate(kFig1Source);
+  const Query base = Fig1ExpectedQuery(50176.0);
+  Query what_if = base;
+  what_if.profile.SetBernoulli("request_hit", 0.9);
+  const Query mc = MixedQueryAt(0);
+  ASSERT_EQ(mc.kind, QueryKind::kMonteCarlo);
+  Query bounded = base;
+  bounded.dist_mode = DistMode::kAnalyticBounded;
+  const FrontCounts before = FrontCounts::Now();
+  for (const Query& query : {base, base, what_if, mc, bounded}) {
+    auto outcome = service->Dispatch(query);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  }
+  QueryService::CacheStats stats = service->TotalCacheStats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+
+  // A batch: the fronted base item hits, both copies of a new item miss
+  // (identical items are separate lanes), and the rest probe nothing.
+  Query fresh = Fig1ExpectedQuery(40960.0);
+  fresh.kind = QueryKind::kDistribution;
+  for (const auto& result :
+       service->EvaluateBatch({base, fresh, what_if, fresh, mc, bounded})) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  stats = service->TotalCacheStats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 3u);
+  // The batch fronted its new item for the next call.
+  for (const auto& result : service->EvaluateBatch({fresh, fresh})) {
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  stats = service->TotalCacheStats();
+  EXPECT_EQ(stats.hits, 4u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.evictions, 0u);
+
+  // The process-wide counters saw the same probes; the tl_fold pair counts
+  // single dispatch only.
+  const FrontCounts after = FrontCounts::Now();
+  EXPECT_EQ(after.cache_hits - before.cache_hits, 4u);
+  EXPECT_EQ(after.tl_hits - before.tl_hits, 1u);
+  EXPECT_EQ(after.tl_misses - before.tl_misses, 1u);
+}
+
+TEST(QueryServiceFrontTest, EvictionsCountOnlyEntriesOfTheSameSnapshot) {
+  // 2048 distinct keys fill every set of the 512-entry front with this
+  // service's entries, and every fill past a set's fourth displaces one of
+  // them: an eviction.
+  constexpr size_t kKeys = 2048;
+  auto service = MustCreate(kFig1Source);
+  for (size_t k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(service->Expected(ThroughputKey(k)).ok());
+  }
+  const uint64_t evictions = service->TotalCacheStats().evictions;
+  EXPECT_EQ(evictions, kKeys - 512);
+
+  // Another service's fills displace those entries: an eviction for
+  // neither service.
+  auto other = MustCreate(kFig1Source);
+  for (size_t k = 0; k < 64; ++k) {
+    ASSERT_TRUE(other->Expected(ThroughputKey(k)).ok());
+  }
+  EXPECT_EQ(other->TotalCacheStats().evictions, 0u);
+  EXPECT_EQ(service->TotalCacheStats().evictions, evictions);
+
+  // After a profile swap the old snapshot's entries are stale: refilling
+  // over them evicts nothing.
+  EcvProfile hot;
+  hot.SetBernoulli("request_hit", 0.9);
+  service->UpdateProfile(hot);
+  for (size_t k = 64; k < 128; ++k) {
+    ASSERT_TRUE(service->Expected(ThroughputKey(k)).ok());
+  }
+  EXPECT_EQ(service->TotalCacheStats().evictions, evictions);
+  EXPECT_EQ(service->TotalCacheStats().misses, kKeys + 64);
 }
 
 TEST(QueryServiceConcurrencyTest, WhatIfIsNeverCached) {
-  // The caching rule: the front and the store hold answers under the
-  // snapshot's own profile only. A what-if (a query carrying ECV overrides)
-  // is evaluated on every call, single or batched, leaves both caches and
-  // their counters as they were, and answers with the engine's bits under
-  // the merged profile.
+  // The caching rule: the front holds answers under the snapshot's own
+  // profile only. A what-if (a query carrying ECV overrides) is evaluated
+  // on every call, single or batched, leaves the front and its counters as
+  // they were, and answers with the engine's bits under the merged profile.
   EcvProfile base;
   base.SetBernoulli("local_cache_hit", 0.6);
   auto service = MustCreate(kFig1Source, {}, base);
@@ -1126,7 +1077,6 @@ TEST(QueryServiceConcurrencyTest, WhatIfIsNeverCached) {
   EXPECT_EQ(after.hits, stats.hits);
   EXPECT_EQ(after.misses, stats.misses);
   EXPECT_EQ(after.evictions, stats.evictions);
-  EXPECT_EQ(after.size, stats.size);
   const FrontCounts now = FrontCounts::Now();
   EXPECT_EQ(now.cache_hits, before.cache_hits);
   EXPECT_EQ(now.tl_hits, before.tl_hits);

@@ -242,48 +242,57 @@ TEST(JournalTest, SingleThreadedReplayIsBitIdentical) {
   EXPECT_NE(first, JournalFingerprint({}));
 }
 
-// Drives `queries` distinct single queries through a two-entry store and
-// returns how many kShardEviction records the journal then holds;
+// Fills every set of the calling thread's 512-entry fold front with a fresh
+// service's entries (2048 distinct keys), then drives `queries` more
+// distinct single queries, each of which evicts one of them. Returns how
+// many kFrontEviction records the journal holds for those queries;
 // `evictions` receives how many evictions the counter saw.
 size_t JournaledEvictions(uint32_t sample_interval, int queries,
                           uint64_t& evictions) {
+  constexpr int kFill = 2048;
   Journal::Global().Clear();
   ObsSampler::ResetThread();
   QueryService::Options options;
-  options.cache_capacity = 2;
   options.obs_sample_interval = sample_interval;
   auto service = QueryService::Create(MustParse(kServiceSource), options);
   EXPECT_TRUE(service.ok()) << service.status().ToString();
-  Counter& counter = MetricsRegistry::Global().GetCounter(
-      "eclarity_svc_cache_evictions_total");
-  const uint64_t before = counter.value();
-  for (int i = 0; i < queries; ++i) {
+  auto query_at = [](int i) {
     Query query;
     query.interface = "E_handle";
     query.args = {Value::Number(64.0 + i)};
-    auto outcome = (*service)->Dispatch(query);
+    return query;
+  };
+  for (int i = 0; i < kFill; ++i) {
+    EXPECT_TRUE((*service)->Dispatch(query_at(i)).ok());
+  }
+  Journal::Global().Clear();
+  Counter& counter = MetricsRegistry::Global().GetCounter(
+      "eclarity_svc_cache_evictions_total");
+  const uint64_t before = counter.value();
+  for (int i = kFill; i < kFill + queries; ++i) {
+    auto outcome = (*service)->Dispatch(query_at(i));
     EXPECT_TRUE(outcome.ok()) << outcome.status().ToString();
   }
   evictions = counter.value() - before;
   size_t journaled = 0;
   for (const JournalEvent& event : Journal::Global().Drain()) {
-    journaled += event.kind == JournalEventKind::kShardEviction ? 1 : 0;
+    journaled += event.kind == JournalEventKind::kFrontEviction ? 1 : 0;
   }
   return journaled;
 }
 
 // Evictions are always counted but journaled only inside a sampled query,
-// where they are charged like its phase spans: on a churning store, one
+// where they are charged like its phase spans: on a churning front, one
 // record per eviction would push the sampled spans out of the ring.
 TEST(JournalTest, EvictionsAreJournaledOnlyInsideSampledQueries) {
   constexpr int kQueries = 32;
   uint64_t evictions = 0;
   EXPECT_EQ(JournaledEvictions(/*sample_interval=*/0, kQueries, evictions),
             0u);
-  EXPECT_GE(evictions, static_cast<uint64_t>(kQueries - 2));
+  EXPECT_EQ(evictions, static_cast<uint64_t>(kQueries));
   EXPECT_EQ(JournaledEvictions(/*sample_interval=*/1, kQueries, evictions),
             evictions);
-  EXPECT_GE(evictions, static_cast<uint64_t>(kQueries - 2));
+  EXPECT_EQ(evictions, static_cast<uint64_t>(kQueries));
 }
 
 // --- Telemetry overhead budget ----------------------------------------------

@@ -38,7 +38,7 @@
 //                                        replay, and report throughput,
 //                                        sampled latency percentiles, the
 //                                        self-accounted telemetry overhead
-//                                        ratio, and cache/metric statistics;
+//                                        ratio, and fold-front statistics;
 //                                        --journal drains the flight
 //                                        recorder (text to stdout, Chrome
 //                                        trace JSON to OUT.json)
@@ -55,8 +55,10 @@
 // replay).
 
 #include <chrono>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -692,6 +694,11 @@ int Profile(const std::string& path, const std::string& entry,
   return 0;
 }
 
+// Bounds on `eilc serve`'s counts, checked before anything is allocated or
+// a thread starts: the run keeps one fingerprint per query in memory.
+constexpr size_t kMaxServeThreads = 256;
+constexpr size_t kMaxServeRequests = 65536;  // per thread
+
 // Drives the concurrent QueryService the way a resource manager would: N
 // client threads each issue M queries against one published snapshot. The
 // mix is mostly exact expectations with an exact distribution every 16th
@@ -722,29 +729,36 @@ int Serve(const std::string& path, const std::string& entry,
       journal_out = arg.substr(10);
       continue;
     }
-    auto parse_size = [&arg](const char* flag, size_t* out) {
+    // A value outside [1, max], an overflowing one included, leaves 0 for
+    // the usage check below.
+    auto parse_size = [&arg](const char* flag, size_t max, size_t* out) {
       const size_t len = std::strlen(flag);
       if (arg.rfind(flag, 0) != 0) {
         return false;
       }
       char* end = nullptr;
-      const long v = std::strtol(arg.c_str() + len, &end, 10);
-      if (end == nullptr || *end != '\0' || v <= 0) {
+      errno = 0;
+      const long long v = std::strtoll(arg.c_str() + len, &end, 10);
+      if (end == nullptr || *end != '\0' || errno == ERANGE || v <= 0 ||
+          static_cast<unsigned long long>(v) > max) {
         *out = 0;  // flag matched but value bad; caller reports usage
       } else {
         *out = static_cast<size_t>(v);
       }
       return true;
     };
-    if (parse_size("--threads=", &threads) ||
-        parse_size("--requests=", &requests) || parse_size("--batch=", &batch)) {
+    if (parse_size("--threads=", kMaxServeThreads, &threads) ||
+        parse_size("--requests=", kMaxServeRequests, &requests) ||
+        parse_size("--batch=", SIZE_MAX, &batch)) {
       continue;
     }
     kept.push_back(arg);
   }
   if (threads == 0 || requests == 0 || batch == 0) {
     std::fprintf(stderr,
-                 "--threads/--requests/--batch expect positive integers\n");
+                 "--threads/--requests/--batch expect positive integers "
+                 "(--threads at most %zu, --requests at most %zu)\n",
+                 kMaxServeThreads, kMaxServeRequests);
     return 2;
   }
   rest = std::move(kept);
@@ -879,19 +893,12 @@ int Serve(const std::string& path, const std::string& entry,
   std::printf("throughput:   %.0f queries/s over %.3f s\n",
               elapsed > 0.0 ? total / elapsed : 0.0, elapsed);
   const QueryService::CacheStats stats = (*service)->TotalCacheStats();
-  std::printf("cache:        %llu lookups, %llu hits, %llu misses, "
-              "%llu evictions (%zu resident / %zu capacity)\n",
+  std::printf("fold front:   %llu lookups, %llu hits, %llu misses, "
+              "%llu evictions\n",
               static_cast<unsigned long long>(stats.lookups()),
               static_cast<unsigned long long>(stats.hits),
               static_cast<unsigned long long>(stats.misses),
-              static_cast<unsigned long long>(stats.evictions), stats.size,
-              stats.capacity);
-  const auto shards = (*service)->PerShardCacheStats();
-  std::printf("shards:       %zu;", shards.size());
-  for (const QueryService::CacheStats& shard : shards) {
-    std::printf(" %llu", static_cast<unsigned long long>(shard.lookups()));
-  }
-  std::printf(" lookups\n");
+              static_cast<unsigned long long>(stats.evictions));
   std::printf("determinism:  %zu/%zu fingerprints match the single-threaded "
               "replay\n",
               total - divergences, total);
