@@ -107,7 +107,7 @@ BENCHMARK(BM_SpecializeOnSwap);
 
 // The same evaluation with tracing attached: measures the full cost of the
 // observability path (preserve-terms lowering, per-event sink calls, and the
-// fold-cache bypass). Compare against BM_EnumerateFig1 for the
+// fold-slot bypass). Compare against BM_EnumerateFig1 for the
 // overhead; with no sink installed the hot path is untouched.
 void BM_TracedEval(benchmark::State& state) {
   // Counts events without storing them, so iterations don't accumulate.
@@ -222,14 +222,13 @@ BENCHMARK(BM_EnumerateDepth)->Arg(4)->Arg(8)->Arg(12);
 
 // The same program through the bounded convolution algebra:
 // O(depth * |support|^2) work instead of 2^depth paths, every answer carrying
-// a certified error bound. The sub-distribution cache is disabled so every
-// iteration pays the full evaluation — compare against BM_EnumerateDepth at
-// equal depth for the collapse factor.
+// a certified error bound. Certified answers are never cached across calls,
+// so every iteration pays the full evaluation — compare against
+// BM_EnumerateDepth at equal depth for the collapse factor.
 void BM_AnalyticBoundedDepth(benchmark::State& state) {
   const int depth = static_cast<int>(state.range(0));
   auto program = ParseProgram(DeepEcvSource(depth));
   EvalOptions options;
-  options.analytic_cache_capacity = 0;
   options.dist_mode = DistMode::kAnalyticBounded;
   options.prune_threshold = 1e-6;
   Evaluator evaluator(*program, options);

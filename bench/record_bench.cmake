@@ -1,7 +1,8 @@
 # Records the checked-in benchmark snapshot (BENCH_perf_toolkit.json).
 # Invoked by the bench_json target with:
 #   -DBENCH_BIN=<perf_toolkit path> -DOUT_JSON=<snapshot path>
-#   -DREPO_BUILD_TYPE=<CMAKE_BUILD_TYPE>
+#   -DREPO_BUILD_TYPE=<CMAKE_BUILD_TYPE> -DPYTHON=<python3 path>
+#   -DEXPERIMENTS_MD=<EXPERIMENTS.md path>
 #
 # Numbers from an unoptimised build are worse than useless — they get
 # committed as the regression baseline — so recording refuses outright
@@ -35,3 +36,17 @@ string(REPLACE "\"library_build_type\""
        content "${content}")
 file(WRITE ${OUT_JSON} "${content}")
 message(STATUS "bench_json: recorded ${OUT_JSON} (repo ${REPO_BUILD_TYPE})")
+
+# EXPERIMENTS.md quotes the snapshot; re-render its toolkit paragraph so the
+# experiments_toolkit_paragraph ctest keeps passing.
+if(NOT PYTHON)
+  message(FATAL_ERROR "bench_json: Python 3 is needed to re-render "
+                      "${EXPERIMENTS_MD}'s toolkit paragraph")
+endif()
+execute_process(
+  COMMAND ${PYTHON} ${CMAKE_CURRENT_LIST_DIR}/toolkit_paragraph.py
+          --json ${OUT_JSON} --doc ${EXPERIMENTS_MD}
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "bench_json: toolkit_paragraph.py exited with ${rc}")
+endif()

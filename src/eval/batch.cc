@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/eval/builtins.h"
 #include "src/eval/exec_common.h"
@@ -35,6 +36,25 @@ struct BatchCounters {
         new BatchCounters{ECLARITY_BATCH_COUNTERS(ECLARITY_COUNTER_LOOKUP)};
     return *counters;
   }
+};
+
+// One value column: `width` lanes of a single frame slot. Uniform columns
+// carry one scalar for every lane (constants, shared ECV draws); number and
+// bool columns are contiguous planes the inner term loops run over; the
+// value plane is the general per-lane form (mixed kinds, energies).
+struct BatchColumn {
+  enum class Tag : uint8_t {
+    kUniform,  // every lane holds `uniform`
+    kNumbers,  // per-lane doubles (SIMD-friendly plane)
+    kBools,    // per-lane booleans
+    kValues,   // per-lane Values (energies / mixed kinds)
+  };
+
+  Tag tag = Tag::kUniform;
+  Value uniform;
+  std::vector<double> nums;
+  std::vector<uint8_t> bools;
+  std::vector<Value> vals;
 };
 
 using Tag = BatchColumn::Tag;

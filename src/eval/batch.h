@@ -15,17 +15,11 @@
 // eclarity_eval_batch_scalar_fallbacks_total. Answers are therefore
 // positionally bit-identical to scalar dispatch by construction, including
 // error codes and messages.
-//
-// The BatchPlan/BatchFrame split is backend-neutral: a plan owns no
-// execution state, and a frame is plain columnar storage (tagged planes of
-// doubles/bools/values), so an accelerator backend (GPU/OpenCL) can consume
-// the same frames and implement the same abort-to-scalar contract without
-// touching the callers.
 
 #ifndef ECLARITY_SRC_EVAL_BATCH_H_
 #define ECLARITY_SRC_EVAL_BATCH_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -35,32 +29,6 @@
 #include "src/util/status.h"
 
 namespace eclarity {
-
-// One value column: `width` lanes of a single frame slot. Uniform columns
-// carry one scalar for every lane (constants, shared ECV draws); number and
-// bool columns are contiguous planes the inner term loops run over; the
-// value plane is the general per-lane form (mixed kinds, energies).
-struct BatchColumn {
-  enum class Tag : uint8_t {
-    kUniform,  // every lane holds `uniform`
-    kNumbers,  // per-lane doubles (SIMD-friendly plane)
-    kBools,    // per-lane booleans
-    kValues,   // per-lane Values (energies / mixed kinds)
-  };
-
-  Tag tag = Tag::kUniform;
-  Value uniform;
-  std::vector<double> nums;
-  std::vector<uint8_t> bools;
-  std::vector<Value> vals;
-};
-
-// Columnar storage for one call frame: one column per lowered frame slot.
-// Plain data so alternative backends can fill/consume frames directly.
-struct BatchFrame {
-  size_t width = 0;
-  std::vector<BatchColumn> slots;
-};
 
 class BatchPlan {
  public:

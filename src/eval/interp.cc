@@ -4,10 +4,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <optional>
 #include <sstream>
-#include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "src/eval/analytic.h"
@@ -376,9 +375,7 @@ Evaluator::Evaluator(const Program& program, EvalOptions options)
       eval_id_([] {
         static std::atomic<uint64_t> next{1};
         return next.fetch_add(1, std::memory_order_relaxed);
-      }()),
-      fold_cache_(options.enum_cache_capacity),
-      analytic_cache_(options.analytic_cache_capacity) {
+      }()) {
   if (options_.engine == EvalEngine::kTreeWalk) {
     EvalCounters::Get().engine_treewalk.Increment();
     return;
@@ -528,26 +525,6 @@ Result<std::vector<WeightedOutcome>> Evaluator::Enumerate(
   return outcomes;
 }
 
-size_t Evaluator::fold_cache_hits() const {
-  std::lock_guard<std::mutex> lock(fold_mu_);
-  return fold_cache_.hits();
-}
-
-size_t Evaluator::fold_cache_misses() const {
-  std::lock_guard<std::mutex> lock(fold_mu_);
-  return fold_cache_.misses();
-}
-
-size_t Evaluator::analytic_cache_hits() const {
-  std::lock_guard<std::mutex> lock(analytic_mu_);
-  return analytic_cache_.hits();
-}
-
-size_t Evaluator::analytic_cache_misses() const {
-  std::lock_guard<std::mutex> lock(analytic_mu_);
-  return analytic_cache_.misses();
-}
-
 const AnalyticAnalysis* Evaluator::EnsureAnalysis() const {
   std::lock_guard<std::mutex> lock(analytic_mu_);
   if (analysis_ == nullptr) {
@@ -581,10 +558,25 @@ Result<CertifiedDistribution> Evaluator::EvalCertified(
                            options_.dist_mode);
 }
 
+// Keyed by callee name and argument fingerprints: mode, prune threshold,
+// profile and calibration are fixed within the call.
+struct Evaluator::CertifiedMemo {
+  std::unordered_map<std::string, CertifiedDistribution> answers;
+};
+
 Result<CertifiedDistribution> Evaluator::EvalCertifiedMode(
     const std::string& interface_name, const std::vector<Value>& args,
     const EcvProfile& profile, const EnergyCalibration* calibration,
     DistMode mode) const {
+  CertifiedMemo memo;
+  return EvalCertifiedMemo(interface_name, args, profile, calibration, mode,
+                           memo);
+}
+
+Result<CertifiedDistribution> Evaluator::EvalCertifiedMemo(
+    const std::string& interface_name, const std::vector<Value>& args,
+    const EcvProfile& profile, const EnergyCalibration* calibration,
+    DistMode mode, CertifiedMemo& memo) const {
   // kEnumerate, the tree-walk engine, and tracing all answer through exact
   // enumeration (tracing because the analytic engines emit no per-path
   // events; the result would be correct but silent).
@@ -614,47 +606,27 @@ Result<CertifiedDistribution> Evaluator::EvalCertifiedMode(
     return fall_back();
   }
 
-  const bool use_cache = options_.analytic_cache_capacity > 0;
-  std::string key;
-  if (use_cache) {
-    key.reserve(96);
-    key += interface_name;
-    key.push_back('\x1f');
-    for (const Value& arg : args) {
-      arg.AppendFingerprint(key);
-    }
-    key.push_back('\x1f');
-    key += profile.Fingerprint();
-    key.push_back('\x1f');
-    // Mode, prune threshold, and calibration all change the cached value.
-    key.push_back(static_cast<char>('0' + static_cast<int>(mode)));
-    uint64_t prune_bits = 0;
-    static_assert(sizeof(prune_bits) == sizeof(options_.prune_threshold));
-    std::memcpy(&prune_bits, &options_.prune_threshold, sizeof(prune_bits));
-    key.append(reinterpret_cast<const char*>(&prune_bits), sizeof(prune_bits));
-    key.push_back('\x1f');
-    if (calibration != nullptr) {
-      key += calibration->Fingerprint();
-    }
-    std::lock_guard<std::mutex> lock(analytic_mu_);
-    if (const std::shared_ptr<const CertifiedDistribution>* hit =
-            analytic_cache_.Get(key)) {
-      return **hit;
-    }
-  }
-
-  // Sub-interface calls resolve through the cache-aware certified
+  // Sub-interface calls resolve through the memo, then the certified
   // evaluation; any error makes the parent fall back, and the fallback
-  // enumeration reproduces it.
+  // enumeration reproduces it. Errors are not memoized.
   const AnalyticSubEval subeval =
       [&](const LoweredInterface& callee,
           const std::vector<Value>& callee_args)
       -> std::optional<CertifiedDistribution> {
-    Result<CertifiedDistribution> sub = EvalCertifiedMode(
-        callee.decl->name, callee_args, profile, calibration, mode);
+    std::string key = callee.decl->name;
+    key.push_back('\x1f');
+    for (const Value& arg : callee_args) {
+      arg.AppendFingerprint(key);
+    }
+    if (const auto hit = memo.answers.find(key); hit != memo.answers.end()) {
+      return hit->second;
+    }
+    Result<CertifiedDistribution> sub = EvalCertifiedMemo(
+        callee.decl->name, callee_args, profile, calibration, mode, memo);
     if (!sub.ok()) {
       return std::nullopt;
     }
+    memo.answers.emplace(std::move(key), *sub);
     return *std::move(sub);
   };
   std::optional<CertifiedDistribution> approx =
@@ -663,16 +635,10 @@ Result<CertifiedDistribution> Evaluator::EvalCertifiedMode(
   if (!approx.has_value()) {
     return fall_back();  // off-template or over the expansion budget
   }
-  CertifiedDistribution result = *std::move(approx);
-  EvalCounters::Get().analytic_pruned_mass.Observe(result.pruned_mass);
+  EvalCounters::Get().analytic_pruned_mass.Observe(approx->pruned_mass);
   analytic_hits_.fetch_add(1, std::memory_order_relaxed);
   EvalCounters::Get().analytic_hits.Increment();
-  if (use_cache) {
-    auto shared = std::make_shared<const CertifiedDistribution>(result);
-    std::lock_guard<std::mutex> lock(analytic_mu_);
-    analytic_cache_.Put(std::move(key), std::move(shared));
-  }
-  return result;
+  return *std::move(approx);
 }
 
 Result<double> OutcomeJoules(const Value& value,
@@ -711,25 +677,24 @@ Result<ExactFold> FoldOutcomes(const std::vector<WeightedOutcome>& outcomes,
 Result<const ExactFold*> Evaluator::FoldShared(
     const std::string& interface_name, const std::vector<Value>& args,
     const EcvProfile& profile, const EnergyCalibration* calibration) const {
-  // The last entry this thread resolved, pinned by the slot's shared_ptr:
-  // a repeat of the same exact query is answered with one key build and
-  // one string compare, no lock and no refcount traffic. Entries are
-  // immutable, so a slot gone stale (evicted from fold_cache_, or kept
-  // across a long gap) still holds the correct value for its key.
-  struct MruSlot {
-    uint64_t eval_id = 0;
+  // The last answer this thread folded: a repeat of the same exact query
+  // is answered with one key build and one string compare, no lock and no
+  // shared write. The key names every input the answer depends on, so the
+  // slot never needs invalidating.
+  struct FoldSlot {
+    uint64_t eval_id = 0;  // 0: holds no reusable answer
     std::string key;
-    std::shared_ptr<const ExactFold> entry;
+    ExactFold fold;
   };
-  thread_local MruSlot mru;
-  // Tracing bypasses the cache (a hit would replay no events); zero
-  // capacity disables it.
-  const bool use_cache =
+  thread_local FoldSlot slot;
+  // Tracing bypasses the slot (a hit would replay no events); a zero
+  // enum_cache_capacity switches it off.
+  const bool use_slot =
       options_.enum_cache_capacity > 0 && options_.trace == nullptr;
   // Function-local scratch: the steady-state exact-query path builds its
   // key without allocating. Never escapes this frame before being copied.
   thread_local std::string key;
-  if (use_cache) {
+  if (use_slot) {
     key.clear();
     key += interface_name;
     key.push_back('\x1f');
@@ -745,31 +710,19 @@ Result<const ExactFold*> Evaluator::FoldShared(
       key.push_back('c');
       key += calibration->Fingerprint();
     }
-    if (mru.eval_id == eval_id_ && mru.key == key) {
-      return mru.entry.get();
-    }
-    std::lock_guard<std::mutex> lock(fold_mu_);
-    if (const std::shared_ptr<const ExactFold>* hit = fold_cache_.Get(key)) {
-      mru.eval_id = eval_id_;
-      mru.key = key;
-      mru.entry = *hit;
-      return mru.entry.get();
+    if (slot.eval_id == eval_id_ && slot.key == key) {
+      return &slot.fold;
     }
   }
   ECLARITY_ASSIGN_OR_RETURN(std::vector<WeightedOutcome> outcomes,
                             Enumerate(interface_name, args, profile));
-  ECLARITY_ASSIGN_OR_RETURN(ExactFold fold,
-                            FoldOutcomes(outcomes, calibration));
-  auto entry = std::make_shared<const ExactFold>(std::move(fold));
-  if (use_cache) {
-    // Errors never reach this point, so only successes are cached.
-    std::lock_guard<std::mutex> lock(fold_mu_);
-    fold_cache_.Put(key, entry);
+  // Errors return above, so the slot only ever holds a success.
+  ECLARITY_ASSIGN_OR_RETURN(slot.fold, FoldOutcomes(outcomes, calibration));
+  slot.eval_id = use_slot ? eval_id_ : 0;
+  if (use_slot) {
+    slot.key = key;
   }
-  mru.eval_id = use_cache ? eval_id_ : 0;
-  mru.key = use_cache ? key : std::string();
-  mru.entry = std::move(entry);
-  return mru.entry.get();
+  return &slot.fold;
 }
 
 Result<Distribution> Evaluator::EvalDistribution(
@@ -815,35 +768,33 @@ Result<Energy> Evaluator::MonteCarloMean(
     return InvalidArgumentError("MonteCarloMean: zero samples");
   }
   EvalCounters::Get().mc_samples.Increment(samples);
-  // The chunk layout is a function of `samples` alone, and each chunk's RNG
-  // stream is forked from `rng` in chunk order, so the set of draws — and
-  // the fixed-order reduction below — do not depend on how many workers run.
+  // The chunk layout is a function of `samples` alone, and each chunk draws
+  // from its own stream, forked from `rng` in chunk order before any chunk
+  // runs, so the draws, the chunk-order reduction below and the caller's
+  // `rng` afterwards depend only on the seed and the sample count. The
+  // first failing chunk's error is returned.
   constexpr size_t kTargetChunk = 256;
   const size_t num_chunks = std::clamp<size_t>(
       (samples + kTargetChunk - 1) / kTargetChunk, size_t{1}, size_t{64});
-  struct Chunk {
-    Chunk(Rng stream, size_t n) : rng(stream), count(n) {}
-    Rng rng;
-    size_t count;
-    double sum = 0.0;
-    Status status;
-  };
-  std::vector<Chunk> chunks;
-  chunks.reserve(num_chunks);
+  std::vector<Rng> streams;
+  streams.reserve(num_chunks);
+  for (size_t c = 0; c < num_chunks; ++c) {
+    streams.push_back(rng.Fork());
+  }
   const size_t base_count = samples / num_chunks;
   const size_t remainder = samples % num_chunks;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    chunks.emplace_back(rng.Fork(), base_count + (c < remainder ? 1 : 0));
-  }
 
   const std::shared_ptr<const BytecodeProgram> bc = PickBytecode(profile);
-  const auto run_chunk = [&](Chunk& chunk) {
-    SamplingChooser chooser(chunk.rng);
+  double total = 0.0;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    SamplingChooser chooser(streams[c]);
     std::optional<BytecodeInterpreter> vm;
     if (bc != nullptr) {
       vm.emplace(*bc, options_, profile, chooser);
     }
-    for (size_t i = 0; i < chunk.count; ++i) {
+    const size_t count = base_count + (c < remainder ? 1 : 0);
+    double sum = 0.0;
+    for (size_t i = 0; i < count; ++i) {
       Result<Value> value = [&]() -> Result<Value> {
         if (vm.has_value()) {
           vm->Reset();
@@ -853,47 +804,13 @@ Result<Energy> Evaluator::MonteCarloMean(
         return exec.CallInterface(interface_name, args);
       }();
       if (!value.ok()) {
-        chunk.status = value.status();
-        return;
+        return value.status();
       }
-      Result<double> joules = OutcomeJoules(value.value(), calibration);
-      if (!joules.ok()) {
-        chunk.status = joules.status();
-        return;
-      }
-      chunk.sum += joules.value();
+      ECLARITY_ASSIGN_OR_RETURN(const double joules,
+                                OutcomeJoules(value.value(), calibration));
+      sum += joules;
     }
-  };
-
-  size_t workers = options_.mc_workers != 0
-                       ? options_.mc_workers
-                       : static_cast<size_t>(std::thread::hardware_concurrency());
-  workers = std::clamp<size_t>(workers, 1, num_chunks);
-  if (workers == 1) {
-    for (Chunk& chunk : chunks) {
-      run_chunk(chunk);
-    }
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        for (size_t c = w; c < num_chunks; c += workers) {
-          run_chunk(chunks[c]);
-        }
-      });
-    }
-    for (std::thread& t : pool) {
-      t.join();
-    }
-  }
-
-  double total = 0.0;
-  for (const Chunk& chunk : chunks) {  // fixed reduction order
-    if (!chunk.status.ok()) {
-      return chunk.status;
-    }
-    total += chunk.sum;
+    total += sum;
   }
   return Energy::Joules(total / static_cast<double>(samples));
 }

@@ -46,7 +46,6 @@
 #include "src/lang/ast.h"
 #include "src/lang/value.h"
 #include "src/units/abstract_energy.h"
-#include "src/util/lru.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
@@ -92,17 +91,15 @@ struct EvalOptions {
   // results; kBytecode transparently falls back to the tree walk when the
   // program does not compile (see DESIGN.md, "Bytecode VM").
   EvalEngine engine = EvalEngine::kBytecode;
-  // Capacity of the per-evaluator exact-fold cache behind EvalDistribution
-  // and ExpectedEnergy, in entries keyed by (interface, arguments, ECV
-  // profile, calibration). 0 disables it. Enumerate() never caches.
+  // Switches the thread-local fold slot behind EvalDistribution and
+  // ExpectedEnergy: 0 turns it off, any other value on (the slot holds one
+  // answer whatever the value; the name predates it). Enumerate() never
+  // caches.
   size_t enum_cache_capacity = 128;
-  // Worker threads for MonteCarloMean. 0 means hardware concurrency. The
-  // result for a fixed seed does not depend on this setting.
-  size_t mc_workers = 0;
   // Evaluation tracing (src/obs/trace.h). When set, both engines report
   // structured events — interface enter/exit, ECV draws, branches, energy
   // terms, enumeration path markers — to the sink, bit-for-bit identically.
-  // Tracing bypasses the fold cache (cached replays would emit no events)
+  // Tracing bypasses the fold slot (a slot hit would emit no events)
   // and, on the bytecode engine, switches lowering to
   // preserve-energy-terms mode. The sink must outlive the evaluator.
   // nullptr (default) keeps evaluation at full speed: the engines only test
@@ -117,9 +114,6 @@ struct EvalOptions {
   // is certified into CertifiedDistribution::mean_error_bound. 0 disables
   // pruning. A larger threshold never yields a tighter certified bound.
   double prune_threshold = 0.0;
-  // Capacity of the per-evaluator analytic sub-distribution cache, keyed by
-  // (interface, arguments, ECV profile, mode, threshold). 0 disables.
-  size_t analytic_cache_capacity = 128;
   // Bytecode VM profiler (src/eval/vm_profile.h). When set, the bytecode
   // engine runs its profiled dispatch loop — per-opcode hit counters plus a
   // sampled instruction-site histogram merged into the profiler as each
@@ -155,7 +149,7 @@ class Evaluator {
   ~Evaluator();
 
   // Not copyable or movable: holds lowered state pointing into `program`
-  // plus a mutex-guarded cache. Every current use constructs in place.
+  // plus mutex-guarded state. Every current use constructs in place.
   Evaluator(const Evaluator&) = delete;
   Evaluator& operator=(const Evaluator&) = delete;
 
@@ -178,7 +172,8 @@ class Evaluator {
 
   // Enumerate() folded to a Distribution over Joules. Abstract energy
   // returns are resolved through `calibration` (pass nullptr to require
-  // fully concrete returns).
+  // fully concrete returns). Under kEnumerate, an immediate repeat on the
+  // same thread is answered by the fold slot (see FoldShared).
   Result<Distribution> EvalDistribution(
       const std::string& interface_name, const std::vector<Value>& args,
       const EcvProfile& profile,
@@ -191,10 +186,10 @@ class Evaluator {
       const EnergyCalibration* calibration = nullptr) const;
 
   // Monte Carlo: mean of `samples` sampled evaluations, in Joules. Used by
-  // property tests to cross-validate Enumerate(). Samples run in parallel
-  // (options.mc_workers); per-chunk RNG streams are forked from `rng` and
-  // sums are reduced in a fixed order, so the result for a given seed and
-  // sample count is deterministic regardless of worker count.
+  // property tests to cross-validate Enumerate(). Samples run in chunks on
+  // the calling thread; each chunk's RNG stream is forked from `rng` in
+  // chunk order and chunk sums are reduced in that order, so the result for
+  // a given seed and sample count is deterministic. Starts no threads.
   Result<Energy> MonteCarloMean(const std::string& interface_name,
                                 const std::vector<Value>& args,
                                 const EcvProfile& profile, Rng& rng,
@@ -207,7 +202,10 @@ class Evaluator {
   // and every query the analytic engines decline answer via exact
   // enumeration with a zero bound). Enumerated answers have exact == true
   // and distributions bit-identical to the enumeration fold; bounded/moments
-  // answers certify |exact_mean - mean| <= mean_error_bound. Thread-safe.
+  // answers certify |exact_mean - mean| <= mean_error_bound. Within one
+  // call, each sub-interface answer is computed once per (callee,
+  // arguments) and reused at every call site; nothing is kept across calls.
+  // Thread-safe.
   Result<CertifiedDistribution> EvalCertified(
       const std::string& interface_name, const std::vector<Value>& args,
       const EcvProfile& profile,
@@ -237,21 +235,15 @@ class Evaluator {
   std::shared_ptr<const BytecodeProgram> bytecode() const { return bytecode_; }
   std::shared_ptr<const BytecodeProgram> specialized_bytecode() const;
 
-  // Fold-cache observability (tests, benchmarks): lookups that reached the
-  // shared store behind the thread-local MRU slot.
-  size_t fold_cache_hits() const;
-  size_t fold_cache_misses() const;
-
-  // Analytic-engine observability: evaluations answered analytically vs.
-  // fallen back to enumeration, and sub-distribution cache traffic.
+  // Analytic-engine observability: evaluations, top-level or sub-interface,
+  // answered analytically vs. fallen back to enumeration. A sub-interface
+  // answer reused within one call counts neither.
   size_t analytic_hits() const {
     return analytic_hits_.load(std::memory_order_relaxed);
   }
   size_t analytic_fallbacks() const {
     return analytic_fallbacks_.load(std::memory_order_relaxed);
   }
-  size_t analytic_cache_hits() const;
-  size_t analytic_cache_misses() const;
 
  private:
   // The SoA batch engine (eval/batch) interprets lowered_ directly and
@@ -264,13 +256,25 @@ class Evaluator {
   std::shared_ptr<const BytecodeProgram> PickBytecode(
       const EcvProfile& profile) const;
 
-  // One folded enumeration, cached so repeated exact queries skip the
-  // enumeration, fold and Distribution build. The returned pointer stays valid
-  // until the calling thread's next FoldShared call (a thread-local MRU slot
-  // pins the entry); callers consume it immediately.
+  // One folded enumeration. The calling thread's fold slot keeps the last
+  // answer, keyed by (evaluator, interface, arguments, ECV profile,
+  // calibration), so an immediate repeat skips the enumeration, fold and
+  // Distribution build. The returned pointer stays valid until the calling
+  // thread's next FoldShared call; callers consume it immediately.
   Result<const ExactFold*> FoldShared(
       const std::string& interface_name, const std::vector<Value>& args,
       const EcvProfile& profile, const EnergyCalibration* calibration) const;
+
+  // Sub-interface answers within one top-level certified evaluation
+  // (defined in interp.cc).
+  struct CertifiedMemo;
+
+  // EvalCertifiedMode's body: sub-interface calls resolve through `memo`,
+  // which the top-level call owns.
+  Result<CertifiedDistribution> EvalCertifiedMemo(
+      const std::string& interface_name, const std::vector<Value>& args,
+      const EcvProfile& profile, const EnergyCalibration* calibration,
+      DistMode mode, CertifiedMemo& memo) const;
 
   // Exact enumeration folded into a CertifiedDistribution (exact == true,
   // zero bound). The universal fallback for every analytic mode.
@@ -298,26 +302,15 @@ class Evaluator {
   mutable std::string spec_fingerprint_;
   mutable const EcvProfile* spec_profile_ = nullptr;
 
-  // Distinguishes this evaluator in thread-local caches (never reused, so
-  // an evaluator reallocated at the same address cannot alias a stale
-  // thread-local entry the way an address tag could).
+  // Distinguishes this evaluator in the thread-local fold slot (never
+  // reused, so an evaluator reallocated at the same address cannot alias a
+  // stale slot the way an address tag could).
   const uint64_t eval_id_;
 
-  // Folded-enumeration cache keyed by (interface, arguments, ECV profile,
-  // calibration). The hot path is a lock-free thread-local MRU slot inside
-  // FoldShared — one key build plus one string compare; this map, guarded
-  // by fold_mu_, is the shared store behind it. Entries are immutable
-  // shared state, so a stale MRU slot after eviction still holds the
-  // correct value.
-  mutable std::mutex fold_mu_;
-  mutable LruMap<std::string, std::shared_ptr<const ExactFold>> fold_cache_;
-
-  // Analytic state: shape analysis (built on first certified evaluation)
-  // and the memoized sub-distribution cache, both guarded by analytic_mu_.
+  // Shape analysis, built on the first certified evaluation under
+  // analytic_mu_ and immutable afterwards.
   mutable std::mutex analytic_mu_;
   mutable std::unique_ptr<const AnalyticAnalysis> analysis_;
-  mutable LruMap<std::string, std::shared_ptr<const CertifiedDistribution>>
-      analytic_cache_;
   mutable std::atomic<uint64_t> analytic_hits_{0};
   mutable std::atomic<uint64_t> analytic_fallbacks_{0};
 };

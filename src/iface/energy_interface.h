@@ -122,8 +122,8 @@ class EnergyInterface {
 
   // The memoised evaluator for the most recent EvalOptions. Keeping it
   // across calls preserves the lowered program (interface pre-binding, slot
-  // tables) and the fold cache, so repeated Expected() queries — the
-  // resource-manager usage pattern — skip all setup work.
+  // tables) and the evaluator's fold slot, so repeated Expected() queries —
+  // the resource-manager usage pattern — skip all setup work.
   struct EvaluatorMemo {
     std::mutex mu;
     std::shared_ptr<Evaluator> evaluator;

@@ -335,12 +335,8 @@ Result<std::unique_ptr<QueryService>> QueryService::Create(
   // sampled query would clear the in-flight sample and silently drop that
   // query's phase spans from the journal.
   ObsBudget::Global();
-  // MC sampling runs on the calling thread: one inline worker per request.
-  EvalOptions eval = options.eval;
-  eval.mc_workers = 1;
-  options.eval = eval;
-  auto bundle = std::make_shared<const Snapshot::Bundle>(std::move(program),
-                                                         /*gen=*/0, eval);
+  auto bundle = std::make_shared<const Snapshot::Bundle>(
+      std::move(program), /*gen=*/0, options.eval);
   auto snapshot =
       std::make_shared<const Snapshot>(std::move(bundle),
                                        std::move(base_profile));
@@ -482,10 +478,6 @@ DistMode QueryService::EffectiveMode(const Query& query) const {
 
 Result<CertifiedDistribution> QueryService::CertifiedOn(
     const Snapshot& snapshot, const Query& query, DistMode mode) const {
-  // The snapshot evaluator's analytic cache keys on (interface, args,
-  // profile, mode, threshold, calibration), so concurrent certified queries
-  // dedup there; a program swap replaces the evaluator wholesale, which
-  // rekeys by construction.
   EcvProfile merged;
   return snapshot.bundle().evaluator.EvalCertifiedMode(
       query.interface, query.args, EffectiveProfile(snapshot, query, merged),
@@ -522,9 +514,11 @@ Result<Distribution> QueryService::EvalDistribution(const Query& query) const {
   if (ObsSampler::Active()) {
     JournalInstant(JournalEventKind::kSnapshotPin, snapshot.generation());
   }
-  ECLARITY_ASSIGN_OR_RETURN(const ExactFold* fold,
-                            FoldCached(snapshot, query));
-  return fold->distribution;
+  Result<QueryOutcome> outcome = DistributionOn(snapshot, query);
+  if (!outcome.ok()) {
+    return outcome.status();
+  }
+  return *std::move(outcome->distribution);
 }
 
 Result<Energy> QueryService::MonteCarloOn(const Snapshot& snapshot,
@@ -571,6 +565,33 @@ Result<Value> QueryService::SampleOn(const Snapshot& snapshot,
       rng);
 }
 
+Result<QueryOutcome> QueryService::DistributionOn(
+    const Snapshot& snapshot, const Query& query) const {
+  QueryOutcome outcome;
+  outcome.kind = QueryKind::kDistribution;
+  const DistMode mode = EffectiveMode(query);
+  if (mode != DistMode::kEnumerate) {
+    ECLARITY_ASSIGN_OR_RETURN(CertifiedDistribution cd,
+                              CertifiedOn(snapshot, query, mode));
+    if (!cd.has_distribution) {
+      return FailedPreconditionError(
+          "moments-only evaluation materialises no distribution; "
+          "use kExpected");
+    }
+    outcome.joules = cd.mean;
+    outcome.distribution = std::move(cd.distribution);
+    outcome.analytic = true;
+    outcome.error_bound = cd.mean_error_bound;
+    outcome.pruned_mass = cd.pruned_mass;
+    return outcome;
+  }
+  ECLARITY_ASSIGN_OR_RETURN(const ExactFold* fold,
+                            FoldCached(snapshot, query));
+  outcome.joules = fold->mean;
+  outcome.distribution = fold->distribution;
+  return outcome;
+}
+
 Result<QueryOutcome> QueryService::DispatchOn(const Snapshot& snapshot,
                                               const Query& query) const {
   QueryOutcome outcome;
@@ -591,28 +612,8 @@ Result<QueryOutcome> QueryService::DispatchOn(const Snapshot& snapshot,
       outcome.joules = energy.joules();
       return outcome;
     }
-    case QueryKind::kDistribution: {
-      if (mode != DistMode::kEnumerate) {
-        ECLARITY_ASSIGN_OR_RETURN(CertifiedDistribution cd,
-                                  CertifiedOn(snapshot, query, mode));
-        if (!cd.has_distribution) {
-          return FailedPreconditionError(
-              "moments-only evaluation materialises no distribution; "
-              "use kExpected");
-        }
-        outcome.joules = cd.mean;
-        outcome.distribution = std::move(cd.distribution);
-        outcome.analytic = true;
-        outcome.error_bound = cd.mean_error_bound;
-        outcome.pruned_mass = cd.pruned_mass;
-        return outcome;
-      }
-      ECLARITY_ASSIGN_OR_RETURN(const ExactFold* fold,
-                                FoldCached(snapshot, query));
-      outcome.joules = fold->mean;
-      outcome.distribution = fold->distribution;
-      return outcome;
-    }
+    case QueryKind::kDistribution:
+      return DistributionOn(snapshot, query);
     case QueryKind::kMonteCarlo: {
       ECLARITY_ASSIGN_OR_RETURN(Energy energy, MonteCarloOn(snapshot, query));
       outcome.joules = energy.joules();
@@ -1036,8 +1037,8 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
     if ((query.kind != QueryKind::kExpected &&
          query.kind != QueryKind::kDistribution) ||
         EffectiveMode(query) != DistMode::kEnumerate) {
-      // Certified queries dedup inside the snapshot evaluator's analytic
-      // cache; the service's fold caches are kEnumerate-only.
+      // Certified queries run on the snapshot evaluator's certified
+      // engines; the service's fold front is kEnumerate-only.
       results[i] = DispatchOn(snapshot, query);
       continue;
     }

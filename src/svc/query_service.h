@@ -85,11 +85,11 @@ struct Query {
   QueryKind kind = QueryKind::kExpected;
   uint64_t seed = 0;     // RNG seed for kMonteCarlo / kSample
   size_t samples = 1024;  // sample count for kMonteCarlo
-  // Distribution-evaluation mode for kExpected / kDistribution. Unset uses
-  // the service-wide options.eval.dist_mode; an analytic mode routes the
-  // query through the snapshot evaluator's certified engine (with its
-  // memoized sub-distribution cache), kEnumerate through the service's
-  // thread-local fold front.
+  // Distribution-evaluation mode for kExpected / kDistribution, and for
+  // Expected() and EvalDistribution(). Unset uses the service-wide
+  // options.eval.dist_mode; an analytic mode routes the query through the
+  // snapshot evaluator's certified engine, which caches nothing across
+  // queries, kEnumerate through the service's thread-local fold front.
   std::optional<DistMode> dist_mode;
 };
 
@@ -119,10 +119,10 @@ struct QueryOutcome {
 // Namespace-scope (not nested) so `Options options = {}` default arguments
 // work around GCC bug 88165; spelled QueryService::Options at use sites.
 struct QueryServiceOptions {
-  // Evaluation budgets / engine. eval.mc_workers is forced to 1: Monte
-  // Carlo runs on the calling thread, so a request never spawns threads.
-  // eval.enum_cache_capacity has no effect here, because the service folds
-  // and caches exact answers itself. Setting eval.vm_profiler threads
+  // Evaluation budgets / engine. Monte Carlo runs on the calling thread,
+  // so a request never spawns threads. eval.enum_cache_capacity has no
+  // effect here, because the service folds and caches exact answers
+  // itself. Setting eval.vm_profiler threads
   // the bytecode VM profiler through every snapshot evaluator, giving
   // per-interface hot-op attribution for service traffic.
   EvalOptions eval;
@@ -160,6 +160,9 @@ class QueryService {
   // --- Queries (all thread-safe, any number of concurrent callers) --------
 
   Result<Energy> Expected(const Query& query) const;
+  // The distribution Dispatch answers for a kDistribution query, whatever
+  // query.kind says: certified under an analytic mode (an error under
+  // kAnalyticMoments, which materialises none), exact otherwise.
   Result<Distribution> EvalDistribution(const Query& query) const;
   // Draws query.samples samples on the calling thread.
   Result<Energy> MonteCarlo(const Query& query) const;
@@ -249,11 +252,16 @@ class QueryService {
                                             EcvProfile& merged);
   // The query's dist_mode, falling back to the service-wide default.
   DistMode EffectiveMode(const Query& query) const;
-  // Certified evaluation against `snapshot` under an analytic mode, through
-  // the snapshot evaluator's memoized sub-distribution cache.
+  // Certified evaluation against `snapshot` under an analytic mode. The
+  // evaluator reuses sub-interface answers within this one call and keeps
+  // nothing across calls.
   Result<CertifiedDistribution> CertifiedOn(const Snapshot& snapshot,
                                             const Query& query,
                                             DistMode mode) const;
+  // A kDistribution answer against `snapshot`: Dispatch and
+  // EvalDistribution both answer through it.
+  Result<QueryOutcome> DistributionOn(const Snapshot& snapshot,
+                                      const Query& query) const;
   Result<QueryOutcome> DispatchOn(const Snapshot& snapshot,
                                   const Query& query) const;
   Result<Energy> MonteCarloOn(const Snapshot& snapshot,

@@ -1,9 +1,10 @@
 // A generic intrusive-list LRU map.
 //
 // The eviction idiom (recency list + index of list iterators) is the one the
-// Fig. 1 web-service cache uses; this template generalises it so the same
-// policy backs the evaluator's fold and analytic caches. Not thread-safe;
-// callers that share an instance across threads must synchronise.
+// Fig. 1 web-service cache uses; LruMap now backs only LruSet, the
+// key-presence view that web service's two cache tiers use. Not
+// thread-safe; callers that share an instance across threads must
+// synchronise.
 
 #ifndef ECLARITY_SRC_UTIL_LRU_H_
 #define ECLARITY_SRC_UTIL_LRU_H_
@@ -38,26 +39,19 @@ class LruMap {
     return &it->second->second;
   }
 
-  // Lookup without promoting or touching the hit/miss statistics.
-  const V* Peek(const K& key) const {
-    const auto it = index_.find(key);
-    return it == index_.end() ? nullptr : &it->second->second;
-  }
-
   bool Contains(const K& key) const { return index_.count(key) > 0; }
 
   // Inserts (or refreshes) an entry, evicting the least-recent on overflow.
-  // A capacity of zero disables storage entirely. Returns true when the
-  // insertion displaced a resident entry (observability hooks count these).
-  bool Put(K key, V value) {
+  // A capacity of zero disables storage entirely.
+  void Put(K key, V value) {
     if (capacity_ == 0) {
-      return false;
+      return;
     }
     const auto it = index_.find(key);
     if (it != index_.end()) {
       it->second->second = std::move(value);
       order_.splice(order_.begin(), order_, it->second);
-      return false;
+      return;
     }
     order_.emplace_front(key, std::move(value));
     index_[std::move(key)] = order_.begin();
@@ -65,14 +59,7 @@ class LruMap {
       index_.erase(order_.back().first);
       order_.pop_back();
       ++evictions_;
-      return true;
     }
-    return false;
-  }
-
-  void Clear() {
-    order_.clear();
-    index_.clear();
   }
 
   size_t size() const { return order_.size(); }

@@ -656,8 +656,8 @@ Query AnalyticQueryAt(size_t global) {
 
 TEST(QueryServiceConcurrencyTest,
      AnalyticModesBitIdenticalToSingleThreadedReplay) {
-  // 8 threads hammer the snapshot evaluator's memoized sub-distribution
-  // cache with mixed certified/enumeration queries; the outcome
+  // 8 threads hammer the snapshot evaluator's certified engines with mixed
+  // certified/enumeration queries; the outcome
   // fingerprints (which include the certified bound and pruned-mass bits)
   // must match a single-threaded replay of the same log exactly.
   constexpr size_t kThreads = 8;
@@ -728,10 +728,56 @@ TEST(QueryServiceConcurrencyTest, AnalyticOutcomesMatchEvaluatorAndCertify) {
   }
 }
 
+TEST(QueryServiceConcurrencyTest, EvalDistributionAnswersLikeDispatch) {
+  // Twelve independent 3 mJ increments, each taken with probability 0.3:
+  // the exact distribution has 13 atoms, and pruning at 1e-2 leaves fewer.
+  // EvalDistribution must give Dispatch's kDistribution answer under every
+  // mode: the certified bits under kAnalyticBounded, the same error under
+  // kAnalyticMoments (which materialises no distribution).
+  std::string source = "interface acc(x) {\n  let mut total = 0J;\n";
+  for (int i = 0; i < 12; ++i) {
+    const std::string d = "d" + std::to_string(i);
+    source += "  ecv " + d + " ~ bernoulli(0.3);\n";
+    source += "  if (" + d + ") { total = total + x * 1mJ; }\n";
+  }
+  source += "  return total;\n}\n";
+  QueryService::Options options;
+  options.eval.prune_threshold = 1e-2;
+  auto service = MustCreate(source, options);
+
+  Query query;
+  query.interface = "acc";
+  query.args = {Value::Number(3.0)};
+  query.kind = QueryKind::kDistribution;
+  query.dist_mode = DistMode::kAnalyticBounded;
+  const auto dispatched = service->Dispatch(query);
+  const auto direct = service->EvalDistribution(query);
+  ASSERT_TRUE(dispatched.ok()) << dispatched.status().ToString();
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  ASSERT_TRUE(dispatched->analytic);
+  EXPECT_GT(dispatched->error_bound, 0.0);
+  const Distribution& want = *dispatched->distribution;
+  ASSERT_EQ(direct->atoms().size(), want.atoms().size());
+  for (size_t a = 0; a < want.atoms().size(); ++a) {
+    EXPECT_EQ(Bits(direct->atoms()[a].value), Bits(want.atoms()[a].value));
+    EXPECT_EQ(Bits(direct->atoms()[a].probability),
+              Bits(want.atoms()[a].probability));
+  }
+
+  query.dist_mode = DistMode::kAnalyticMoments;
+  const auto dispatched_moments = service->Dispatch(query);
+  const auto direct_moments = service->EvalDistribution(query);
+  ASSERT_FALSE(dispatched_moments.ok());
+  EXPECT_EQ(direct_moments.status().code(),
+            dispatched_moments.status().code());
+  EXPECT_EQ(direct_moments.status().message(),
+            dispatched_moments.status().message());
+}
+
 TEST(QueryServiceSnapshotTest, ProgramSwapRekeysAnalyticCache) {
-  // The sub-distribution cache lives in the snapshot's evaluator, which is
-  // rebuilt on UpdateProgram — so a new generation can never be answered
-  // from the old program's cached analytic results.
+  // Certified answers are computed per call against the snapshot's
+  // evaluator, which UpdateProgram rebuilds — so a new generation is never
+  // answered from the old program.
   auto service = MustCreate(R"(
 interface f() {
   let mut acc = 0J;

@@ -98,7 +98,7 @@ inline std::string DeepProgram(Rng& rng, int depth, bool friendly,
   std::string program =
       "interface deep_core(n) {\n" + body + ret + "}\n";
   // Optionally stack affine wrappers (exercises call handling / the
-  // memoized sub-distribution cache).
+  // certified engines' per-call memo).
   std::string entry = "deep_core";
   const int wrappers = static_cast<int>(rng.UniformInt(0, 2));
   for (int w = 0; w < wrappers; ++w) {

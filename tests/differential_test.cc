@@ -234,6 +234,45 @@ TEST(DifferentialTest, AnalyticEngineActuallyEngages) {
   }
 }
 
+// A `levels`-deep call chain: every L_k(x) calls L_{k+1} from both arms of
+// a draw, at x and at x + 1, down to a two-outcome leaf. L0(1) reaches
+// 2^(levels+1) - 1 call sites but only (levels+1)(levels+2)/2 distinct
+// (interface, argument) pairs.
+std::string CallChainSource(int levels) {
+  std::string source;
+  for (int k = 0; k < levels; ++k) {
+    const std::string next = "L" + std::to_string(k + 1);
+    source += "interface L" + std::to_string(k) + "(x) {\n";
+    source += "  ecv e ~ bernoulli(0.5);\n";
+    source += "  if (e) { return " + next + "(x); }\n";
+    source += "  return " + next + "(x + 1);\n}\n";
+  }
+  source += "interface L" + std::to_string(levels) + "(x) {\n";
+  source += "  ecv e ~ bernoulli(0.5);\n";
+  source += "  if (e) { return x * 1mJ; }\n";
+  source += "  return x * 2mJ;\n}\n";
+  return source;
+}
+
+TEST(DifferentialTest, AnalyticSubCallsEvaluateOncePerArgument) {
+  // Within one certified call, each distinct (interface, argument) pair is
+  // evaluated analytically once and reused at every other call site: 91
+  // evaluations for 8,191 call sites.
+  const Program p = MustParse(CallChainSource(12));
+  EvalOptions options;
+  options.dist_mode = DistMode::kAnalyticBounded;
+  Evaluator bounded(p, options);
+  const std::vector<Value> args = {Value::Number(1.0)};
+  const auto cd = bounded.EvalCertified("L0", args, {});
+  ASSERT_TRUE(cd.ok()) << cd.status().ToString();
+  EXPECT_EQ(bounded.analytic_hits(), 91u);
+  EXPECT_EQ(bounded.analytic_fallbacks(), 0u);
+
+  const auto exact = Evaluator(p).ExpectedEnergy("L0", args, {});
+  ASSERT_TRUE(exact.ok()) << exact.status().ToString();
+  EXPECT_LE(std::abs(exact->joules() - cd->mean), cd->mean_error_bound);
+}
+
 // `depth` Bernoulli draws, each read by a compound guard: no draw pairs
 // with an increment, so the bounded engine expands every draw as a mixture
 // (2^(depth+1) - 2 expansions in all).

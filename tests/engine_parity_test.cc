@@ -3,15 +3,13 @@
 // the tree-walking reference interpreter (EvalEngine::kTreeWalk) — same
 // outcome values and probability bits, ECV draw order, trace events,
 // sampled values, and error codes and messages. Also covers the tree walk
-// serving when bytecode compilation overflows, and the determinism
-// guarantee of the parallel Monte Carlo reduction: the same seed gives the
-// same bits, or the same error, at every worker count.
+// serving when bytecode compilation overflows, and Monte Carlo: the same
+// seed gives the same bits, or the same error, on both engines.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -322,51 +320,45 @@ TEST(EngineParityTest, CompileOverflowFallsBackToTreeWalk) {
   }
 }
 
-constexpr size_t kMcWorkerCounts[] = {1, 2, 4, 0};  // 0: hardware threads
-
-// Runs MonteCarloMean at every worker count from the same seed and returns
-// the first run's result. Every run must return the same bits, or fail with
-// the same code and message.
-Result<Energy> MonteCarloAcrossWorkers(const Program& program,
+// Runs MonteCarloMean on the bytecode engine and on the tree walk from the
+// same seed and returns the bytecode result. Both must return the same
+// bits, or fail with the same code and message.
+Result<Energy> MonteCarloAcrossEngines(const Program& program,
                                        const std::string& entry,
                                        const std::vector<Value>& args,
                                        uint64_t seed, size_t samples) {
   SCOPED_TRACE(std::to_string(samples) + " samples");
-  std::optional<Result<Energy>> reference;
-  for (const size_t workers : kMcWorkerCounts) {
+  const auto run = [&](EvalEngine engine) {
     EvalOptions options;
-    options.mc_workers = workers;
+    options.engine = engine;
     const Evaluator eval(program, options);
     Rng rng(seed);
-    Result<Energy> mean = eval.MonteCarloMean(entry, args, {}, rng, samples);
-    if (!reference.has_value()) {
-      reference = std::move(mean);
-    } else if (!mean.ok() || !reference->ok()) {
-      EXPECT_EQ(mean.status().code(), reference->status().code())
-          << "workers=" << workers;
-      EXPECT_EQ(mean.status().message(), reference->status().message())
-          << "workers=" << workers;
-    } else {
-      EXPECT_EQ(Bits(mean->joules()), Bits((*reference)->joules()))
-          << "workers=" << workers;
-    }
+    return eval.MonteCarloMean(entry, args, {}, rng, samples);
+  };
+  Result<Energy> bytecode = run(EvalEngine::kBytecode);
+  const Result<Energy> tree = run(EvalEngine::kTreeWalk);
+  if (!bytecode.ok() || !tree.ok()) {
+    EXPECT_EQ(bytecode.status().code(), tree.status().code());
+    EXPECT_EQ(bytecode.status().message(), tree.status().message());
+  } else {
+    EXPECT_EQ(Bits(bytecode->joules()), Bits(tree->joules()));
   }
-  return *std::move(reference);
+  return bytecode;
 }
 
-TEST(EngineParityTest, MonteCarloDeterministicAcrossWorkerCounts) {
+TEST(EngineParityTest, MonteCarloDeterministicAcrossEngines) {
   // Fig. 1 branches on its draws.
   const Program p = MustParse(parity::kFig1Source);
-  const auto mean = MonteCarloAcrossWorkers(
+  const auto mean = MonteCarloAcrossEngines(
       p, "E_ml_webservice_handle",
       {Value::Number(50176.0), Value::Number(10000.0)}, 42, 2000);
   EXPECT_TRUE(mean.ok()) << mean.status().ToString();
 }
 
-// BatchMonteCarloTest is named for the batch-lane sampler that single-worker
-// MonteCarloMean once ran. A single worker now runs the scalar chunk loop
-// inline, as QueryService does; these cases pin it to the threaded runs.
-TEST(BatchMonteCarloTest, SingleWorkerBatchPathMatchesThreadedScalar) {
+// BatchMonteCarloTest is named for the batch-lane sampler MonteCarloMean
+// once ran. Monte Carlo now runs the scalar chunk loop on the calling
+// thread; these cases pin its chunk layouts across engines.
+TEST(BatchMonteCarloTest, ChunkLayoutsMatchAcrossEngines) {
   // This program returns its draws as values. The sample counts cover
   // partial single chunks, exactly one chunk, and even and uneven splits
   // over several chunks.
@@ -378,7 +370,7 @@ interface g(n) {
 }
 )");
   for (const size_t samples : {1u, 7u, 256u, 1000u, 4096u}) {
-    const auto mean = MonteCarloAcrossWorkers(p, "g", {Value::Number(5.0)},
+    const auto mean = MonteCarloAcrossEngines(p, "g", {Value::Number(5.0)},
                                               0xC0FFEEu, samples);
     EXPECT_TRUE(mean.ok()) << mean.status().ToString();
   }
@@ -399,13 +391,13 @@ TEST(EngineParityTest, MonteCarloAgreesWithExactExpectation) {
 }
 
 TEST(EngineParityTest, MonteCarloSurfacesSampleErrors) {
-  // A bad ECV parameter fails with the same error at every worker count, in
-  // one chunk and across several.
+  // A bad ECV parameter fails with the same error on both engines, in one
+  // chunk and across several.
   const Program p = MustParse(
       "interface f(x) { ecv e ~ bernoulli(2); return e ? 1J : 2J; }");
   for (const size_t samples : {100u, 1000u}) {
     EXPECT_FALSE(
-        MonteCarloAcrossWorkers(p, "f", {Value::Number(0.0)}, 1, samples)
+        MonteCarloAcrossEngines(p, "f", {Value::Number(0.0)}, 1, samples)
             .ok());
   }
 }
@@ -415,7 +407,7 @@ TEST(BatchMonteCarloTest, ErrorParity) {
   const Program p = MustParse("interface f(x) { return x + 1J; }");
   for (const size_t samples : {64u, 1000u}) {
     EXPECT_FALSE(
-        MonteCarloAcrossWorkers(p, "f", {Value::Number(1.0)}, 7, samples)
+        MonteCarloAcrossEngines(p, "f", {Value::Number(1.0)}, 7, samples)
             .ok());
   }
 }

@@ -360,11 +360,13 @@ TEST(EvalEdgeTest, EveryWalkerRunsAtTheNestingLimit) {
   }
 }
 
-// --- Fold cache -------------------------------------------------------------------
+// --- Fold slot ---------------------------------------------------------------------
 //
-// EvalDistribution / ExpectedEnergy answer through a thread-local MRU slot in
-// front of the fold cache's shared store; fold_cache_hits()/misses() count
-// only lookups that reach the store, so the tests alternate keys.
+// EvalDistribution / ExpectedEnergy answer an immediate repeat from a
+// thread-local slot holding the last answer. The tests alternate keys that
+// differ in one input each (arguments, profile, calibration), so a slot
+// keyed without that input would answer the second key with the first
+// key's bits.
 
 uint64_t Bits(double v) {
   uint64_t bits = 0;
@@ -387,7 +389,7 @@ interface f(x) {
   return hit ? 1mJ * x : 3mJ * x;
 }
 )");
-  Evaluator cached(p);  // default engine, fold cache enabled
+  Evaluator cached(p);  // default engine, fold slot switched on
   EvalOptions cold_options;
   cold_options.enum_cache_capacity = 0;
   Evaluator cold(p, cold_options);
@@ -401,7 +403,7 @@ interface f(x) {
   const EcvProfile base;
   const EcvProfile* profiles[] = {&base, &biased};
 
-  // References first: the uncached evaluator clears this thread's MRU slot.
+  // References first, from an evaluator with the slot switched off.
   std::vector<Distribution> ref_dist;
   std::vector<double> ref_mean;
   for (const EcvProfile* profile : profiles) {
@@ -413,9 +415,9 @@ interface f(x) {
   }
   EXPECT_NE(Bits(ref_mean[0]), Bits(ref_mean[1]));
 
-  // Two rounds over alternating keys: round 0 misses the store once per
-  // key, round 1 hits it once per key. Each ExpectedEnergy repeats the key
-  // just folded, so the MRU slot answers it without reaching the store.
+  // Two rounds over alternating profiles: each EvalDistribution follows the
+  // other key, so it folds afresh; each ExpectedEnergy repeats the key just
+  // folded, so the slot answers it.
   for (int round = 0; round < 2; ++round) {
     for (size_t k = 0; k < 2; ++k) {
       auto dist = cached.EvalDistribution("f", args, *profiles[k]);
@@ -425,10 +427,6 @@ interface f(x) {
       EXPECT_EQ(Bits(mean->joules()), Bits(ref_mean[k]));
     }
   }
-  EXPECT_EQ(cached.fold_cache_misses(), 2u);
-  EXPECT_EQ(cached.fold_cache_hits(), 2u);
-  EXPECT_EQ(cold.fold_cache_misses(), 0u);
-  EXPECT_EQ(cold.fold_cache_hits(), 0u);
 }
 
 TEST(EvalEdgeTest, CacheKeyDistinguishesArguments) {
@@ -443,15 +441,11 @@ interface f(x) {
   auto b = eval.ExpectedEnergy("f", {Value::Number(2.0)}, {});
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_NE(a->joules(), b->joules());
-  EXPECT_EQ(eval.fold_cache_misses(), 2u);
-  EXPECT_EQ(eval.fold_cache_hits(), 0u);
-  // Back to the first key: the MRU slot holds the second, so this reaches
-  // the store and hits the first key's own entry.
+  // Back to the first key while the slot holds the second: the answer is
+  // the first key's own.
   auto again = eval.ExpectedEnergy("f", {Value::Number(1.0)}, {});
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(Bits(again->joules()), Bits(a->joules()));
-  EXPECT_EQ(eval.fold_cache_misses(), 2u);
-  EXPECT_EQ(eval.fold_cache_hits(), 1u);
 }
 
 TEST(EvalEdgeTest, CacheKeyDistinguishesCalibration) {
@@ -472,15 +466,13 @@ interface f(n) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_NEAR(a->joules(), 9e-6, 1e-15);
   EXPECT_NEAR(b->joules(), 3e-6, 1e-15);
-  // Same arguments and profile, two calibrations: two entries.
-  EXPECT_EQ(eval.fold_cache_misses(), 2u);
+  // Same arguments and profile, alternating calibrations: each answer is
+  // its own calibration's.
   auto a_again = eval.ExpectedEnergy("f", args, {}, &slow);
   auto b_again = eval.ExpectedEnergy("f", args, {}, &fast);
   ASSERT_TRUE(a_again.ok() && b_again.ok());
   EXPECT_EQ(Bits(a_again->joules()), Bits(a->joules()));
   EXPECT_EQ(Bits(b_again->joules()), Bits(b->joules()));
-  EXPECT_EQ(eval.fold_cache_misses(), 2u);
-  EXPECT_EQ(eval.fold_cache_hits(), 2u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Golden bit pins for the value representation and Monte Carlo.
 //
-// Every other representation and Monte Carlo test compares one engine, one
-// worker count or one dispatch path with another, so a change that moved
+// Every other representation and Monte Carlo test compares one engine or
+// one dispatch path with another, so a change that moved
 // both sides alike would pass them all. The literals below were recorded
 // once and are checked in: fingerprint bytes (cache keys and replay
 // fingerprints are built from them), rendering, unit lists, ratio and
@@ -248,8 +248,7 @@ interface h(n) {
 )";
 
 // MonteCarloMean's bits for seeds 1 and 42 at 256 and 1000 samples, in
-// that order, on each engine with one worker (engine_parity_test pins every
-// worker count to this one).
+// that order, on each engine.
 void ExpectMcBits(const std::string& source, const std::string& entry,
                   const std::vector<Value>& args,
                   const EnergyCalibration* calibration,
@@ -259,7 +258,6 @@ void ExpectMcBits(const std::string& source, const std::string& entry,
        {EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
     EvalOptions options;
     options.engine = engine;
-    options.mc_workers = 1;
     const Evaluator eval(program, options);
     std::vector<std::string> got;
     for (const uint64_t seed : {1ull, 42ull}) {

@@ -45,7 +45,8 @@
 //
 // Numeric ARGS are numbers; `true`/`false` are booleans. --ecv NAME=VALUE
 // pins an ECV (VALUE in {true,false} or a number); --ecv NAME~P sets a
-// Bernoulli probability.
+// Bernoulli probability (P in [0, 1]). `bounds` takes LO:HI intervals or
+// single numbers, never NaN. Every number must parse whole.
 //
 // Exit codes: 0 success, 1 error, 2 usage, 3 resource limit exhausted (an
 // evaluation budget: max_steps / max_call_depth / max_paths, or the
@@ -145,6 +146,17 @@ Result<std::string> ReadFile(const std::string& path) {
   return contents.str();
 }
 
+// A whole argument as a number: strtod must consume all of it, and there
+// must be something to consume.
+Result<double> ParseNumberArg(const std::string& text) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end == nullptr || *end != '\0') {
+    return InvalidArgumentError("cannot parse argument '" + text + "'");
+  }
+  return v;
+}
+
 Result<Value> ParseValueArg(const std::string& text) {
   if (text == "true") {
     return Value::Bool(true);
@@ -152,12 +164,24 @@ Result<Value> ParseValueArg(const std::string& text) {
   if (text == "false") {
     return Value::Bool(false);
   }
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    return InvalidArgumentError("cannot parse argument '" + text + "'");
-  }
+  ECLARITY_ASSIGN_OR_RETURN(const double v, ParseNumberArg(text));
   return Value::Number(v);
+}
+
+// One `bounds` argument: LO:HI, or a single number for a point. NaN is
+// rejected: no interval contains it, and the interval engine would
+// propagate it into the printed bounds.
+Result<IntervalValue> ParseIntervalArg(const std::string& text) {
+  const size_t colon = text.find(':');
+  const Result<double> lo = ParseNumberArg(text.substr(0, colon));
+  const Result<double> hi = colon == std::string::npos
+                                ? lo
+                                : ParseNumberArg(text.substr(colon + 1));
+  if (!lo.ok() || !hi.ok() || std::isnan(*lo) || std::isnan(*hi)) {
+    return InvalidArgumentError("bad interval argument '" + text +
+                                "': expected LO:HI or a number, not NaN");
+  }
+  return IntervalValue::Number(*lo, *hi);
 }
 
 // Parses trailing --ecv options into a profile; removes them from args.
@@ -179,12 +203,13 @@ Result<EcvProfile> ExtractProfile(std::vector<std::string>& args) {
       ECLARITY_ASSIGN_OR_RETURN(Value v, ParseValueArg(spec.substr(eq + 1)));
       profile.SetFixed(spec.substr(0, eq), v);
     } else if (tilde != std::string::npos) {
-      char* end = nullptr;
-      const double p = std::strtod(spec.c_str() + tilde + 1, &end);
-      if (end == nullptr || *end != '\0') {
-        return InvalidArgumentError("bad probability in '" + spec + "'");
+      const Result<double> p = ParseNumberArg(spec.substr(tilde + 1));
+      // Written so that NaN fails it too.
+      if (!p.ok() || !(*p >= 0.0 && *p <= 1.0)) {
+        return InvalidArgumentError("bad probability in '" + spec +
+                                    "': expected a number in [0, 1]");
       }
-      profile.SetBernoulli(spec.substr(0, tilde), p);
+      profile.SetBernoulli(spec.substr(0, tilde), *p);
     } else {
       return InvalidArgumentError("--ecv expects NAME=VALUE or NAME~P");
     }
@@ -608,8 +633,8 @@ int Chaos(const std::string& path, const std::string& entry,
 
 // Profiles the bytecode VM: evaluates the entry --repeat times with the
 // sampling VmProfiler attached and prints the hot-opcode / hot-site /
-// per-interface tables. The evaluator's fold cache is disabled so every
-// repeat actually executes the VM (a cached repeat would profile nothing),
+// per-interface tables. The evaluator's fold slot is switched off so every
+// repeat actually executes the VM (a slot hit would profile nothing),
 // and the profiler's own cost is charged to the ObsBudget by the
 // merge path, so the run also demonstrates the telemetry overhead story.
 int Profile(const std::string& path, const std::string& entry,
@@ -970,20 +995,12 @@ int Bounds(const std::string& path, const std::string& entry,
   }
   std::vector<IntervalValue> args;
   for (const std::string& text : rest) {
-    const size_t colon = text.find(':');
-    if (colon == std::string::npos) {
-      char* end = nullptr;
-      const double v = std::strtod(text.c_str(), &end);
-      if (end == nullptr || *end != '\0') {
-        std::fprintf(stderr, "bad interval argument '%s'\n", text.c_str());
-        return 1;
-      }
-      args.push_back(IntervalValue::NumberPoint(v));
-    } else {
-      const double lo = std::strtod(text.substr(0, colon).c_str(), nullptr);
-      const double hi = std::strtod(text.substr(colon + 1).c_str(), nullptr);
-      args.push_back(IntervalValue::Number(lo, hi));
+    Result<IntervalValue> arg = ParseIntervalArg(text);
+    if (!arg.ok()) {
+      std::fprintf(stderr, "%s\n", arg.status().ToString().c_str());
+      return 1;
     }
+    args.push_back(*std::move(arg));
   }
   IntervalEvaluator evaluator(*program);
   auto bounds = evaluator.EvalInterval(entry, args);
