@@ -106,9 +106,10 @@ void BM_SpecializeOnSwap(benchmark::State& state) {
 BENCHMARK(BM_SpecializeOnSwap);
 
 // The same evaluation with tracing attached: measures the full cost of the
-// observability path (preserve-terms lowering, per-event sink calls, and the
-// fold-slot bypass). Compare against BM_EnumerateFig1 for the
-// overhead; with no sink installed the hot path is untouched.
+// observability path (the tree walk, which a traced evaluator runs whatever
+// its engine, per-event sink calls, and the fold-slot bypass). Compare
+// against BM_EnumerateFig1 for the overhead; with no sink installed the
+// bytecode VM serves and carries no event code.
 void BM_TracedEval(benchmark::State& state) {
   // Counts events without storing them, so iterations don't accumulate.
   class CountingSink : public TraceSink {

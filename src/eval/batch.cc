@@ -416,9 +416,6 @@ class VectorExec {
   bool Eval(const LExpr& e, size_t base, BatchColumn& out) {
     switch (e.kind) {
       case LExprKind::kConst:
-        if (e.is_energy_term) {
-          return false;  // tracing mode: scalar engines own event emission
-        }
         out.tag = Tag::kUniform;
         out.uniform = e.constant;
         return true;
@@ -765,10 +762,9 @@ std::vector<Result<ExactFold>> BatchPlan::EnumerateFold(
   }
   BatchCounters::Get().lanes.Increment(lane_args.size());
   const EvalOptions& options = evaluator_->options();
-  // Tracing lanes must replay events through the scalar engines, and the
-  // tree-walk engine has no lowered form to vector-interpret.
-  const bool vector_capable =
-      evaluator_->lowered_ != nullptr && options.trace == nullptr;
+  // The tree-walk engine, which serves every traced evaluator, has no
+  // lowered form to vector-interpret.
+  const bool vector_capable = evaluator_->lowered_ != nullptr;
 
   for (size_t start = 0; start < lane_args.size(); start += kTileLanes) {
     const size_t width = std::min(kTileLanes, lane_args.size() - start);

@@ -10,13 +10,6 @@
 
 namespace eclarity {
 
-using eval_internal::DescribeSupport;
-using eval_internal::DistKindName;
-using eval_internal::EmitBranch;
-using eval_internal::EmitDraw;
-using eval_internal::EmitEnter;
-using eval_internal::EmitExit;
-using eval_internal::EmitTerm;
 using eval_internal::EvalCounters;
 using eval_internal::PosContext;
 
@@ -49,10 +42,7 @@ class BytecodeCompiler {
  public:
   BytecodeCompiler(const LoweredProgram& lowered,
                    const BytecodeProgram::CompileOptions& options)
-      : lowered_(lowered),
-        opts_(options),
-        super_(options.enable_superinstructions),
-        p_(new BytecodeProgram()) {}
+      : lowered_(lowered), opts_(options), p_(new BytecodeProgram()) {}
 
   Result<std::shared_ptr<const BytecodeProgram>> Compile() {
     const auto& ifaces = lowered_.interfaces();
@@ -156,7 +146,7 @@ class BytecodeCompiler {
       // Superinstruction: an ECV draw immediately guarded by `if <ecv>`
       // fuses draw + budget + branch into one dispatch. Requires a valid
       // slot — rejected bindings must surface their error before the if.
-      if (super_ && s.kind == LStmtKind::kEcv && s.slot >= 0 &&
+      if (s.kind == LStmtKind::kEcv && s.slot >= 0 &&
           i + 1 < block.size() && IsGuardingIf(*block[i + 1], s.slot)) {
         CompileEcv(s, block[i + 1].get());
         ++i;
@@ -183,8 +173,7 @@ class BytecodeCompiler {
           const uint32_t save = temp_top_;
           const uint16_t c = CompileOperand(*s.a);
           p_->branch_sites_.push_back(
-              {Ctx(s.line, s.column) + ": if condition: ", s.line, s.column,
-               0});
+              {Ctx(s.line, s.column) + ": if condition: ", 0});
           const uint32_t site =
               static_cast<uint32_t>(p_->branch_sites_.size() - 1);
           Emit({BcOp::kBranch, 0, 0, c, 0, site});
@@ -248,8 +237,6 @@ class BytecodeCompiler {
     {
       BytecodeProgram::EcvSite e;
       e.ecv = &ecv;
-      e.line = s.line;
-      e.column = s.column;
       e.slot = s.slot;
       if (s.slot < 0) {
         e.redef_error = s.error;
@@ -268,7 +255,6 @@ class BytecodeCompiler {
         p_->ecv_sites_[site].baked =
             static_cast<int32_t>(p_->baked_supports_.size());
         p_->baked_supports_.push_back(*o);
-        p_->ecv_sites_[site].baked_overridden = true;
         Emit({BcOp::kEcvBaked, 0, 0, 0, 0, site});
         baked = true;
       }
@@ -324,8 +310,7 @@ class BytecodeCompiler {
       p_->ecv_sites_[site].fused_step_status =
           PoolStatus(BudgetStatus(*fused_if));
       p_->branch_sites_.push_back(
-          {Ctx(fused_if->line, fused_if->column) + ": if condition: ",
-           fused_if->line, fused_if->column, 0});
+          {Ctx(fused_if->line, fused_if->column) + ": if condition: ", 0});
       const uint32_t bsite =
           static_cast<uint32_t>(p_->branch_sites_.size() - 1);
       p_->ecv_sites_[site].fused_branch = bsite;
@@ -355,17 +340,9 @@ class BytecodeCompiler {
 
   void CompileExpr(const LExpr& e, uint16_t dst) {
     switch (e.kind) {
-      case LExprKind::kConst: {
-        const uint32_t ci = PoolConst(e.constant);
-        if (e.is_energy_term) {
-          p_->term_sites_.push_back({ci, e.line, e.column});
-          Emit({BcOp::kConstTerm, 0, dst, 0, 0,
-                static_cast<uint32_t>(p_->term_sites_.size() - 1)});
-        } else {
-          Emit({BcOp::kConst, 0, dst, 0, 0, ci});
-        }
+      case LExprKind::kConst:
+        Emit({BcOp::kConst, 0, dst, 0, 0, PoolConst(e.constant)});
         break;
-      }
       case LExprKind::kSlot:
         if (static_cast<uint16_t>(e.slot) != dst) {
           Emit({BcOp::kMove, 0, dst, static_cast<uint16_t>(e.slot), 0, 0});
@@ -396,7 +373,7 @@ class BytecodeCompiler {
           p_->code_[sc].imm = Here();
           break;
         }
-        if (super_ && TryFoldChain(e, dst)) {
+        if (TryFoldChain(e, dst)) {
           break;
         }
         const uint32_t save = temp_top_;
@@ -432,9 +409,7 @@ class BytecodeCompiler {
         }
         const uint16_t argc = static_cast<uint16_t>(e.children.size());
         if (e.kind == LExprKind::kBuiltin) {
-          p_->builtin_sites_.push_back({e.call_src, &e.context, e.line,
-                                        e.column,
-                                        e.call_src->callee == "au"});
+          p_->builtin_sites_.push_back({e.call_src, &e.context});
           Emit({BcOp::kBuiltin, 0, dst, rbase, argc,
                 static_cast<uint32_t>(p_->builtin_sites_.size() - 1)});
         } else if (!e.call_error.ok()) {
@@ -450,13 +425,12 @@ class BytecodeCompiler {
   }
 
   // Left-spine chains of non-logical binaries whose right operands are
-  // side-effect-free atoms (slots, non-term constants) fold into one
+  // side-effect-free atoms (slots, constants) fold into one
   // kFoldChain superinstruction; the accumulator stays local during the
   // fold, so error order and aliasing match the reference engine exactly.
   bool TryFoldChain(const LExpr& e, uint16_t dst) {
     const auto is_atom = [](const LExpr& x) {
-      return x.kind == LExprKind::kSlot ||
-             (x.kind == LExprKind::kConst && !x.is_energy_term);
+      return x.kind == LExprKind::kSlot || x.kind == LExprKind::kConst;
     };
     std::vector<const LExpr*> links;  // outermost first
     const LExpr* cur = &e;
@@ -511,7 +485,6 @@ class BytecodeCompiler {
 
   const LoweredProgram& lowered_;
   const BytecodeProgram::CompileOptions opts_;
-  const bool super_;
   std::shared_ptr<BytecodeProgram> p_;
   std::unordered_map<std::string, uint32_t> const_index_;
   std::unordered_map<const std::string*, uint32_t> ctx_index_;
@@ -539,7 +512,6 @@ BytecodeInterpreter::BytecodeInterpreter(const BytecodeProgram& bc,
       options_(options),
       profile_(profile),
       chooser_(chooser),
-      trace_(options.trace),
       profiler_(options.vm_profiler) {
   if (profiler_ != nullptr) {
     prof_interval_ = profiler_->sample_interval();
@@ -586,9 +558,6 @@ Result<Value> BytecodeInterpreter::CallByName(const std::string& name,
     EvalCounters::Get().budget_depth.Increment();
     return f.depth_error;
   }
-  if (trace_ != nullptr) {
-    EmitEnter(*trace_, name, f.src->decl->line, depth_, path_index_);
-  }
   if (!f.src->entry_error.ok()) {
     return f.src->entry_error;
   }
@@ -606,8 +575,8 @@ Result<Value> BytecodeInterpreter::CallByName(const std::string& name,
 }
 
 // Draw for the current ECV site: choose from the support every preceding
-// instruction just resolved, trace, surface a rejected binding, store the
-// outcome. Returns the drawn outcome (kEcvDrawBranch reads it back).
+// instruction just resolved, surface a rejected binding, store the outcome.
+// Returns the drawn outcome (kEcvDrawBranch reads it back).
 Result<const Value*> BytecodeInterpreter::DrawEcv(
     const BytecodeProgram::EcvSite& site) {
   ECLARITY_ASSIGN_OR_RETURN(
@@ -616,14 +585,6 @@ Result<const Value*> BytecodeInterpreter::DrawEcv(
     return InternalError("chooser returned out-of-range index");
   }
   const auto& outcome = cur_support_->outcomes[idx];
-  if (trace_ != nullptr) {
-    EmitDraw(*trace_, site.ecv->qualified,
-             DescribeSupport(
-                 overridden_ ? "profile" : DistKindName(site.ecv->dist_kind),
-                 *cur_support_),
-             outcome.first, outcome.second, site.line, site.column, depth_,
-             path_index_);
-  }
   // Order matters: the reference engine resolves and draws before the
   // redefinition error surfaces.
   if (site.slot < 0) {
@@ -665,16 +626,6 @@ Result<Value> BytecodeInterpreter::RunImpl() {
       case BcOp::kConst:
         regs_[base_ + in.a] = bc_.const_pool_[in.imm];
         break;
-      case BcOp::kConstTerm: {
-        const BytecodeProgram::TermSite& site = bc_.term_sites_[in.imm];
-        const Value& v = bc_.const_pool_[site.pool];
-        if (trace_ != nullptr) {
-          EmitTerm(*trace_, bc_.ifaces_[cur_iface_].src->decl->name, v,
-                   site.line, site.column, depth_, path_index_);
-        }
-        regs_[base_ + in.a] = v;
-        break;
-      }
       case BcOp::kMove:
         regs_[base_ + in.a] = regs_[base_ + in.b];
         break;
@@ -744,10 +695,6 @@ Result<Value> BytecodeInterpreter::RunImpl() {
         if (!truth.ok()) {
           return InvalidArgumentError(site.prefix + truth.status().message());
         }
-        if (trace_ != nullptr) {
-          EmitBranch(*trace_, truth.value(), site.line, site.column, depth_,
-                     path_index_);
-        }
         if (!truth.value()) {
           pc_ = site.else_target;
         }
@@ -771,12 +718,6 @@ Result<Value> BytecodeInterpreter::RunImpl() {
         if (!result.ok()) {
           return result.status();
         }
-        // au(...) mints abstract energy: an energy term for the trace.
-        if (trace_ != nullptr && site.is_au) {
-          EmitTerm(*trace_, bc_.ifaces_[cur_iface_].src->decl->name,
-                   result.value(), site.line, site.column, depth_,
-                   path_index_);
-        }
         regs_[base_ + in.a] = std::move(result).value();
         break;
       }
@@ -785,12 +726,6 @@ Result<Value> BytecodeInterpreter::RunImpl() {
         if (++depth_ > options_.max_call_depth) {
           EvalCounters::Get().budget_depth.Increment();
           return f.depth_error;
-        }
-        // The reference engine reports entry before its parameter defines,
-        // so the enter event precedes entry_error.
-        if (trace_ != nullptr) {
-          EmitEnter(*trace_, f.src->decl->name, f.src->decl->line, depth_,
-                    path_index_);
         }
         if (!f.src->entry_error.ok()) {
           return f.src->entry_error;
@@ -813,10 +748,6 @@ Result<Value> BytecodeInterpreter::RunImpl() {
       case BcOp::kReturn: {
         Value v = std::move(regs_[base_ + in.a]);
         --depth_;
-        if (trace_ != nullptr) {
-          EmitExit(*trace_, bc_.ifaces_[cur_iface_].src->decl->name, v,
-                   depth_ + 1, path_index_);
-        }
         if (frames_.empty()) {
           return v;
         }
@@ -866,7 +797,6 @@ Result<Value> BytecodeInterpreter::RunImpl() {
               profile_.FindQualified(site.ecv->qualified, site.ecv->bare);
           if (o != nullptr) {
             cur_support_ = o;
-            overridden_ = true;
             pc_ = site.draw_target;
           }
         }
@@ -874,14 +804,10 @@ Result<Value> BytecodeInterpreter::RunImpl() {
       }
       case BcOp::kEcvStatic:
         cur_support_ = &*bc_.ecv_sites_[in.imm].ecv->static_support;
-        overridden_ = false;
         break;
-      case BcOp::kEcvBaked: {
-        const BytecodeProgram::EcvSite& site = bc_.ecv_sites_[in.imm];
-        cur_support_ = &bc_.baked_supports_[site.baked];
-        overridden_ = site.baked_overridden;
+      case BcOp::kEcvBaked:
+        cur_support_ = &bc_.baked_supports_[bc_.ecv_sites_[in.imm].baked];
         break;
-      }
       case BcOp::kEcvCatOpen:
         cat_stack_.emplace_back();
         break;
@@ -901,7 +827,6 @@ Result<Value> BytecodeInterpreter::RunImpl() {
         }
         dyn_support_ = std::move(support).value();
         cur_support_ = &dyn_support_;
-        overridden_ = false;
         break;
       }
       case BcOp::kEcvDynBern: {
@@ -912,7 +837,6 @@ Result<Value> BytecodeInterpreter::RunImpl() {
         }
         dyn_support_ = EcvSupport::Bernoulli(p);
         cur_support_ = &dyn_support_;
-        overridden_ = false;
         break;
       }
       case BcOp::kEcvDynUniform: {
@@ -936,7 +860,6 @@ Result<Value> BytecodeInterpreter::RunImpl() {
         ECLARITY_ASSIGN_OR_RETURN(dyn_support_,
                                   EcvSupport::Make(std::move(outcomes)));
         cur_support_ = &dyn_support_;
-        overridden_ = false;
         break;
       }
       case BcOp::kEcvDraw: {
@@ -958,10 +881,6 @@ Result<Value> BytecodeInterpreter::RunImpl() {
         const Result<bool> truth = outcome->AsBool();
         if (!truth.ok()) {
           return InvalidArgumentError(bsite.prefix + truth.status().message());
-        }
-        if (trace_ != nullptr) {
-          EmitBranch(*trace_, truth.value(), bsite.line, bsite.column, depth_,
-                     path_index_);
         }
         if (!truth.value()) {
           pc_ = bsite.else_target;

@@ -17,8 +17,9 @@
 //
 // Parity contract: the bytecode engine is observationally identical to the
 // tree walk — same values, probability bits, draw order, error codes *and
-// messages*, and byte-identical trace events (tests/engine_parity_test.cc,
-// tests/bytecode_test.cc, and the differential harness hold the line).
+// messages* (tests/engine_parity_test.cc, tests/bytecode_test.cc, and the
+// differential harness hold the line). It emits no trace events: a traced
+// evaluator runs the tree walk (interp.h, EvalOptions::trace).
 // Compilation is total for every program the lowerer accepts except
 // degenerate register pressure (> 65535 live registers in one interface),
 // where Compile() fails and the evaluator transparently falls back to the
@@ -48,7 +49,6 @@ namespace eclarity {
 // against this order.
 #define ECLARITY_BC_OPS(X)                                                          \
   X(kConst)         /* regs[a] = const_pool[imm] */                                 \
-  X(kConstTerm)     /* regs[a] = pool[term.pool]; trace kEnergyTerm (term_sites) */ \
   X(kMove)          /* regs[a] = regs[b] */                                         \
   X(kUnary)         /* regs[a] = ApplyUnary(sub, regs[b], ctx_pool[imm]) */         \
   X(kBinary)        /* regs[a] = ApplyBinary(sub, regs[b], regs[c], ctx[imm]) */    \
@@ -58,7 +58,7 @@ namespace eclarity {
   X(kOrShort)       /* AsBool(regs[b]) ? regs[a]=true, pc=imm : fall through */     \
   X(kBoolCast)      /* regs[a] = Bool(AsBool(regs[b])) */                           \
   X(kCondJump)      /* conditional expr: !AsBool(regs[b]) -> pc = imm */            \
-  X(kBranch)        /* if stmt: wrapped AsBool, trace, !taken -> else target */     \
+  X(kBranch)        /* if stmt: wrapped AsBool, !taken -> else target */            \
   X(kStep)          /* ++steps > max_steps -> status_pool[imm] */                   \
   X(kFail)          /* return status_pool[imm] */                                   \
   X(kBuiltin)       /* regs[a] = builtin(regs[b..b+c)); builtin_sites[imm] */       \
@@ -75,7 +75,7 @@ namespace eclarity {
   X(kEcvDynBern)    /* cur support = Bernoulli(AsNumber(regs[b])) */                \
   X(kEcvDynUniform) /* cur support = uniform_int(regs[b], regs[c]) */               \
   X(kEcvDynCat)     /* cur support = Make(open level) */                            \
-  X(kEcvDraw)       /* choose + trace + store slot (ecv_sites[imm]) */              \
+  X(kEcvDraw)       /* choose + store slot (ecv_sites[imm]) */                      \
   X(kEcvDrawBranch) /* kEcvDraw fused with an immediately-guarding if (superop) */
 
 // One 12-byte instruction. `a` is the destination register, `b`/`c` are
@@ -107,9 +107,6 @@ struct Instr {
 class BytecodeProgram {
  public:
   struct CompileOptions {
-    // Emit kFoldChain / kEcvDrawBranch superinstructions. Off exists for
-    // the fused-vs-unfused parity tests; both settings are bit-identical.
-    bool enable_superinstructions = true;
     // When non-null, bake ECV resolution against this profile. The
     // resulting program answers *only* for profiles with this fingerprint;
     // the evaluator checks before selecting it.
@@ -143,22 +140,12 @@ class BytecodeProgram {
   friend class BytecodeInterpreter;
   friend class VmProfiler;  // resolves interface names for profile merges
 
-  struct TermSite {
-    uint32_t pool = 0;
-    int line = 0;
-    int column = 0;
-  };
   struct BuiltinSite {
     const CallExpr* call = nullptr;
     const std::string* ctx = nullptr;
-    int line = 0;
-    int column = 0;
-    bool is_au = false;
   };
   struct BranchSite {
     std::string prefix;  // "in 'iface' at L:C: if condition: "
-    int line = 0;
-    int column = 0;
     uint32_t else_target = 0;
   };
   struct ForSite {
@@ -173,8 +160,6 @@ class BytecodeProgram {
   };
   struct EcvSite {
     const LEcv* ecv = nullptr;
-    int line = 0;
-    int column = 0;
     int slot = -1;
     uint32_t draw_target = 0;
     Status redef_error;     // stmt.error when the binding was rejected
@@ -183,7 +168,6 @@ class BytecodeProgram {
     Status toolarge_error;  // uniform_int support too large
     std::string cat_prefix; // "in 'iface' at L:C: "
     int32_t baked = -1;     // index into baked_supports_ (kEcvBaked)
-    bool baked_overridden = false;
     uint32_t fused_step_status = 0;  // kEcvDrawBranch: the if's budget error
     uint32_t fused_branch = 0;       // kEcvDrawBranch: branch site
   };
@@ -200,7 +184,6 @@ class BytecodeProgram {
   std::vector<Value> const_pool_;
   std::vector<Status> status_pool_;
   std::vector<const std::string*> ctx_pool_;  // lowered LExpr contexts
-  std::vector<TermSite> term_sites_;
   std::vector<BuiltinSite> builtin_sites_;
   std::vector<BranchSite> branch_sites_;
   std::vector<ForSite> for_sites_;
@@ -228,9 +211,6 @@ class BytecodeInterpreter {
 
   // Reuses this interpreter (and its register storage) for another run.
   void Reset();
-
-  // Labels trace events with the enumeration path being executed.
-  void set_path_index(size_t index) { path_index_ = index; }
 
   Result<Value> CallByName(const std::string& name,
                            const std::vector<Value>& args);
@@ -261,7 +241,6 @@ class BytecodeInterpreter {
   const EvalOptions& options_;
   const EcvProfile& profile_;
   eval_internal::Chooser& chooser_;
-  TraceSink* const trace_;
   VmProfiler* const profiler_;
   uint32_t prof_interval_ = 0;
   double prof_overhead_ns_ = 0.0;
@@ -275,19 +254,17 @@ class BytecodeInterpreter {
   uint32_t cur_iface_ = 0;
 
   // ECV resolution scratch. Every control path into a draw sets
-  // cur_support_/overridden_ in the immediately preceding instruction, so
-  // nested draws (inside dynamic-parameter evaluation) cannot clobber a
-  // pending one. Categorical accumulation nests through calls, hence a
-  // stack of levels rather than one vector.
+  // cur_support_ in the immediately preceding instruction, so nested draws
+  // (inside dynamic-parameter evaluation) cannot clobber a pending one.
+  // Categorical accumulation nests through calls, hence a stack of levels
+  // rather than one vector.
   const EcvSupport* cur_support_ = nullptr;
-  bool overridden_ = false;
   EcvSupport dyn_support_;
   std::vector<std::vector<std::pair<Value, double>>> cat_stack_;
 
   std::vector<Value> builtin_scratch_;
   size_t steps_ = 0;
   int depth_ = 0;
-  size_t path_index_ = 0;
 };
 
 }  // namespace eclarity

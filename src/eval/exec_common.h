@@ -1,11 +1,12 @@
-// Internals shared by the execution engines (interp.cc, bytecode.cc).
+// Internals shared by the execution engines (interp.cc, bytecode.cc,
+// batch.cc).
 //
 // The tree walk and the bytecode VM must be observably identical: same
-// values, same probabilities, same draw order, same error statuses, and
-// byte-identical trace events. Everything in this header exists so each
-// observable behaviour is implemented in exactly one place — choosers (the
-// ECV-resolution strategies), the shared trace-event constructors, support
-// rendering, and the engine counters.
+// values, same probabilities, same draw order and same error statuses.
+// Everything in this header exists so each observable behaviour is
+// implemented in exactly one place — choosers (the ECV-resolution
+// strategies), error contexts, and the engine counters. Trace events are
+// not here: only the tree walk emits them (interp.cc).
 //
 // This is an implementation header for src/eval; it is not part of the
 // public evaluator API.
@@ -13,7 +14,6 @@
 #ifndef ECLARITY_SRC_EVAL_EXEC_COMMON_H_
 #define ECLARITY_SRC_EVAL_EXEC_COMMON_H_
 
-#include <algorithm>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -23,7 +23,6 @@
 #include "src/lang/ast.h"
 #include "src/lang/value.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 
@@ -80,39 +79,6 @@ struct EvalCounters {
     return *counters;
   }
 };
-
-inline const char* DistKindName(EcvDistKind kind) {
-  switch (kind) {
-    case EcvDistKind::kBernoulli:
-      return "bernoulli";
-    case EcvDistKind::kUniformInt:
-      return "uniform_int";
-    case EcvDistKind::kCategorical:
-      return "categorical";
-  }
-  return "unknown";
-}
-
-// Renders a resolved support for kEcvDraw events. All engines resolve the
-// same support by construction, so rendering from it is parity-safe.
-inline std::string DescribeSupport(const char* kind,
-                                   const EcvSupport& support) {
-  std::ostringstream os;
-  os << kind << '{';
-  const size_t shown = std::min<size_t>(support.outcomes.size(), 4);
-  for (size_t i = 0; i < shown; ++i) {
-    if (i > 0) {
-      os << ", ";
-    }
-    os << support.outcomes[i].first.ToString() << ':'
-       << support.outcomes[i].second;
-  }
-  if (shown < support.outcomes.size()) {
-    os << ", ... " << support.outcomes.size() << " outcomes";
-  }
-  os << '}';
-  return os.str();
-}
 
 // Strategy for resolving ECV draws. The sampling chooser draws randomly;
 // the enumerating chooser drives a DFS over the whole choice tree.
@@ -188,8 +154,10 @@ class EnumeratingChooser : public Chooser {
   }
 
   double probability() const { return probability_; }
-  const std::vector<std::pair<std::string, Value>>& assignments() const {
-    return assignments_;
+  // Moves the current execution's draws out (qualified name, drawn value,
+  // in draw order). The next execution's Reset() clears them anyway.
+  std::vector<std::pair<std::string, Value>> TakeAssignments() {
+    return std::move(assignments_);
   }
   size_t depth() const { return path_.size(); }
 
@@ -203,74 +171,6 @@ class EnumeratingChooser : public Chooser {
   double probability_ = 1.0;
   std::vector<std::pair<std::string, Value>> assignments_;
 };
-
-// Shared trace-event constructors: every engine must emit byte-identical
-// events, so every field is filled in exactly one place.
-
-inline void EmitEnter(TraceSink& trace, const std::string& name, int line,
-                      int depth, size_t path_index) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kInterfaceEnter;
-  event.name = name;
-  event.line = line;
-  event.depth = depth;
-  event.path_index = path_index;
-  trace.OnEvent(event);
-}
-
-inline void EmitExit(TraceSink& trace, const std::string& name,
-                     const Value& value, int depth, size_t path_index) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kInterfaceExit;
-  event.name = name;
-  event.value = value;
-  event.depth = depth;
-  event.path_index = path_index;
-  trace.OnEvent(event);
-}
-
-inline void EmitDraw(TraceSink& trace, const std::string& qualified,
-                     std::string detail, const Value& outcome,
-                     double probability, int line, int column, int depth,
-                     size_t path_index) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kEcvDraw;
-  event.name = qualified;
-  event.detail = std::move(detail);
-  event.value = outcome;
-  event.probability = probability;
-  event.line = line;
-  event.column = column;
-  event.depth = depth;
-  event.path_index = path_index;
-  trace.OnEvent(event);
-}
-
-inline void EmitBranch(TraceSink& trace, bool taken, int line, int column,
-                       int depth, size_t path_index) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kBranch;
-  event.branch_taken = taken;
-  event.line = line;
-  event.column = column;
-  event.depth = depth;
-  event.path_index = path_index;
-  trace.OnEvent(event);
-}
-
-inline void EmitTerm(TraceSink& trace, const std::string& iface_name,
-                     const Value& value, int line, int column, int depth,
-                     size_t path_index) {
-  TraceEvent event;
-  event.kind = TraceEventKind::kEnergyTerm;
-  event.name = iface_name;  // the enclosing interface: provenance's site key
-  event.value = value;
-  event.line = line;
-  event.column = column;
-  event.depth = depth;
-  event.path_index = path_index;
-  trace.OnEvent(event);
-}
 
 }  // namespace eval_internal
 }  // namespace eclarity

@@ -21,13 +21,6 @@
 namespace eclarity {
 
 using eval_internal::Chooser;
-using eval_internal::DescribeSupport;
-using eval_internal::DistKindName;
-using eval_internal::EmitBranch;
-using eval_internal::EmitDraw;
-using eval_internal::EmitEnter;
-using eval_internal::EmitExit;
-using eval_internal::EmitTerm;
 using eval_internal::EnumeratingChooser;
 using eval_internal::EvalCounters;
 using eval_internal::PosContext;
@@ -36,8 +29,109 @@ using eval_internal::SamplingChooser;
 namespace {
 
 // ---------------------------------------------------------------------------
-// Reference engine: one execution of an interface, walking the AST. Also
-// serves bytecode-engine evaluators whose program did not compile.
+// Trace events. Only the tree walk emits them; each constructor fills every
+// field of its event kind in one place.
+// ---------------------------------------------------------------------------
+
+const char* DistKindName(EcvDistKind kind) {
+  switch (kind) {
+    case EcvDistKind::kBernoulli:
+      return "bernoulli";
+    case EcvDistKind::kUniformInt:
+      return "uniform_int";
+    case EcvDistKind::kCategorical:
+      return "categorical";
+  }
+  return "unknown";
+}
+
+// Renders a resolved support for kEcvDraw events.
+std::string DescribeSupport(const char* kind, const EcvSupport& support) {
+  std::ostringstream os;
+  os << kind << '{';
+  const size_t shown = std::min<size_t>(support.outcomes.size(), 4);
+  for (size_t i = 0; i < shown; ++i) {
+    if (i > 0) {
+      os << ", ";
+    }
+    os << support.outcomes[i].first.ToString() << ':'
+       << support.outcomes[i].second;
+  }
+  if (shown < support.outcomes.size()) {
+    os << ", ... " << support.outcomes.size() << " outcomes";
+  }
+  os << '}';
+  return os.str();
+}
+
+void EmitEnter(TraceSink& trace, const std::string& name, int line, int depth,
+               size_t path_index) {
+  TraceEvent event;
+  event.kind = TraceEventKind::kInterfaceEnter;
+  event.name = name;
+  event.line = line;
+  event.depth = depth;
+  event.path_index = path_index;
+  trace.OnEvent(event);
+}
+
+void EmitExit(TraceSink& trace, const std::string& name, const Value& value,
+              int depth, size_t path_index) {
+  TraceEvent event;
+  event.kind = TraceEventKind::kInterfaceExit;
+  event.name = name;
+  event.value = value;
+  event.depth = depth;
+  event.path_index = path_index;
+  trace.OnEvent(event);
+}
+
+void EmitDraw(TraceSink& trace, const std::string& qualified,
+              std::string detail, const Value& outcome, double probability,
+              int line, int column, int depth, size_t path_index) {
+  TraceEvent event;
+  event.kind = TraceEventKind::kEcvDraw;
+  event.name = qualified;
+  event.detail = std::move(detail);
+  event.value = outcome;
+  event.probability = probability;
+  event.line = line;
+  event.column = column;
+  event.depth = depth;
+  event.path_index = path_index;
+  trace.OnEvent(event);
+}
+
+void EmitBranch(TraceSink& trace, bool taken, int line, int column, int depth,
+                size_t path_index) {
+  TraceEvent event;
+  event.kind = TraceEventKind::kBranch;
+  event.branch_taken = taken;
+  event.line = line;
+  event.column = column;
+  event.depth = depth;
+  event.path_index = path_index;
+  trace.OnEvent(event);
+}
+
+void EmitTerm(TraceSink& trace, const std::string& iface_name,
+              const Value& value, int line, int column, int depth,
+              size_t path_index) {
+  TraceEvent event;
+  event.kind = TraceEventKind::kEnergyTerm;
+  event.name = iface_name;  // the enclosing interface: provenance's site key
+  event.value = value;
+  event.line = line;
+  event.column = column;
+  event.depth = depth;
+  event.path_index = path_index;
+  trace.OnEvent(event);
+}
+
+// ---------------------------------------------------------------------------
+// Reference engine: one execution of an interface, walking the AST. Serves
+// kTreeWalk evaluators, traced evaluators (the only engine that emits trace
+// events) and bytecode-engine evaluators whose program did not compile.
 // ---------------------------------------------------------------------------
 
 class Execution {
@@ -376,13 +470,14 @@ Evaluator::Evaluator(const Program& program, EvalOptions options)
         static std::atomic<uint64_t> next{1};
         return next.fetch_add(1, std::memory_order_relaxed);
       }()) {
-  if (options_.engine == EvalEngine::kTreeWalk) {
+  // Only the tree walk emits trace events, so a traced evaluator runs it
+  // whatever its engine, and neither lowers nor compiles.
+  if (options_.engine == EvalEngine::kTreeWalk || options_.trace != nullptr) {
     EvalCounters::Get().engine_treewalk.Increment();
     return;
   }
-  lowered_ = std::make_unique<LoweredProgram>(LoweredProgram::Lower(
-      program, options_.max_ecv_support,
-      /*preserve_energy_terms=*/options_.trace != nullptr));
+  lowered_ = std::make_unique<LoweredProgram>(
+      LoweredProgram::Lower(program, options_.max_ecv_support));
   const auto start = std::chrono::steady_clock::now();
   Result<std::shared_ptr<const BytecodeProgram>> compiled =
       BytecodeProgram::Compile(*lowered_);
@@ -498,7 +593,6 @@ Result<std::vector<WeightedOutcome>> Evaluator::Enumerate(
     Value value;
     if (vm.has_value()) {
       vm->Reset();
-      vm->set_path_index(path_index);
       ECLARITY_ASSIGN_OR_RETURN(value, vm->CallByName(interface_name, args));
     } else {
       Execution exec(*program_, options_, profile, chooser);
@@ -509,7 +603,7 @@ Result<std::vector<WeightedOutcome>> Evaluator::Enumerate(
     WeightedOutcome outcome;
     outcome.value = std::move(value);
     outcome.probability = chooser.probability();
-    outcome.ecv_assignments = chooser.assignments();
+    outcome.ecv_assignments = chooser.TakeAssignments();
     if (trace != nullptr) {
       TraceEvent end;
       end.kind = TraceEventKind::kPathEnd;
@@ -577,11 +671,10 @@ Result<CertifiedDistribution> Evaluator::EvalCertifiedMemo(
     const std::string& interface_name, const std::vector<Value>& args,
     const EcvProfile& profile, const EnergyCalibration* calibration,
     DistMode mode, CertifiedMemo& memo) const {
-  // kEnumerate, the tree-walk engine, and tracing all answer through exact
-  // enumeration (tracing because the analytic engines emit no per-path
-  // events; the result would be correct but silent).
-  if (mode == DistMode::kEnumerate || lowered_ == nullptr ||
-      options_.trace != nullptr) {
+  // kEnumerate and the tree walk answer through exact enumeration. The tree
+  // walk includes every traced evaluator, so a traced answer carries its
+  // per-path events (the analytic engines emit none).
+  if (mode == DistMode::kEnumerate || lowered_ == nullptr) {
     return EnumerateToCertified(interface_name, args, profile, calibration);
   }
   const LoweredInterface* iface = lowered_->Find(interface_name);

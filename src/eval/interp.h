@@ -25,8 +25,9 @@
 //     eclarity_eval_bytecode_fallback_total.
 //   * kTreeWalk — the AST interpreter, kept as the executable
 //     specification the bytecode engine is tested against. Observable
-//     behaviour — values, probabilities, draw order, traces, error codes
-//     and messages — is identical on both.
+//     behaviour — values, probabilities, draw order, error codes and
+//     messages — is identical on both. It is the only engine that emits
+//     trace events, so a traced evaluator runs it (EvalOptions::trace).
 //
 // The interval/worst-case evaluator lives in interval.h; the shared AST and
 // value semantics keep the two consistent.
@@ -89,25 +90,26 @@ struct EvalOptions {
   size_t max_ecv_support = 4096;
   // Which execution engine runs the program. Both produce identical
   // results; kBytecode transparently falls back to the tree walk when the
-  // program does not compile (see DESIGN.md, "Bytecode VM").
+  // program does not compile (see DESIGN.md, "Bytecode VM") or `trace` is
+  // set.
   EvalEngine engine = EvalEngine::kBytecode;
   // Switches the thread-local fold slot behind EvalDistribution and
   // ExpectedEnergy: 0 turns it off, any other value on (the slot holds one
   // answer whatever the value; the name predates it). Enumerate() never
   // caches.
   size_t enum_cache_capacity = 128;
-  // Evaluation tracing (src/obs/trace.h). When set, both engines report
+  // Evaluation tracing (src/obs/trace.h). When set, the evaluator reports
   // structured events — interface enter/exit, ECV draws, branches, energy
-  // terms, enumeration path markers — to the sink, bit-for-bit identically.
-  // Tracing bypasses the fold slot (a slot hit would emit no events)
-  // and, on the bytecode engine, switches lowering to
-  // preserve-energy-terms mode. The sink must outlive the evaluator.
-  // nullptr (default) keeps evaluation at full speed: the engines only test
-  // this pointer.
+  // terms, enumeration path markers — to the sink. Only the tree walk emits
+  // them, so a traced evaluator runs it whatever `engine` says, neither
+  // lowering nor compiling (counted in eclarity_eval_engine_treewalk_total),
+  // and bypasses the fold slot (a slot hit would emit no events). Answers
+  // are the untraced ones, bit for bit. The sink must outlive the
+  // evaluator. nullptr (default) leaves the engine choice to `engine`.
   TraceSink* trace = nullptr;
   // Distribution-evaluation mode for EvalCertified / EvalDistribution /
-  // ExpectedEnergy. Tracing forces kEnumerate behaviour (the analytic
-  // engines emit no per-path events).
+  // ExpectedEnergy. Tracing forces kEnumerate behaviour (a traced evaluator
+  // runs the tree walk, which the analytic engines do not serve).
   DistMode dist_mode = DistMode::kEnumerate;
   // kAnalyticBounded only: after each composition step, retained atoms with
   // probability strictly below this threshold are dropped; the dropped mass

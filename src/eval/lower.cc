@@ -19,12 +19,8 @@ std::string PosContext(const std::string& iface_name, int line, int column) {
   return os.str();
 }
 
-// A constant the folder may consume. Energy-term constants (preserve mode)
-// must survive to evaluation time so they can be traced, so they are not
-// foldable even though their value is known.
 const Value* FoldableConst(const LExprPtr& e) {
-  return e->kind == LExprKind::kConst && !e->is_energy_term ? &e->constant
-                                                            : nullptr;
+  return e->kind == LExprKind::kConst ? &e->constant : nullptr;
 }
 
 // Lowers one interface body. Folding is conservative: a subexpression is
@@ -36,12 +32,11 @@ const Value* FoldableConst(const LExprPtr& e) {
 class Lowerer {
  public:
   Lowerer(const Program& program, const LoweredProgram& lowered,
-          size_t max_ecv_support, bool preserve_energy_terms,
-          const InterfaceDecl& iface, const SlotTable& table)
+          size_t max_ecv_support, const InterfaceDecl& iface,
+          const SlotTable& table)
       : program_(program),
         lowered_(lowered),
         max_ecv_support_(max_ecv_support),
-        preserve_energy_terms_(preserve_energy_terms),
         iface_(iface),
         table_(table) {}
 
@@ -52,21 +47,16 @@ class Lowerer {
     return PosContext(iface_.name, line, column);
   }
 
-  LExprPtr New(LExprKind kind, const Expr& src) {
-    auto e = std::make_unique<LExpr>(kind);
-    e->line = src.line;
-    e->column = src.column;
-    return e;
-  }
+  static LExprPtr New(LExprKind kind) { return std::make_unique<LExpr>(kind); }
 
-  LExprPtr MakeConst(Value v, const Expr& src) {
-    LExprPtr e = New(LExprKind::kConst, src);
+  static LExprPtr MakeConst(Value v) {
+    LExprPtr e = New(LExprKind::kConst);
     e->constant = std::move(v);
     return e;
   }
 
-  LExprPtr MakeError(Status status, const Expr& src) {
-    LExprPtr e = New(LExprKind::kError, src);
+  static LExprPtr MakeError(Status status) {
+    LExprPtr e = New(LExprKind::kError);
     e->error = std::move(status);
     return e;
   }
@@ -77,16 +67,12 @@ class Lowerer {
   LExprPtr LowerExpr(const Expr& e, bool in_const) {
     switch (e.kind) {
       case ExprKind::kNumberLit:
-        return MakeConst(Value::Number(static_cast<const NumberLit&>(e).value),
-                         e);
-      case ExprKind::kEnergyLit: {
-        LExprPtr c = MakeConst(
-            Value::Joules(static_cast<const EnergyLit&>(e).joules), e);
-        c->is_energy_term = preserve_energy_terms_;
-        return c;
-      }
+        return MakeConst(Value::Number(static_cast<const NumberLit&>(e).value));
+      case ExprKind::kEnergyLit:
+        return MakeConst(
+            Value::Joules(static_cast<const EnergyLit&>(e).joules));
       case ExprKind::kBoolLit:
-        return MakeConst(Value::Bool(static_cast<const BoolLit&>(e).value), e);
+        return MakeConst(Value::Bool(static_cast<const BoolLit&>(e).value));
       case ExprKind::kVarRef:
         return LowerVarRef(static_cast<const VarRef&>(e), in_const);
       case ExprKind::kUnary:
@@ -99,14 +85,14 @@ class Lowerer {
       case ExprKind::kCall:
         return LowerCall(static_cast<const CallExpr&>(e), in_const);
     }
-    return MakeError(InternalError("unknown expression kind"), e);
+    return MakeError(InternalError("unknown expression kind"));
   }
 
   LExprPtr LowerVarRef(const VarRef& var, bool in_const) {
     if (!in_const) {
       const auto it = table_.ref_slots.find(&var);
       if (it != table_.ref_slots.end()) {
-        LExprPtr e = New(LExprKind::kSlot, var);
+        LExprPtr e = New(LExprKind::kSlot);
         e->slot = it->second;
         return e;
       }
@@ -118,9 +104,7 @@ class Lowerer {
       // crash the reference path; fail deterministically instead.
       if (consts_in_flight_.count(constant) > 0) {
         return MakeError(ResourceExhaustedError(
-                             "recursion while expanding const '" + var.name +
-                             "'"),
-                         var);
+            "recursion while expanding const '" + var.name + "'"));
       }
       consts_in_flight_.insert(constant);
       LExprPtr inlined = LowerExpr(*constant->value, /*in_const=*/true);
@@ -128,26 +112,25 @@ class Lowerer {
       return inlined;
     }
     return MakeError(NotFoundError(Ctx(var.line, var.column) +
-                                   ": undefined name '" + var.name + "'"),
-                     var);
+                                   ": undefined name '" + var.name + "'"));
   }
 
   LExprPtr LowerUnary(const UnaryExpr& u, bool in_const) {
-    LExprPtr e = New(LExprKind::kUnary, u);
+    LExprPtr e = New(LExprKind::kUnary);
     e->uop = u.op;
     e->context = Ctx(u.line, u.column);
     e->children.push_back(LowerExpr(*u.operand, in_const));
     if (const Value* operand = FoldableConst(e->children[0])) {
       Result<Value> folded = ApplyUnary(u.op, *operand, e->context);
       if (folded.ok()) {
-        return MakeConst(std::move(folded).value(), u);
+        return MakeConst(std::move(folded).value());
       }
     }
     return e;
   }
 
   LExprPtr LowerBinary(const BinaryExpr& b, bool in_const) {
-    LExprPtr e = New(LExprKind::kBinary, b);
+    LExprPtr e = New(LExprKind::kBinary);
     e->bop = b.op;
     e->context = Ctx(b.line, b.column);
     e->children.push_back(LowerExpr(*b.lhs, in_const));
@@ -161,15 +144,15 @@ class Lowerer {
         Result<bool> lv = lhs->AsBool();
         if (lv.ok()) {
           if (b.op == BinaryOp::kAnd && !lv.value()) {
-            return MakeConst(Value::Bool(false), b);
+            return MakeConst(Value::Bool(false));
           }
           if (b.op == BinaryOp::kOr && lv.value()) {
-            return MakeConst(Value::Bool(true), b);
+            return MakeConst(Value::Bool(true));
           }
           if (rhs != nullptr) {
             Result<bool> rv = rhs->AsBool();
             if (rv.ok()) {
-              return MakeConst(Value::Bool(rv.value()), b);
+              return MakeConst(Value::Bool(rv.value()));
             }
           }
         }
@@ -179,14 +162,14 @@ class Lowerer {
     if (lhs != nullptr && rhs != nullptr) {
       Result<Value> folded = ApplyBinary(b.op, *lhs, *rhs, e->context);
       if (folded.ok()) {
-        return MakeConst(std::move(folded).value(), b);
+        return MakeConst(std::move(folded).value());
       }
     }
     return e;
   }
 
   LExprPtr LowerConditional(const ConditionalExpr& c, bool in_const) {
-    LExprPtr e = New(LExprKind::kConditional, c);
+    LExprPtr e = New(LExprKind::kConditional);
     e->children.push_back(LowerExpr(*c.condition, in_const));
     e->children.push_back(LowerExpr(*c.then_value, in_const));
     e->children.push_back(LowerExpr(*c.else_value, in_const));
@@ -202,7 +185,7 @@ class Lowerer {
 
   LExprPtr LowerCall(const CallExpr& call, bool in_const) {
     if (IsBuiltinName(call.callee)) {
-      LExprPtr e = New(LExprKind::kBuiltin, call);
+      LExprPtr e = New(LExprKind::kBuiltin);
       e->call_src = &call;
       e->context = Ctx(call.line, call.column);
       bool all_const = true;
@@ -210,9 +193,7 @@ class Lowerer {
         e->children.push_back(LowerExpr(*arg, in_const));
         all_const = all_const && FoldableConst(e->children.back()) != nullptr;
       }
-      // au(...) mints abstract energy — it is itself an energy term, so in
-      // preserve mode it must stay live for the trace.
-      if (all_const && !(preserve_energy_terms_ && call.callee == "au")) {
+      if (all_const) {
         std::vector<Value> args;
         args.reserve(e->children.size());
         for (const LExprPtr& child : e->children) {
@@ -221,12 +202,12 @@ class Lowerer {
         Result<Value> folded =
             ApplyBuiltin(call.callee, args, call.string_args, e->context);
         if (folded.ok()) {
-          return MakeConst(std::move(folded).value(), call);
+          return MakeConst(std::move(folded).value());
         }
       }
       return e;
     }
-    LExprPtr e = New(LExprKind::kCall, call);
+    LExprPtr e = New(LExprKind::kCall);
     for (const ExprPtr& arg : call.args) {
       e->children.push_back(LowerExpr(*arg, in_const));
     }
@@ -344,9 +325,6 @@ class Lowerer {
     bool all_const = true;
     for (const ExprPtr& p : s.dist.params) {
       ecv->params.push_back(LowerExpr(*p, /*in_const=*/false));
-      // Energy-valued parameters (categorical outcomes) stay dynamic in
-      // preserve mode so their term events fire per execution, exactly as
-      // the tree walk's per-run support resolution does.
       all_const = all_const && FoldableConst(ecv->params.back()) != nullptr;
     }
     if (all_const) {
@@ -430,7 +408,6 @@ class Lowerer {
   const Program& program_;
   const LoweredProgram& lowered_;
   const size_t max_ecv_support_;
-  const bool preserve_energy_terms_;
   const InterfaceDecl& iface_;
   const SlotTable& table_;
   std::set<const ConstDecl*> consts_in_flight_;
@@ -439,8 +416,7 @@ class Lowerer {
 }  // namespace
 
 LoweredProgram LoweredProgram::Lower(const Program& program,
-                                     size_t max_ecv_support,
-                                     bool preserve_energy_terms) {
+                                     size_t max_ecv_support) {
   LoweredProgram lowered;
   // Phase 1: shells + symbol tables, so calls can bind to any interface
   // (including mutually recursive ones) in phase 2.
@@ -465,8 +441,8 @@ LoweredProgram LoweredProgram::Lower(const Program& program,
   // Phase 2: lower bodies.
   for (size_t i = 0; i < lowered.interfaces_.size(); ++i) {
     LoweredInterface& iface = *lowered.interfaces_[i];
-    Lowerer lowerer(program, lowered, max_ecv_support, preserve_energy_terms,
-                    *iface.decl, tables[i]);
+    Lowerer lowerer(program, lowered, max_ecv_support, *iface.decl,
+                    tables[i]);
     iface.body = lowerer.LowerBody();
   }
   return lowered;

@@ -60,15 +60,7 @@ struct LExpr {
   explicit LExpr(LExprKind k) : kind(k) {}
 
   LExprKind kind;
-  int line = 0;
-  int column = 0;
-
   Value constant;                       // kConst
-  // kConst carrying an energy literal, lowered in preserve-energy-terms
-  // mode: evaluation reports it to the trace sink as a kEnergyTerm event.
-  // Never set outside that mode, so the untraced hot path only ever sees
-  // the flag false.
-  bool is_energy_term = false;
   int slot = -1;                        // kSlot
   UnaryOp uop = UnaryOp::kNeg;          // kUnary
   BinaryOp bop = BinaryOp::kAdd;        // kBinary
@@ -140,16 +132,9 @@ class LoweredProgram {
   // Lowers every interface of `program`, which must outlive the result.
   // `max_ecv_support` mirrors EvalOptions::max_ecv_support so statically
   // over-budget ECV supports lower to the same kResourceExhausted error the
-  // tree walk reports.
-  //
-  // `preserve_energy_terms` is the tracing mode: energy literals lower to
-  // kConst nodes flagged is_energy_term and are excluded from every fold
-  // (including au(...) folding and static ECV support pre-resolution), so
-  // the bytecode VM evaluates — and traces — each energy term at exactly
-  // the points the tree walk does. Values stay bit-identical either way,
-  // since runtime operators are the same functions the folder uses.
-  static LoweredProgram Lower(const Program& program, size_t max_ecv_support,
-                              bool preserve_energy_terms = false);
+  // tree walk reports. Energy literals fold like any other constant: a
+  // traced evaluator never lowers, since only the tree walk emits events.
+  static LoweredProgram Lower(const Program& program, size_t max_ecv_support);
 
   const LoweredInterface* Find(const std::string& name) const {
     const auto it = index_.find(name);

@@ -8,13 +8,16 @@
 // term that contributes joules — with source locations, so a prediction can
 // be replayed back onto the EIL text that produced it.
 //
-// The event stream is part of the engine-parity contract: the bytecode VM
-// and the tree-walk reference emit bit-for-bit identical traces for the
-// same evaluation (tests/engine_parity_test.cc enforces this).
+// One engine emits the events: the tree-walk reference. An evaluator with a
+// sink attached runs the tree walk whatever its engine setting
+// (src/eval/interp.h), so the stream does not depend on that setting
+// (tests/obs_test.cc) and a traced answer equals the untraced one bit for
+// bit (tests/engine_parity_test.cc).
 //
-// Cost model: tracing is off by default (EvalOptions::trace == nullptr) and
-// the engines only pay an untaken branch per candidate event when it is off;
-// see DESIGN.md for measured overhead.
+// Cost model: tracing is off by default (EvalOptions::trace == nullptr).
+// The bytecode VM that serves untraced evaluation carries no event code;
+// the tree walk pays an untaken branch per candidate event when it is off.
+// A traced evaluation gives up the VM; see DESIGN.md for measured cost.
 
 #ifndef ECLARITY_SRC_OBS_TRACE_H_
 #define ECLARITY_SRC_OBS_TRACE_H_
@@ -58,15 +61,15 @@ struct TraceEvent {
 
 // Canonical byte encoding of an event (kind tag, strings, bit-exact doubles,
 // value fingerprint). Equal events produce equal encodings — this is what
-// the engine-parity tests compare.
+// the trace tests compare.
 std::string TraceEventFingerprint(const TraceEvent& event);
 
 // One human-readable line, indented by call depth.
 std::string FormatTraceEvent(const TraceEvent& event);
 
 // Receives events during evaluation. Implementations are called from
-// whichever thread evaluates — under parallel Monte Carlo that is several at
-// once — so sinks must be internally synchronized.
+// whichever thread evaluates — several at once when evaluators on different
+// threads share a sink — so sinks must be internally synchronized.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/apps/fuzzing.h"
 #include "src/apps/webservice.h"
 #include "src/hw/vendor.h"
@@ -15,7 +18,7 @@
 namespace eclarity {
 namespace {
 
-// --- LruSet (the former apps/lru_cache.h, now a util/lru.h view) ------------
+// --- LruSet (src/util/lru.h) ------------------------------------------------
 
 TEST(LruSetTest, BasicHitMiss) {
   LruSet<uint64_t> cache(2);
@@ -56,37 +59,79 @@ TEST(LruSetTest, ZeroCapacityNeverStores) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// Regression for the former src/apps/lru_cache.h: drive the set view and a
-// bare LruMap<uint64_t, std::monostate> (what LruCache wrapped) with the
-// same mixed operation sequence and require identical observable behavior —
-// hits, residency, sizes, and statistics.
-TEST(LruSetTest, AgreesWithMonostateLruMap) {
+// A reference LRU set for the agreement test: keys in recency order, most
+// recent first, searched linearly.
+struct LruModel {
+  explicit LruModel(size_t capacity) : capacity(capacity) {}
+
+  bool Get(uint64_t key) {
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    if (it == keys.end()) {
+      ++misses;
+      return false;
+    }
+    ++hits;
+    keys.erase(it);
+    keys.insert(keys.begin(), key);
+    return true;
+  }
+  void Put(uint64_t key) {
+    if (capacity == 0) {
+      return;
+    }
+    const auto it = std::find(keys.begin(), keys.end(), key);
+    if (it != keys.end()) {
+      keys.erase(it);
+    }
+    keys.insert(keys.begin(), key);
+    if (keys.size() > capacity) {
+      keys.pop_back();
+      ++evictions;
+    }
+  }
+  bool Contains(uint64_t key) const {
+    return std::find(keys.begin(), keys.end(), key) != keys.end();
+  }
+
+  size_t capacity;
+  std::vector<uint64_t> keys;
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+};
+
+// Drives the set and the reference model with the same mixed operation
+// sequence and requires identical observable behavior — hits, residency,
+// sizes, and statistics.
+TEST(LruSetTest, AgreesWithReferenceModel) {
   LruSet<uint64_t> set(3);
-  LruMap<uint64_t, std::monostate> map(3);
+  LruModel model(3);
   Rng rng(0xec1a517ull);
   for (int i = 0; i < 2000; ++i) {
     const uint64_t key = rng.NextUint64() % 8;
     switch (rng.NextUint64() % 3) {
       case 0: {
-        EXPECT_EQ(set.Get(key), map.Get(key) != nullptr);
+        EXPECT_EQ(set.Get(key), model.Get(key));
         break;
       }
       case 1:
         set.Put(key);
-        map.Put(key, std::monostate{});
+        model.Put(key);
         break;
       default:
-        EXPECT_EQ(set.Contains(key), map.Contains(key));
+        EXPECT_EQ(set.Contains(key), model.Contains(key));
         break;
     }
   }
-  EXPECT_EQ(set.size(), map.size());
-  EXPECT_EQ(set.hits(), map.hits());
-  EXPECT_EQ(set.misses(), map.misses());
-  EXPECT_EQ(set.evictions(), map.evictions());
-  EXPECT_DOUBLE_EQ(set.HitRate(), map.HitRate());
+  EXPECT_EQ(set.size(), model.keys.size());
+  EXPECT_EQ(set.hits(), model.hits);
+  EXPECT_EQ(set.misses(), model.misses);
+  EXPECT_EQ(set.evictions(), model.evictions);
+  ASSERT_GT(model.hits + model.misses, 0u);
+  EXPECT_DOUBLE_EQ(set.HitRate(), static_cast<double>(model.hits) /
+                                      (model.hits + model.misses));
   for (uint64_t key = 0; key < 8; ++key) {
-    EXPECT_EQ(set.Contains(key), map.Contains(key)) << key;
+    EXPECT_EQ(set.Contains(key), model.Contains(key)) << key;
   }
 }
 

@@ -1,9 +1,9 @@
 // Edge tests for the register bytecode VM (src/eval/bytecode.h) that the
 // engine-parity harnesses cannot see from the outside: constant-pool
-// deduplication, superinstruction fusion parity, register-frame reuse
-// across nested calls, and profile-swap respecialization rekeying the
-// query-service cache. Broad value/trace/error parity with the tree walk
-// lives in tests/engine_parity_test.cc, tests/differential_test.cc and
+// deduplication, superinstruction parity with the tree walk, register-frame
+// reuse across nested calls, and profile-swap respecialization rekeying the
+// query-service cache. Broad value/error parity with the tree walk lives in
+// tests/engine_parity_test.cc, tests/differential_test.cc and
 // tests/eval_edge_test.cc.
 
 #include <gtest/gtest.h>
@@ -61,20 +61,19 @@ struct PathOutcome {
 };
 
 // Enumerates the full ECV tree through an existing interpreter, mirroring
-// the driving loop in Evaluator::EnumerateUncached. Takes the vm and its
-// chooser by reference so a test can re-run the same (reused) frame.
+// the driving loop in Evaluator::Enumerate. Takes the vm and its chooser by
+// reference so a test can re-run the same (reused) frame.
 Result<std::vector<PathOutcome>> EnumerateVm(
     BytecodeInterpreter& vm, eval_internal::EnumeratingChooser& chooser,
     const std::string& entry, const std::vector<Value>& args) {
   std::vector<PathOutcome> outcomes;
   for (;;) {
     vm.Reset();
-    vm.set_path_index(outcomes.size());
     ECLARITY_ASSIGN_OR_RETURN(Value value, vm.CallByName(entry, args));
     PathOutcome o;
     o.value_fp = Fingerprint(value);
     o.probability_bits = Bits(chooser.probability());
-    o.assignments = chooser.assignments();
+    o.assignments = chooser.TakeAssignments();
     outcomes.push_back(std::move(o));
     if (!chooser.Advance()) {
       break;
@@ -125,7 +124,7 @@ interface f(x) {
   EXPECT_GE(bc->instruction_count(), bc_single->instruction_count());
 }
 
-TEST(BytecodeCompilerTest, SuperinstructionsAreBitIdenticalToUnfused) {
+TEST(BytecodeCompilerTest, SuperinstructionsAreBitIdenticalToTreeWalk) {
   // Fig. 1 exercises both superinstruction shapes: the CNN interface is a
   // fused sum-of-terms chain (kFoldChain) and both bernoulli draws guard
   // an immediate if (kEcvDrawBranch).
@@ -133,29 +132,28 @@ TEST(BytecodeCompilerTest, SuperinstructionsAreBitIdenticalToUnfused) {
   const EvalOptions options;
   const LoweredProgram lowered =
       LoweredProgram::Lower(program, options.max_ecv_support);
-  BytecodeProgram::CompileOptions unfused_options;
-  unfused_options.enable_superinstructions = false;
   const auto fused = MustCompile(lowered);
-  const auto unfused = MustCompile(lowered, unfused_options);
   EXPECT_GT(fused->superinstruction_count(), 0u);
-  EXPECT_EQ(unfused->superinstruction_count(), 0u);
-  EXPECT_GT(unfused->instruction_count(), fused->instruction_count());
 
   const std::vector<Value> args = {Value::Number(64), Value::Number(16)};
   const EcvProfile profile;
-  eval_internal::EnumeratingChooser fused_chooser;
-  eval_internal::EnumeratingChooser unfused_chooser;
-  BytecodeInterpreter fused_vm(*fused, options, profile, fused_chooser);
-  BytecodeInterpreter unfused_vm(*unfused, options, profile,
-                                 unfused_chooser);
-  auto fused_out =
-      EnumerateVm(fused_vm, fused_chooser, "E_ml_webservice_handle", args);
-  auto unfused_out = EnumerateVm(unfused_vm, unfused_chooser,
-                                 "E_ml_webservice_handle", args);
+  eval_internal::EnumeratingChooser chooser;
+  BytecodeInterpreter vm(*fused, options, profile, chooser);
+  auto fused_out = EnumerateVm(vm, chooser, "E_ml_webservice_handle", args);
   ASSERT_TRUE(fused_out.ok()) << fused_out.status().ToString();
-  ASSERT_TRUE(unfused_out.ok()) << unfused_out.status().ToString();
   ASSERT_EQ(fused_out->size(), 3u);  // hit/local-hit, hit/local-miss, miss
-  ExpectSameOutcomes(*fused_out, *unfused_out);
+
+  EvalOptions tree_options;
+  tree_options.engine = EvalEngine::kTreeWalk;
+  const Evaluator tree(program, tree_options);
+  auto reference = tree.Enumerate("E_ml_webservice_handle", args, profile);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  std::vector<PathOutcome> tree_out;
+  for (WeightedOutcome& o : *reference) {
+    tree_out.push_back({Fingerprint(o.value), Bits(o.probability),
+                        std::move(o.ecv_assignments)});
+  }
+  ExpectSameOutcomes(*fused_out, tree_out);
 }
 
 TEST(BytecodeInterpreterTest, FrameReuseAcrossNestedCalls) {

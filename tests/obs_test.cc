@@ -244,6 +244,32 @@ interface E_leaf(n) {
 }
 )";
 
+constexpr char kFig1Source[] = R"(
+const max_response_len = 1024;
+interface E_ml_webservice_handle(image_size, n_zeros) {
+  ecv request_hit ~ bernoulli(0.3);
+  if (request_hit) {
+    return E_cache_lookup(image_size, max_response_len);
+  } else {
+    return E_cnn_forward(image_size, n_zeros);
+  }
+}
+interface E_cache_lookup(key_size, response_len) {
+  ecv local_cache_hit ~ bernoulli(0.8);
+  if (local_cache_hit) {
+    return 0.001mJ * response_len;
+  } else {
+    return 0.1mJ * response_len;
+  }
+}
+interface E_cnn_forward(image_size, n_zeros) {
+  let n_embedding = 256;
+  return 8 * (image_size - n_zeros) * 20nJ +
+         8 * n_embedding * 0.1nJ +
+         16 * n_embedding * 1.5nJ;
+}
+)";
+
 TEST(TraceTest, FingerprintSeparatesDistinctEvents) {
   TraceEvent a;
   a.kind = TraceEventKind::kEnergyTerm;
@@ -315,6 +341,30 @@ TEST(TraceTest, TracingDoesNotChangeOutcomes) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_DOUBLE_EQ(a->Mean(), b->Mean());
   EXPECT_DOUBLE_EQ(a->Stddev(), b->Stddev());
+}
+
+TEST(TraceTest, TracedBytecodeEvaluatorEmitsTreeWalkEvents) {
+  // Only the tree walk emits events, so a traced evaluator's engine setting
+  // must not change its stream.
+  const Program program = MustParse(kFig1Source);
+  const std::vector<Value> args = {Value::Number(50176.0),
+                                   Value::Number(10000.0)};
+  const auto fingerprints = [&](EvalEngine engine) {
+    RecordingTraceSink sink;
+    EvalOptions options;
+    options.engine = engine;
+    options.trace = &sink;
+    Evaluator evaluator(program, options);
+    EXPECT_TRUE(evaluator.Enumerate("E_ml_webservice_handle", args, {}).ok());
+    std::vector<std::string> out;
+    for (const TraceEvent& event : sink.TakeEvents()) {
+      out.push_back(TraceEventFingerprint(event));
+    }
+    return out;
+  };
+  const std::vector<std::string> bytecode = fingerprints(EvalEngine::kBytecode);
+  EXPECT_FALSE(bytecode.empty());
+  EXPECT_EQ(bytecode, fingerprints(EvalEngine::kTreeWalk));
 }
 
 TEST(TraceTest, ChromeTraceIsWellFormed) {
@@ -474,32 +524,6 @@ TEST(LoggingTest, SinkReceivesWholeRecords) {
 }
 
 // --- Provenance ------------------------------------------------------------
-
-constexpr char kFig1Source[] = R"(
-const max_response_len = 1024;
-interface E_ml_webservice_handle(image_size, n_zeros) {
-  ecv request_hit ~ bernoulli(0.3);
-  if (request_hit) {
-    return E_cache_lookup(image_size, max_response_len);
-  } else {
-    return E_cnn_forward(image_size, n_zeros);
-  }
-}
-interface E_cache_lookup(key_size, response_len) {
-  ecv local_cache_hit ~ bernoulli(0.8);
-  if (local_cache_hit) {
-    return 0.001mJ * response_len;
-  } else {
-    return 0.1mJ * response_len;
-  }
-}
-interface E_cnn_forward(image_size, n_zeros) {
-  let n_embedding = 256;
-  return 8 * (image_size - n_zeros) * 20nJ +
-         8 * n_embedding * 0.1nJ +
-         16 * n_embedding * 1.5nJ;
-}
-)";
 
 TEST(ProvenanceTest, Fig1RootTotalMatchesExpectation) {
   const Program program = MustParse(kFig1Source);
