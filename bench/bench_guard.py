@@ -53,7 +53,8 @@ def main():
     parser.add_argument(
         "--filter",
         default=r"BM_EnumerateFig1|BM_ServiceThroughput/real_time/threads:1$"
-                r"|BM_BatchVsSingle|BM_EasScoreBatch")
+                r"|BM_BatchVsSingle|BM_EasScoreBatch|BM_MonteCarloFig1"
+                r"|BM_EnumerateGpt2")
     parser.add_argument("--factor", type=float, default=2.0)
     parser.add_argument("--min-time", type=float, default=0.25)
     parser.add_argument(

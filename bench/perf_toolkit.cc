@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "src/eval/bytecode.h"
@@ -147,6 +149,45 @@ void BM_SampleFig1(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SampleFig1);
+
+// One 256-sample Monte Carlo mean of Fig. 1 at 50176/10000, seeded per
+// call: serve_fig1's Monte Carlo query (perfbench), which runs the
+// bytecode once per sample.
+void BM_MonteCarloFig1(benchmark::State& state) {
+  auto program = ParseProgram(kFig1Source);
+  Evaluator evaluator(*program);
+  const std::vector<Value> args = {Value::Number(50176.0),
+                                   Value::Number(10000.0)};
+  uint64_t seed = 1;
+  for (auto _ : state) {
+    Rng rng(seed++);
+    auto mean = evaluator.MonteCarloMean("E_ml_webservice_handle", args, {},
+                                         rng, 256);
+    benchmark::DoNotOptimize(mean.ok());
+  }
+}
+BENCHMARK(BM_MonteCarloFig1);
+
+// Enumeration of examples/eil/gpt2_rtx4090.eil's E_gpt2_generate(512, 16):
+// the bytecode run behind one of cold_manager's GPT-2 misses (one path, no
+// fold, no cache).
+void BM_EnumerateGpt2(benchmark::State& state) {
+  std::ifstream file(ECLARITY_SOURCE_DIR "/examples/eil/gpt2_rtx4090.eil");
+  std::ostringstream source;
+  source << file.rdbuf();
+  auto program = ParseProgram(source.str());
+  if (!file || !program.ok()) {
+    state.SkipWithError("examples/eil/gpt2_rtx4090.eil did not load");
+    return;
+  }
+  Evaluator evaluator(*program);
+  const std::vector<Value> args = {Value::Number(512.0), Value::Number(16.0)};
+  for (auto _ : state) {
+    auto outcomes = evaluator.Enumerate("E_gpt2_generate", args, {});
+    benchmark::DoNotOptimize(outcomes.ok());
+  }
+}
+BENCHMARK(BM_EnumerateGpt2);
 
 void BM_IntervalFig1(benchmark::State& state) {
   auto program = ParseProgram(kFig1Source);

@@ -1286,22 +1286,28 @@ std::optional<CertifiedDistribution> AnalyticApprox(
     const std::vector<Value>& args, const EcvProfile& profile,
     const EvalOptions& options, const EnergyCalibration* calibration,
     bool moments_only, const AnalyticSubEval& subeval) {
+  std::optional<CertifiedDistribution> cd;
   if (moments_only) {
     ApproxWalker<MomAlg> walker(analysis, profile, options, calibration,
                                 subeval, MomAlg{options});
-    std::optional<MomAlg::V> v = walker.WalkInterface(iface, args);
-    if (!v.has_value()) {
-      return std::nullopt;
+    if (std::optional<MomAlg::V> v = walker.WalkInterface(iface, args)) {
+      cd = MomAlg{options}.Finish(*v);
     }
-    return MomAlg{options}.Finish(*v);
+  } else {
+    ApproxWalker<CertAlg> walker(analysis, profile, options, calibration,
+                                 subeval, CertAlg{options});
+    if (std::optional<CertifiedDist> v = walker.WalkInterface(iface, args)) {
+      cd = CertAlg{options}.Finish(*v);
+    }
   }
-  ApproxWalker<CertAlg> walker(analysis, profile, options, calibration,
-                               subeval, CertAlg{options});
-  std::optional<CertifiedDist> v = walker.WalkInterface(iface, args);
-  if (!v.has_value()) {
+  // A NaN or infinite term poisons the answer; enumeration then raises the
+  // exact fold's error ("non-finite atom") or answers exactly.
+  if (cd.has_value() &&
+      !(std::isfinite(cd->mean) && std::isfinite(cd->min_joules) &&
+        std::isfinite(cd->max_joules) && std::isfinite(cd->mean_error_bound))) {
     return std::nullopt;
   }
-  return CertAlg{options}.Finish(*v);
+  return cd;
 }
 
 }  // namespace eclarity

@@ -106,8 +106,8 @@ using AnalyticSubEval = std::function<std::optional<CertifiedDistribution>(
 
 // Approximate evaluation of `iface` (which must be bounded_ok):
 // convolution/mixture with certified bounds, or moments-only propagation
-// when `moments_only`. Returns nullopt on any off-template construct or
-// expansion over budget; never raises errors.
+// when `moments_only`. Returns nullopt on any off-template construct,
+// expansion over budget or non-finite answer; never raises errors.
 std::optional<CertifiedDistribution> AnalyticApprox(
     const AnalyticAnalysis& analysis, const LoweredInterface& iface,
     const std::vector<Value>& args, const EcvProfile& profile,

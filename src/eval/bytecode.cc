@@ -326,6 +326,19 @@ class BytecodeCompiler {
     }
   }
 
+  // A constant whose pool index fits an operand field: sets `index`.
+  bool PoolOperand(const LExpr& e, uint16_t& index) {
+    if (e.kind != LExprKind::kConst) {
+      return false;
+    }
+    const uint32_t ci = PoolConst(e.constant);
+    if (ci > 0xFFFF) {
+      return false;
+    }
+    index = static_cast<uint16_t>(ci);
+    return true;
+  }
+
   // Slots are used in place (expressions never mutate the current frame's
   // slots, so a slot operand stays valid across later operand evaluation);
   // anything else lands in a fresh temporary.
@@ -376,10 +389,23 @@ class BytecodeCompiler {
         if (TryFoldChain(e, dst)) {
           break;
         }
+        // A constant operand is read from the pool in place (kBinaryRK,
+        // kBinaryKR); no kConst loads it. Lowering folds constant pairs.
         const uint32_t save = temp_top_;
-        const uint16_t l = CompileOperand(*e.children[0]);
-        const uint16_t r = CompileOperand(*e.children[1]);
-        Emit({BcOp::kBinary, static_cast<uint8_t>(e.bop), dst, l, r,
+        BcOp op = BcOp::kBinary;
+        uint16_t l = 0;
+        uint16_t r = 0;
+        if (PoolOperand(*e.children[1], r)) {
+          op = BcOp::kBinaryRK;
+          l = CompileOperand(*e.children[0]);
+        } else if (PoolOperand(*e.children[0], l)) {
+          op = BcOp::kBinaryKR;
+          r = CompileOperand(*e.children[1]);
+        } else {
+          l = CompileOperand(*e.children[0]);
+          r = CompileOperand(*e.children[1]);
+        }
+        Emit({op, static_cast<uint8_t>(e.bop), dst, l, r,
               PoolCtx(&e.context)});
         temp_top_ = save;
         break;
@@ -452,12 +478,10 @@ class BytecodeCompiler {
       st.bop = n.bop;
       st.ctx = PoolCtx(&n.context);
       if (rhs.kind == LExprKind::kConst) {
-        const uint32_t ci = PoolConst(rhs.constant);
-        if (ci > 0xFFFF) {
+        if (!PoolOperand(rhs, st.src)) {
           return false;
         }
         st.from_pool = true;
-        st.src = static_cast<uint16_t>(ci);
       } else {
         st.src = static_cast<uint16_t>(rhs.slot);
         if (st.src == dst) {
@@ -541,19 +565,32 @@ void BytecodeInterpreter::EnsureRegs(size_t needed) {
   }
 }
 
-Result<Value> BytecodeInterpreter::CallByName(const std::string& name,
-                                              const std::vector<Value>& args) {
-  const auto it = bc_.index_.find(name);
-  if (it == bc_.index_.end()) {
+Result<uint32_t> BytecodeProgram::Resolve(const std::string& name,
+                                          size_t argc) const {
+  const auto it = index_.find(name);
+  if (it == index_.end()) {
     return NotFoundError("call to undefined interface '" + name + "'");
   }
-  const BytecodeProgram::BcIface& f = bc_.ifaces_[it->second];
-  if (f.src->param_slots.size() != args.size()) {
+  const size_t params = ifaces_[it->second].src->param_slots.size();
+  if (params != argc) {
     std::ostringstream os;
-    os << "interface '" << name << "' takes " << f.src->param_slots.size()
-       << " arguments, got " << args.size();
+    os << "interface '" << name << "' takes " << params << " arguments, got "
+       << argc;
     return InvalidArgumentError(os.str());
   }
+  return it->second;
+}
+
+Result<Value> BytecodeInterpreter::CallByName(const std::string& name,
+                                              const std::vector<Value>& args) {
+  ECLARITY_ASSIGN_OR_RETURN(const uint32_t iface,
+                            bc_.Resolve(name, args.size()));
+  return Call(iface, args);
+}
+
+Result<Value> BytecodeInterpreter::Call(uint32_t iface,
+                                        const std::vector<Value>& args) {
+  const BytecodeProgram::BcIface& f = bc_.ifaces_[iface];
   if (++depth_ > options_.max_call_depth) {
     EvalCounters::Get().budget_depth.Increment();
     return f.depth_error;
@@ -569,9 +606,8 @@ Result<Value> BytecodeInterpreter::CallByName(const std::string& name,
   for (size_t i = 0; i < args.size(); ++i) {
     regs_[f.src->param_slots[i]] = args[i];
   }
-  cur_iface_ = it->second;
-  pc_ = f.entry;
-  return Run();
+  cur_iface_ = iface;
+  return Run(f.entry);
 }
 
 // Draw for the current ECV site: choose from the support every preceding
@@ -595,10 +631,14 @@ Result<const Value*> BytecodeInterpreter::DrawEcv(
 }
 
 template <bool kProfiled>
-Result<Value> BytecodeInterpreter::RunImpl() {
-  const Instr* code = bc_.code_.data();
+Result<Value> BytecodeInterpreter::RunImpl(uint32_t pc) {
+  const Instr* const code = bc_.code_.data();
+  const Value* const pool = bc_.const_pool_.data();
+  // The current frame's registers: regs_ from base_. Only kCall, which may
+  // grow regs_, and kReturn move them.
+  Value* R = regs_.data() + base_;
   for (;;) {
-    const Instr& in = code[pc_++];
+    const Instr& in = code[pc++];
     // Profiled loop only: count the dispatch, and on every
     // prof_interval_-th instruction capture the site, time an empty timer
     // pair and take a start timestamp so the matching block after the
@@ -616,7 +656,7 @@ Result<Value> BytecodeInterpreter::RunImpl() {
       if (--local_prof_.countdown == 0) {
         local_prof_.countdown = prof_interval_;
         prof_timed = true;
-        prof_pc = pc_ - 1;
+        prof_pc = pc - 1;
         prof_iface = cur_iface_;
         prof_pair_t0 = ObsNowNs();
         prof_t0 = ObsNowNs();
@@ -624,79 +664,99 @@ Result<Value> BytecodeInterpreter::RunImpl() {
     }
     switch (in.op) {
       case BcOp::kConst:
-        regs_[base_ + in.a] = bc_.const_pool_[in.imm];
+        R[in.a] = pool[in.imm];
         break;
       case BcOp::kMove:
-        regs_[base_ + in.a] = regs_[base_ + in.b];
+        R[in.a] = R[in.b];
         break;
       case BcOp::kUnary: {
-        ECLARITY_ASSIGN_OR_RETURN(
-            Value v, ApplyUnary(static_cast<UnaryOp>(in.sub),
-                                regs_[base_ + in.b], *bc_.ctx_pool_[in.imm]));
-        regs_[base_ + in.a] = std::move(v);
+        const UnaryOp op = static_cast<UnaryOp>(in.sub);
+        if (!TryApplyUnary(op, R[in.b], R[in.a])) {
+          ECLARITY_ASSIGN_OR_RETURN(
+              R[in.a], ApplyUnary(op, R[in.b], *bc_.ctx_pool_[in.imm]));
+        }
         break;
       }
-      case BcOp::kBinary: {
-        ECLARITY_ASSIGN_OR_RETURN(
-            Value v,
-            ApplyBinary(static_cast<BinaryOp>(in.sub), regs_[base_ + in.b],
-                        regs_[base_ + in.c], *bc_.ctx_pool_[in.imm]));
-        regs_[base_ + in.a] = std::move(v);
+      case BcOp::kBinary:
+      case BcOp::kBinaryRK:
+      case BcOp::kBinaryKR: {
+        const BinaryOp op = static_cast<BinaryOp>(in.sub);
+        const Value& lhs = in.op == BcOp::kBinaryKR ? pool[in.b] : R[in.b];
+        const Value& rhs = in.op == BcOp::kBinaryRK ? pool[in.c] : R[in.c];
+        if (!TryApplyBinary(op, lhs, rhs, R[in.a])) {
+          ECLARITY_ASSIGN_OR_RETURN(
+              R[in.a], ApplyBinary(op, lhs, rhs, *bc_.ctx_pool_[in.imm]));
+        }
         break;
       }
       case BcOp::kFoldChain: {
         // The accumulator stays local until the chain completes so steps
         // that read the destination slot see its pre-statement value.
-        Value acc = regs_[base_ + in.a];
+        Value acc = R[in.a];
         const BytecodeProgram::FoldStep* step = &bc_.fold_steps_[in.imm];
         for (uint16_t i = 0; i < in.c; ++i, ++step) {
-          const Value& rhs = step->from_pool ? bc_.const_pool_[step->src]
-                                             : regs_[base_ + step->src];
-          ECLARITY_ASSIGN_OR_RETURN(
-              acc, ApplyBinary(step->bop, acc, rhs, *bc_.ctx_pool_[step->ctx]));
+          const Value& rhs = step->from_pool ? pool[step->src] : R[step->src];
+          if (!TryApplyBinary(step->bop, acc, rhs, acc)) {
+            ECLARITY_ASSIGN_OR_RETURN(
+                acc,
+                ApplyBinary(step->bop, acc, rhs, *bc_.ctx_pool_[step->ctx]));
+          }
         }
-        regs_[base_ + in.a] = std::move(acc);
+        R[in.a] = std::move(acc);
         break;
       }
       case BcOp::kJump:
-        pc_ = in.imm;
+        pc = in.imm;
         break;
       case BcOp::kAndShort: {
-        ECLARITY_ASSIGN_OR_RETURN(bool lv, regs_[base_ + in.b].AsBool());
-        if (!lv) {
-          regs_[base_ + in.a] = Value::Bool(false);
-          pc_ = in.imm;
+        const Value& lv = R[in.b];
+        if (!lv.is_bool()) {
+          return lv.AsBool().status();
+        }
+        if (!lv.boolean()) {
+          R[in.a] = Value::Bool(false);
+          pc = in.imm;
         }
         break;
       }
       case BcOp::kOrShort: {
-        ECLARITY_ASSIGN_OR_RETURN(bool lv, regs_[base_ + in.b].AsBool());
-        if (lv) {
-          regs_[base_ + in.a] = Value::Bool(true);
-          pc_ = in.imm;
+        const Value& lv = R[in.b];
+        if (!lv.is_bool()) {
+          return lv.AsBool().status();
+        }
+        if (lv.boolean()) {
+          R[in.a] = Value::Bool(true);
+          pc = in.imm;
         }
         break;
       }
       case BcOp::kBoolCast: {
-        ECLARITY_ASSIGN_OR_RETURN(bool rv, regs_[base_ + in.b].AsBool());
-        regs_[base_ + in.a] = Value::Bool(rv);
+        const Value& rv = R[in.b];
+        if (!rv.is_bool()) {
+          return rv.AsBool().status();
+        }
+        R[in.a] = Value::Bool(rv.boolean());
         break;
       }
       case BcOp::kCondJump: {
-        ECLARITY_ASSIGN_OR_RETURN(bool truth, regs_[base_ + in.b].AsBool());
-        if (!truth) {
-          pc_ = in.imm;
+        const Value& truth = R[in.b];
+        if (!truth.is_bool()) {
+          return truth.AsBool().status();
+        }
+        if (!truth.boolean()) {
+          pc = in.imm;
         }
         break;
       }
       case BcOp::kBranch: {
         const BytecodeProgram::BranchSite& site = bc_.branch_sites_[in.imm];
-        const Result<bool> truth = regs_[base_ + in.b].AsBool();
-        if (!truth.ok()) {
-          return InvalidArgumentError(site.prefix + truth.status().message());
+        const Value& truth = R[in.b];
+        if (!truth.is_bool()) {
+          return InvalidArgumentError(site.prefix +
+                                      truth.AsBool().status().message());
         }
-        if (!truth.value()) {
-          pc_ = site.else_target;
+        if (!truth.boolean()) {
+          pc = site.else_target;
         }
         break;
       }
@@ -710,15 +770,14 @@ Result<Value> BytecodeInterpreter::RunImpl() {
         return bc_.status_pool_[in.imm];
       case BcOp::kBuiltin: {
         const BytecodeProgram::BuiltinSite& site = bc_.builtin_sites_[in.imm];
-        builtin_scratch_.assign(regs_.begin() + base_ + in.b,
-                                regs_.begin() + base_ + in.b + in.c);
+        builtin_scratch_.assign(R + in.b, R + in.b + in.c);
         Result<Value> result =
             ApplyBuiltin(site.call->callee, builtin_scratch_,
                          site.call->string_args, *site.ctx);
         if (!result.ok()) {
           return result.status();
         }
-        regs_[base_ + in.a] = std::move(result).value();
+        R[in.a] = std::move(result).value();
         break;
       }
       case BcOp::kCall: {
@@ -731,22 +790,24 @@ Result<Value> BytecodeInterpreter::RunImpl() {
           return f.src->entry_error;
         }
         const uint32_t cbase = reg_top_;
-        EnsureRegs(cbase + f.nregs);
-        std::fill(regs_.begin() + cbase, regs_.begin() + cbase + f.frame_size,
-                  Value());
+        EnsureRegs(cbase + f.nregs);  // may move regs_: R is stale below
+        Value* const callee = regs_.data() + cbase;
+        const Value* const args = regs_.data() + base_ + in.b;
+        std::fill(callee, callee + f.frame_size, Value());
         const std::vector<int>& pslots = f.src->param_slots;
         for (size_t i = 0; i < pslots.size(); ++i) {
-          regs_[cbase + pslots[i]] = regs_[base_ + in.b + i];
+          callee[pslots[i]] = args[i];
         }
-        frames_.push_back({pc_, base_ + in.a, base_, cur_iface_});
+        frames_.push_back({pc, base_ + in.a, base_, cur_iface_});
         base_ = cbase;
+        R = callee;
         reg_top_ = cbase + f.nregs;
         cur_iface_ = in.imm;
-        pc_ = f.entry;
+        pc = f.entry;
         break;
       }
       case BcOp::kReturn: {
-        Value v = std::move(regs_[base_ + in.a]);
+        Value v = std::move(R[in.a]);
         --depth_;
         if (frames_.empty()) {
           return v;
@@ -755,40 +816,37 @@ Result<Value> BytecodeInterpreter::RunImpl() {
         frames_.pop_back();
         reg_top_ = base_;
         base_ = fr.caller_base;
+        R = regs_.data() + base_;
         cur_iface_ = fr.caller_iface;
-        pc_ = fr.ret_pc;
+        pc = fr.ret_pc;
         regs_[fr.ret_dst] = std::move(v);
         break;
       }
       case BcOp::kForPrep: {
-        ECLARITY_ASSIGN_OR_RETURN(double begin_n,
-                                  regs_[base_ + in.a].AsNumber());
-        ECLARITY_ASSIGN_OR_RETURN(double end_n, regs_[base_ + in.b].AsNumber());
-        regs_[base_ + in.a] =
-            CounterValue(static_cast<int64_t>(std::llround(begin_n)));
-        regs_[base_ + in.b] =
-            CounterValue(static_cast<int64_t>(std::llround(end_n)));
+        ECLARITY_ASSIGN_OR_RETURN(double begin_n, R[in.a].AsNumber());
+        ECLARITY_ASSIGN_OR_RETURN(double end_n, R[in.b].AsNumber());
+        R[in.a] = CounterValue(static_cast<int64_t>(std::llround(begin_n)));
+        R[in.b] = CounterValue(static_cast<int64_t>(std::llround(end_n)));
         break;
       }
       case BcOp::kForNext: {
-        const int64_t i = CounterBits(regs_[base_ + in.a]);
-        const int64_t hi = CounterBits(regs_[base_ + in.b]);
+        const int64_t i = CounterBits(R[in.a]);
+        const int64_t hi = CounterBits(R[in.b]);
         const BytecodeProgram::ForSite& site = bc_.for_sites_[in.imm];
         if (i >= hi) {
-          pc_ = site.end_target;
+          pc = site.end_target;
           break;
         }
         if (++steps_ > options_.max_steps) {
           EvalCounters::Get().budget_steps.Increment();
           return bc_.status_pool_[site.budget_status];
         }
-        regs_[base_ + in.c] = Value::Number(static_cast<double>(i));
+        R[in.c] = Value::Number(static_cast<double>(i));
         break;
       }
       case BcOp::kForIncJump:
-        regs_[base_ + in.a] =
-            CounterValue(CounterBits(regs_[base_ + in.a]) + 1);
-        pc_ = in.imm;
+        R[in.a] = CounterValue(CounterBits(R[in.a]) + 1);
+        pc = in.imm;
         break;
       case BcOp::kEcvBegin: {
         const BytecodeProgram::EcvSite& site = bc_.ecv_sites_[in.imm];
@@ -797,7 +855,7 @@ Result<Value> BytecodeInterpreter::RunImpl() {
               profile_.FindQualified(site.ecv->qualified, site.ecv->bare);
           if (o != nullptr) {
             cur_support_ = o;
-            pc_ = site.draw_target;
+            pc = site.draw_target;
           }
         }
         break;
@@ -812,8 +870,8 @@ Result<Value> BytecodeInterpreter::RunImpl() {
         cat_stack_.emplace_back();
         break;
       case BcOp::kEcvCatPush: {
-        ECLARITY_ASSIGN_OR_RETURN(double p, regs_[base_ + in.c].AsNumber());
-        cat_stack_.back().emplace_back(regs_[base_ + in.b], p);
+        ECLARITY_ASSIGN_OR_RETURN(double p, R[in.c].AsNumber());
+        cat_stack_.back().emplace_back(R[in.b], p);
         break;
       }
       case BcOp::kEcvDynCat: {
@@ -831,7 +889,7 @@ Result<Value> BytecodeInterpreter::RunImpl() {
       }
       case BcOp::kEcvDynBern: {
         const BytecodeProgram::EcvSite& site = bc_.ecv_sites_[in.imm];
-        ECLARITY_ASSIGN_OR_RETURN(double p, regs_[base_ + in.b].AsNumber());
+        ECLARITY_ASSIGN_OR_RETURN(double p, R[in.b].AsNumber());
         if (p < 0.0 || p > 1.0) {
           return site.range_error;
         }
@@ -841,8 +899,8 @@ Result<Value> BytecodeInterpreter::RunImpl() {
       }
       case BcOp::kEcvDynUniform: {
         const BytecodeProgram::EcvSite& site = bc_.ecv_sites_[in.imm];
-        ECLARITY_ASSIGN_OR_RETURN(double lo_n, regs_[base_ + in.b].AsNumber());
-        ECLARITY_ASSIGN_OR_RETURN(double hi_n, regs_[base_ + in.c].AsNumber());
+        ECLARITY_ASSIGN_OR_RETURN(double lo_n, R[in.b].AsNumber());
+        ECLARITY_ASSIGN_OR_RETURN(double hi_n, R[in.c].AsNumber());
         const int64_t lo = static_cast<int64_t>(std::llround(lo_n));
         const int64_t hi = static_cast<int64_t>(std::llround(hi_n));
         if (hi < lo) {
@@ -878,12 +936,12 @@ Result<Value> BytecodeInterpreter::RunImpl() {
         }
         const BytecodeProgram::BranchSite& bsite =
             bc_.branch_sites_[site.fused_branch];
-        const Result<bool> truth = outcome->AsBool();
-        if (!truth.ok()) {
-          return InvalidArgumentError(bsite.prefix + truth.status().message());
+        if (!outcome->is_bool()) {
+          return InvalidArgumentError(bsite.prefix +
+                                      outcome->AsBool().status().message());
         }
-        if (!truth.value()) {
-          pc_ = bsite.else_target;
+        if (!outcome->boolean()) {
+          pc = bsite.else_target;
         }
         break;
       }
@@ -918,8 +976,8 @@ Result<Value> BytecodeInterpreter::RunImpl() {
 }
 
 // Explicit instantiations: Run() selects one at runtime.
-template Result<Value> BytecodeInterpreter::RunImpl<false>();
-template Result<Value> BytecodeInterpreter::RunImpl<true>();
+template Result<Value> BytecodeInterpreter::RunImpl<false>(uint32_t pc);
+template Result<Value> BytecodeInterpreter::RunImpl<true>(uint32_t pc);
 
 const char* VmOpName(uint8_t op) {
   static constexpr const char* kNames[] = {

@@ -48,17 +48,19 @@ namespace eclarity {
 // below and the VmOpName table in bytecode.cc; the dispatch loop is compiled
 // against this order.
 #define ECLARITY_BC_OPS(X)                                                          \
-  X(kConst)         /* regs[a] = const_pool[imm] */                                 \
+  X(kConst)         /* regs[a] = const_pool[imm] (no binary operand) */             \
   X(kMove)          /* regs[a] = regs[b] */                                         \
-  X(kUnary)         /* regs[a] = ApplyUnary(sub, regs[b], ctx_pool[imm]) */         \
-  X(kBinary)        /* regs[a] = ApplyBinary(sub, regs[b], regs[c], ctx[imm]) */    \
+  X(kUnary)         /* regs[a] = sub regs[b]; error context ctx_pool[imm] */        \
+  X(kBinary)        /* regs[a] = regs[b] sub regs[c]; error context ctx[imm] */     \
+  X(kBinaryRK)      /* regs[a] = regs[b] sub const_pool[c] */                       \
+  X(kBinaryKR)      /* regs[a] = const_pool[b] sub regs[c] */                       \
   X(kFoldChain)     /* regs[a] = fold of c steps from fold_steps[imm] (superop) */  \
   X(kJump)          /* pc = imm */                                                  \
-  X(kAndShort)      /* !AsBool(regs[b]) ? regs[a]=false, pc=imm : fall through */   \
-  X(kOrShort)       /* AsBool(regs[b]) ? regs[a]=true, pc=imm : fall through */     \
-  X(kBoolCast)      /* regs[a] = Bool(AsBool(regs[b])) */                           \
-  X(kCondJump)      /* conditional expr: !AsBool(regs[b]) -> pc = imm */            \
-  X(kBranch)        /* if stmt: wrapped AsBool, !taken -> else target */            \
+  X(kAndShort)      /* regs[b] false ? regs[a]=false, pc=imm : fall through */      \
+  X(kOrShort)       /* regs[b] true ? regs[a]=true, pc=imm : fall through */        \
+  X(kBoolCast)      /* regs[a] = regs[b], which must be a bool */                   \
+  X(kCondJump)      /* conditional expr: regs[b] false -> pc = imm */               \
+  X(kBranch)        /* if stmt: regs[b] false -> else target */                     \
   X(kStep)          /* ++steps > max_steps -> status_pool[imm] */                   \
   X(kFail)          /* return status_pool[imm] */                                   \
   X(kBuiltin)       /* regs[a] = builtin(regs[b..b+c)); builtin_sites[imm] */       \
@@ -79,10 +81,14 @@ namespace eclarity {
   X(kEcvDrawBranch) /* kEcvDraw fused with an immediately-guarding if (superop) */
 
 // One 12-byte instruction. `a` is the destination register, `b`/`c` are
-// operand registers or an argument base/count, `imm` indexes a pool or site
-// table or is an absolute jump target. Registers are frame-relative; slots
+// operand registers (a constant-pool index for the K side of kBinaryRK and
+// kBinaryKR) or an argument base/count, `imm` indexes a pool or site table
+// or is an absolute jump target. Registers are frame-relative; slots
 // [0, frame_size) alias the lowered frame slots and expression temporaries
-// live above them.
+// live above them. An opcode builds a Status only when it fails: the
+// operators run the inline kernel (TryApplyBinary, TryApplyUnary) and reach
+// the out-of-line operator only when it declines, and the bool tests check
+// is_bool() in place.
 enum class BcOp : uint8_t {
 #define ECLARITY_BC_ENUM(name) name,
   ECLARITY_BC_OPS(ECLARITY_BC_ENUM)
@@ -123,6 +129,11 @@ class BytecodeProgram {
       const LoweredProgram& lowered) {
     return Compile(lowered, CompileOptions());
   }
+
+  // The index of interface `name` for BytecodeInterpreter::Call, or the
+  // error CallByName returns for an unknown name or a wrong argument count.
+  // Resolving once serves every path or sample of a query.
+  Result<uint32_t> Resolve(const std::string& name, size_t argc) const;
 
   // Introspection (tests, metrics).
   size_t instruction_count() const { return code_.size(); }
@@ -212,6 +223,9 @@ class BytecodeInterpreter {
   // Reuses this interpreter (and its register storage) for another run.
   void Reset();
 
+  // Runs interface `iface`, an index BytecodeProgram::Resolve returned for
+  // `args.size()` arguments.
+  Result<Value> Call(uint32_t iface, const std::vector<Value>& args);
   Result<Value> CallByName(const std::string& name,
                            const std::vector<Value>& args);
 
@@ -228,12 +242,13 @@ class BytecodeInterpreter {
   // kProfiled=true one counts every dispatch and times every
   // sample_interval-th instruction (src/eval/vm_profile.h). Run() picks the
   // instantiation once per call, so the hot loop itself stays branch-free
-  // on the profiling question.
-  Result<Value> Run() {
-    return profiler_ != nullptr ? RunImpl<true>() : RunImpl<false>();
+  // on the profiling question. The loop keeps the pc and the current
+  // frame's register base in locals; `base_` follows calls and returns.
+  Result<Value> Run(uint32_t pc) {
+    return profiler_ != nullptr ? RunImpl<true>(pc) : RunImpl<false>(pc);
   }
   template <bool kProfiled>
-  Result<Value> RunImpl();
+  Result<Value> RunImpl(uint32_t pc);
   Result<const Value*> DrawEcv(const BytecodeProgram::EcvSite& site);
   void EnsureRegs(size_t needed);
 
@@ -250,7 +265,6 @@ class BytecodeInterpreter {
   std::vector<CallFrame> frames_;
   uint32_t base_ = 0;
   uint32_t reg_top_ = 0;
-  uint32_t pc_ = 0;
   uint32_t cur_iface_ = 0;
 
   // ECV resolution scratch. Every control path into a draw sets

@@ -397,6 +397,12 @@ class Execution {
       case ExprKind::kUnary: {
         const auto& u = static_cast<const UnaryExpr&>(e);
         ECLARITY_ASSIGN_OR_RETURN(Value operand, Eval(*u.operand, env, iface));
+        // The kernel cannot fail, so only the operator's out-of-line path,
+        // which can, renders the position context.
+        Value out;
+        if (TryApplyUnary(u.op, operand, out)) {
+          return out;
+        }
         return ApplyUnary(u.op, operand, PosContext(iface, e.line, e.column));
       }
       case ExprKind::kBinary: {
@@ -417,6 +423,10 @@ class Execution {
         }
         ECLARITY_ASSIGN_OR_RETURN(Value lhs, Eval(*b.lhs, env, iface));
         ECLARITY_ASSIGN_OR_RETURN(Value rhs, Eval(*b.rhs, env, iface));
+        Value out;
+        if (TryApplyBinary(b.op, lhs, rhs, out)) {
+          return out;
+        }
         return ApplyBinary(b.op, lhs, rhs, PosContext(iface, e.line, e.column));
       }
       case ExprKind::kConditional: {
@@ -574,8 +584,12 @@ Result<std::vector<WeightedOutcome>> Evaluator::Enumerate(
   TraceSink* const trace = options_.trace;
   const std::shared_ptr<const BytecodeProgram> bc = PickBytecode(profile);
   std::optional<BytecodeInterpreter> vm;
+  // Looked up once; a lookup error surfaces where the first path's call
+  // would have raised it.
+  Result<uint32_t> entry = 0u;
   if (bc != nullptr) {
     vm.emplace(*bc, options_, profile, chooser);
+    entry = bc->Resolve(interface_name, args.size());
   }
   for (;;) {
     if (outcomes.size() >= options_.max_paths) {
@@ -592,8 +606,11 @@ Result<std::vector<WeightedOutcome>> Evaluator::Enumerate(
     }
     Value value;
     if (vm.has_value()) {
+      if (!entry.ok()) {
+        return entry.status();
+      }
       vm->Reset();
-      ECLARITY_ASSIGN_OR_RETURN(value, vm->CallByName(interface_name, args));
+      ECLARITY_ASSIGN_OR_RETURN(value, vm->Call(*entry, args));
     } else {
       Execution exec(*program_, options_, profile, chooser);
       exec.set_path_index(path_index);
@@ -878,6 +895,12 @@ Result<Energy> Evaluator::MonteCarloMean(
   const size_t remainder = samples % num_chunks;
 
   const std::shared_ptr<const BytecodeProgram> bc = PickBytecode(profile);
+  // Looked up once; a lookup error surfaces where the first sample's call
+  // would have raised it.
+  Result<uint32_t> entry = 0u;
+  if (bc != nullptr) {
+    entry = bc->Resolve(interface_name, args.size());
+  }
   double total = 0.0;
   for (size_t c = 0; c < num_chunks; ++c) {
     SamplingChooser chooser(streams[c]);
@@ -890,14 +913,21 @@ Result<Energy> Evaluator::MonteCarloMean(
     for (size_t i = 0; i < count; ++i) {
       Result<Value> value = [&]() -> Result<Value> {
         if (vm.has_value()) {
+          if (!entry.ok()) {
+            return entry.status();
+          }
           vm->Reset();
-          return vm->CallByName(interface_name, args);
+          return vm->Call(*entry, args);
         }
         Execution exec(*program_, options_, profile, chooser);
         return exec.CallInterface(interface_name, args);
       }();
       if (!value.ok()) {
         return value.status();
+      }
+      if (value->is_concrete_energy()) {
+        sum += value->joules();
+        continue;
       }
       ECLARITY_ASSIGN_OR_RETURN(const double joules,
                                 OutcomeJoules(value.value(), calibration));

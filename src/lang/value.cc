@@ -12,23 +12,9 @@ Status TypeError(const std::string& context, const std::string& what) {
   return InvalidArgumentError(context + ": " + what);
 }
 
-// Comparison on two concrete energies; abstract terms are not orderable
-// without a calibration, so comparing them is an error.
-Result<double> ComparableJoules(const Value& energy,
-                                const std::string& context) {
-  if (!energy.is_concrete_energy()) {
-    return TypeError(context,
-                     "cannot compare abstract energy '" +
-                         energy.energy().ToString() + "' without calibration");
-  }
-  return energy.joules();
-}
-
-// `energy * scale`; a concrete energy scales as a double.
-Value Scaled(const Value& energy, double scale) {
-  if (energy.is_concrete_energy()) {
-    return Value::Joules(energy.joules() * scale);
-  }
+// `energy * scale` for an energy with abstract terms (TryApplyBinary
+// scales concrete ones).
+Value ScaledTerms(const Value& energy, double scale) {
   return Value::EnergyValue(energy.energy() * scale);
 }
 
@@ -82,21 +68,19 @@ std::string Value::ToString() const {
   return "?";
 }
 
+// Every case TryApplyBinary answers is left out below: what remains are
+// abstract terms and the errors.
 Result<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs,
                           const std::string& context) {
+  Value out;
+  if (TryApplyBinary(op, lhs, rhs, out)) {
+    return out;
+  }
   switch (op) {
     case BinaryOp::kAdd:
     case BinaryOp::kSub: {
-      const double sign = op == BinaryOp::kAdd ? 1.0 : -1.0;
-      if (lhs.is_number() && rhs.is_number()) {
-        return Value::Number(lhs.number() + sign * rhs.number());
-      }
       if (lhs.is_energy() && rhs.is_energy()) {
-        // Concrete energies are doubles, combined in AbstractEnergy's
-        // order: lhs + (rhs * sign).
-        if (lhs.is_concrete_energy() && rhs.is_concrete_energy()) {
-          return Value::Joules(lhs.joules() + rhs.joules() * sign);
-        }
+        const double sign = op == BinaryOp::kAdd ? 1.0 : -1.0;
         return Value::EnergyValue(lhs.energy() + rhs.energy() * sign);
       }
       return TypeError(context, std::string("cannot apply '") +
@@ -105,31 +89,23 @@ Result<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs,
                                     ValueKindName(rhs.kind()));
     }
     case BinaryOp::kMul: {
-      if (lhs.is_number() && rhs.is_number()) {
-        return Value::Number(lhs.number() * rhs.number());
-      }
       if (lhs.is_energy() && rhs.is_number()) {
-        return Scaled(lhs, rhs.number());
+        return ScaledTerms(lhs, rhs.number());
       }
       if (lhs.is_number() && rhs.is_energy()) {
-        return Scaled(rhs, lhs.number());
+        return ScaledTerms(rhs, lhs.number());
       }
       return TypeError(context, "cannot multiply " +
                                     std::string(ValueKindName(lhs.kind())) +
                                     " by " + ValueKindName(rhs.kind()));
     }
     case BinaryOp::kDiv: {
-      if (lhs.is_number() && rhs.is_number()) {
-        if (rhs.number() == 0.0) {
-          return TypeError(context, "division by zero");
-        }
-        return Value::Number(lhs.number() / rhs.number());
+      if ((lhs.is_number() || lhs.is_energy()) && rhs.is_number() &&
+          rhs.number() == 0.0) {
+        return TypeError(context, "division by zero");
       }
       if (lhs.is_energy() && rhs.is_number()) {
-        if (rhs.number() == 0.0) {
-          return TypeError(context, "division by zero");
-        }
-        return Scaled(lhs, 1.0 / rhs.number());
+        return ScaledTerms(lhs, 1.0 / rhs.number());
       }
       if (lhs.is_energy() && rhs.is_energy()) {
         Result<double> ratio = lhs.energy().RatioTo(rhs.energy());
@@ -142,15 +118,11 @@ Result<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs,
                                     std::string(ValueKindName(lhs.kind())) +
                                     " by " + ValueKindName(rhs.kind()));
     }
-    case BinaryOp::kMod: {
+    case BinaryOp::kMod:
       if (lhs.is_number() && rhs.is_number()) {
-        if (rhs.number() == 0.0) {
-          return TypeError(context, "modulo by zero");
-        }
-        return Value::Number(std::fmod(lhs.number(), rhs.number()));
+        return TypeError(context, "modulo by zero");
       }
       return TypeError(context, "'%' requires numbers");
-    }
     case BinaryOp::kEq:
     case BinaryOp::kNe: {
       const bool eq = lhs == rhs;
@@ -159,53 +131,40 @@ Result<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs,
     case BinaryOp::kLt:
     case BinaryOp::kLe:
     case BinaryOp::kGt:
-    case BinaryOp::kGe: {
-      double a = 0.0;
-      double b = 0.0;
-      if (lhs.is_number() && rhs.is_number()) {
-        a = lhs.number();
-        b = rhs.number();
-      } else if (lhs.is_energy() && rhs.is_energy()) {
-        ECLARITY_ASSIGN_OR_RETURN(a, ComparableJoules(lhs, context));
-        ECLARITY_ASSIGN_OR_RETURN(b, ComparableJoules(rhs, context));
-      } else {
-        return TypeError(context,
-                         std::string("cannot order ") +
-                             ValueKindName(lhs.kind()) + " and " +
-                             ValueKindName(rhs.kind()));
+    case BinaryOp::kGe:
+      if (lhs.is_energy() && rhs.is_energy()) {
+        // Abstract terms are not orderable without a calibration; the left
+        // operand is checked first.
+        const Value& abstract = lhs.has_terms() ? lhs : rhs;
+        return TypeError(context, "cannot compare abstract energy '" +
+                                      abstract.energy().ToString() +
+                                      "' without calibration");
       }
-      switch (op) {
-        case BinaryOp::kLt: return Value::Bool(a < b);
-        case BinaryOp::kLe: return Value::Bool(a <= b);
-        case BinaryOp::kGt: return Value::Bool(a > b);
-        default: return Value::Bool(a >= b);
-      }
-    }
+      return TypeError(context, std::string("cannot order ") +
+                                    ValueKindName(lhs.kind()) + " and " +
+                                    ValueKindName(rhs.kind()));
     case BinaryOp::kAnd:
-    case BinaryOp::kOr: {
-      ECLARITY_ASSIGN_OR_RETURN(bool a, lhs.AsBool());
-      ECLARITY_ASSIGN_OR_RETURN(bool b, rhs.AsBool());
-      return Value::Bool(op == BinaryOp::kAnd ? (a && b) : (a || b));
-    }
+    case BinaryOp::kOr:
+      ECLARITY_RETURN_IF_ERROR(lhs.AsBool().status());
+      return rhs.AsBool().status();
   }
   return TypeError(context, "unknown binary operator");
 }
 
 Result<Value> ApplyUnary(UnaryOp op, const Value& operand,
                          const std::string& context) {
+  Value out;
+  if (TryApplyUnary(op, operand, out)) {
+    return out;
+  }
   switch (op) {
     case UnaryOp::kNeg:
-      if (operand.is_number()) {
-        return Value::Number(-operand.number());
-      }
       if (operand.is_energy()) {
-        return Scaled(operand, -1.0);
+        return ScaledTerms(operand, -1.0);
       }
       return TypeError(context, "cannot negate a bool");
-    case UnaryOp::kNot: {
-      ECLARITY_ASSIGN_OR_RETURN(bool b, operand.AsBool());
-      return Value::Bool(!b);
-    }
+    case UnaryOp::kNot:
+      return operand.AsBool().status();
   }
   return TypeError(context, "unknown unary operator");
 }

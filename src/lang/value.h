@@ -15,6 +15,7 @@
 
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -95,6 +96,8 @@ class Value {
   bool is_concrete_energy() const {
     return word_ == static_cast<uintptr_t>(ValueKind::kEnergy);
   }
+  // True for an energy with abstract terms; numbers and bools have none.
+  bool has_terms() const { return word_ > kKindMask; }
   // The energy, sharing this value's terms: no allocation.
   AbstractEnergy energy() const {
     assert(is_energy());
@@ -156,12 +159,151 @@ class Value {
 
 static_assert(sizeof(Value) == 16);
 
+// The arithmetic kernel (DESIGN.md, "Bytecode VM"): every case of
+// ApplyBinary that cannot fail and involves no abstract term, that is, the
+// arithmetic, comparisons and logic of numbers, bools and concrete
+// energies. On such operands it stores the result in `out` (which may alias
+// an operand) and returns true, building no Result and no string;
+// otherwise it leaves `out` untouched and returns false. ApplyBinary calls
+// it first and handles what it declines (abstract terms and every error),
+// so each kind pair's arithmetic is written here once. The expressions are
+// AbstractEnergy's (`a + b * sign`, `joules * scale`), so NaN payloads and
+// signed zeros keep their bits.
+inline bool TryApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs,
+                           Value& out) {
+  switch (op) {
+    case BinaryOp::kAdd:
+    case BinaryOp::kSub: {
+      const double sign = op == BinaryOp::kAdd ? 1.0 : -1.0;
+      if (lhs.is_number() && rhs.is_number()) {
+        out = Value::Number(lhs.number() + sign * rhs.number());
+        return true;
+      }
+      // Concrete energies are doubles, combined in AbstractEnergy's order:
+      // lhs + (rhs * sign).
+      if (lhs.is_concrete_energy() && rhs.is_concrete_energy()) {
+        out = Value::Joules(lhs.joules() + rhs.joules() * sign);
+        return true;
+      }
+      return false;
+    }
+    case BinaryOp::kMul:
+      if (lhs.is_number() && rhs.is_number()) {
+        out = Value::Number(lhs.number() * rhs.number());
+        return true;
+      }
+      // An energy scales as `joules * scale`, whichever side it is on.
+      if (lhs.is_concrete_energy() && rhs.is_number()) {
+        out = Value::Joules(lhs.joules() * rhs.number());
+        return true;
+      }
+      if (lhs.is_number() && rhs.is_concrete_energy()) {
+        out = Value::Joules(rhs.joules() * lhs.number());
+        return true;
+      }
+      return false;
+    case BinaryOp::kDiv:
+      if (rhs.is_number() && rhs.number() != 0.0) {
+        if (lhs.is_number()) {
+          out = Value::Number(lhs.number() / rhs.number());
+          return true;
+        }
+        if (lhs.is_concrete_energy()) {
+          out = Value::Joules(lhs.joules() * (1.0 / rhs.number()));
+          return true;
+        }
+      }
+      // The ratio of two concrete energies, as AbstractEnergy::RatioTo.
+      if (lhs.is_concrete_energy() && rhs.is_concrete_energy() &&
+          rhs.joules() != 0.0) {
+        out = Value::Number(lhs.joules() / rhs.joules());
+        return true;
+      }
+      return false;
+    case BinaryOp::kMod:
+      if (lhs.is_number() && rhs.is_number() && rhs.number() != 0.0) {
+        out = Value::Number(std::fmod(lhs.number(), rhs.number()));
+        return true;
+      }
+      return false;
+    case BinaryOp::kEq:
+    case BinaryOp::kNe: {
+      if (lhs.has_terms() || rhs.has_terms()) {
+        return false;
+      }
+      const bool eq = lhs == rhs;
+      out = Value::Bool(op == BinaryOp::kEq ? eq : !eq);
+      return true;
+    }
+    case BinaryOp::kLt:
+    case BinaryOp::kLe:
+    case BinaryOp::kGt:
+    case BinaryOp::kGe: {
+      double a = 0.0;
+      double b = 0.0;
+      if (lhs.is_number() && rhs.is_number()) {
+        a = lhs.number();
+        b = rhs.number();
+      } else if (lhs.is_concrete_energy() && rhs.is_concrete_energy()) {
+        a = lhs.joules();
+        b = rhs.joules();
+      } else {
+        return false;
+      }
+      switch (op) {
+        case BinaryOp::kLt: out = Value::Bool(a < b); break;
+        case BinaryOp::kLe: out = Value::Bool(a <= b); break;
+        case BinaryOp::kGt: out = Value::Bool(a > b); break;
+        default: out = Value::Bool(a >= b); break;
+      }
+      return true;
+    }
+    case BinaryOp::kAnd:
+    case BinaryOp::kOr: {
+      if (!lhs.is_bool() || !rhs.is_bool()) {
+        return false;
+      }
+      const bool a = lhs.boolean();
+      const bool b = rhs.boolean();
+      out = Value::Bool(op == BinaryOp::kAnd ? (a && b) : (a || b));
+      return true;
+    }
+  }
+  return false;
+}
+
+// The kernel's unary half: negation of a number or a concrete energy
+// (`joules * -1.0`, so a NaN keeps its sign bit) and logical not of a bool.
+// ApplyUnary calls it first.
+inline bool TryApplyUnary(UnaryOp op, const Value& operand, Value& out) {
+  switch (op) {
+    case UnaryOp::kNeg:
+      if (operand.is_number()) {
+        out = Value::Number(-operand.number());
+        return true;
+      }
+      if (operand.is_concrete_energy()) {
+        out = Value::Joules(operand.joules() * -1.0);
+        return true;
+      }
+      return false;
+    case UnaryOp::kNot:
+      if (operand.is_bool()) {
+        out = Value::Bool(!operand.boolean());
+        return true;
+      }
+      return false;
+  }
+  return false;
+}
+
 // Applies a binary operator with EIL's typing rules. `context` is prepended
-// to error messages (typically "at line:col").
+// to error messages (typically "at line:col"). Runs TryApplyBinary first.
 Result<Value> ApplyBinary(BinaryOp op, const Value& lhs, const Value& rhs,
                           const std::string& context);
 
-// Applies unary negation (number or energy) or logical not (bool).
+// Applies unary negation (number or energy) or logical not (bool). Runs
+// TryApplyUnary first.
 Result<Value> ApplyUnary(UnaryOp op, const Value& operand,
                          const std::string& context);
 

@@ -84,12 +84,11 @@ class RecordingTraceSink : public TraceSink {
     events_.push_back(event);
   }
 
-  // Snapshot of everything recorded so far.
+  // Moves out everything recorded so far: the one reader, under the lock.
   std::vector<TraceEvent> TakeEvents() {
     std::lock_guard<std::mutex> lock(mu_);
     return std::move(events_);
   }
-  const std::vector<TraceEvent>& events() const { return events_; }
   void Clear() {
     std::lock_guard<std::mutex> lock(mu_);
     events_.clear();

@@ -10,7 +10,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -391,6 +393,37 @@ TEST(VmProfilerTest, FoldChainIsHottestOpOnBenchShape) {
   }
   EXPECT_GE(sampled_sites, 4u);
   EXPECT_EQ(snap.HottestOp(), "kFoldChain");
+}
+
+TEST(VmProfilerTest, Gpt2GenerateDispatchCount) {
+  // One E_gpt2_generate(512, 16) evaluation: a binary operator reads its
+  // constant operand straight from the pool, so only call arguments and
+  // stored constants take a kConst. Loading every constant operand with a
+  // kConst again reads 1,066 dispatches, 293 of them kConst.
+  std::ifstream file(ECLARITY_SOURCE_DIR "/examples/eil/gpt2_rtx4090.eil");
+  ASSERT_TRUE(file) << "examples/eil/gpt2_rtx4090.eil";
+  std::ostringstream source;
+  source << file.rdbuf();
+  const Program program = MustParse(source.str());
+  EvalOptions options;
+  options.engine = EvalEngine::kBytecode;
+  VmProfiler profiler(/*sample_interval=*/1);
+  options.vm_profiler = &profiler;
+  Evaluator evaluator(program, options);
+  auto outcomes = evaluator.Enumerate(
+      "E_gpt2_generate", {Value::Number(512.0), Value::Number(16.0)}, {});
+  ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+  ASSERT_EQ(outcomes->size(), 1u);
+
+  const VmProfiler::Snapshot snap = profiler.TakeSnapshot();
+  EXPECT_EQ(snap.dispatches, 795u);
+  uint64_t const_loads = 0;
+  for (const VmProfiler::OpStat& op : snap.ops) {
+    if (op.op == static_cast<uint8_t>(BcOp::kConst)) {
+      const_loads = op.hits;
+    }
+  }
+  EXPECT_EQ(const_loads, 22u);
 }
 
 TEST(VmProfilerTest, QueryServiceAttributesCostPerInterface) {

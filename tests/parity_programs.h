@@ -129,6 +129,49 @@ interface snap(n) {
 }
 )";
 
+// A constant on each side of + - * / % < ==, which the bytecode reads
+// straight from its constant pool, plus the ratio of two concrete energies
+// and the negation of a number and of a concrete energy.
+inline constexpr char kConstantOperandsSource[] = R"(
+interface const_ops(x) {
+  let sum = (2 + x) + (x + 2) + (x - 0.5) + (1 - x) + (3 * x) + (x * 3);
+  let quot = (x / 4) + (8 / x) + (10 % x) + (x % 4);
+  let flags = (x < 3 ? 1 : 0) + (3 < x ? 2 : 0) + (x == 7 ? 4 : 0) +
+              (7 == x ? 8 : 0);
+  let neg = -x + -(x * 1mJ) / 1mJ;
+  return (sum + quot + flags + neg) * 1uJ + 2uJ * x - x * 1uJ / 4;
+}
+)";
+
+// Abstract energy against constants: au(...) times a constant on either
+// side, and ratios against a constant abstract energy, back to Joules.
+inline constexpr char kAbstractScaledSource[] = R"(
+interface abstract_scaled(n) {
+  let relu = au("relu", n) * 3;
+  let twice = 2 * au("relu", n);
+  return (relu / au("relu", 1)) * 1mJ + (twice / au("relu", 1)) * 1uJ;
+}
+)";
+
+// Results whose sign or payload bits are the point: -0.0 Joules on one
+// path, and on the other a NaN (inf - inf) negated as a number and as an
+// energy, whose sign bits differ. Folding a NaN fails ("non-finite atom").
+inline constexpr char kSignedZeroSource[] = R"(
+interface signed_zero(x) {
+  ecv flip ~ bernoulli(0.25);
+  let z = -x * 0;
+  return flip ? z * 1mJ : -(x * 0mJ) + x * 1uJ;
+}
+)";
+inline constexpr char kNanSource[] = R"(
+interface nan_results(x) {
+  let big = x * 1e308;
+  let nan = big - big;
+  ecv pick ~ categorical(0: 0.5, 1: 0.25, 2: 0.25);
+  return pick == 0 ? nan * 1mJ : (pick == 1 ? -(nan * 1mJ) : -nan * 1mJ);
+}
+)";
+
 // The happy-path corpus (no profile overrides; those are built in the
 // harnesses because EcvProfile is not constexpr-constructible).
 inline const ParityCase kParityCorpus[] = {
@@ -143,6 +186,10 @@ inline const ParityCase kParityCorpus[] = {
     {"accumulator_snapshot", kAccumulatorSnapshotSource, "snap", {5.0}},
     {"accumulator_snapshot_wrapper", kAccumulatorSnapshotSource, "snap_wrap",
      {5.0}},
+    {"constant_operands", kConstantOperandsSource, "const_ops", {7.0}},
+    {"abstract_scaled", kAbstractScaledSource, "abstract_scaled", {5.0}},
+    {"signed_zero", kSignedZeroSource, "signed_zero", {7.0}},
+    {"nan_results", kNanSource, "nan_results", {7.0}},
 };
 
 // Programs whose evaluation must FAIL — with the same status code and
@@ -173,6 +220,23 @@ inline const ParityCase kErrorCorpus[] = {
     {"mixed_kind_arithmetic", "interface f(x) { return x + 1J; }", "f", {2.0}},
     // Unknown entry interface.
     {"unknown_entry", "interface f(x) { return x * 1J; }", "nope", {1.0}},
+    // A bool constant in arithmetic.
+    {"bool_constant_arithmetic", "interface f(x) { return (x + true) * 1J; }",
+     "f", {2.0}},
+    // Division and modulo by a constant zero, of a number and an energy.
+    {"division_by_constant_zero", "interface f(x) { return x / 0 * 1J; }",
+     "f", {2.0}},
+    {"energy_division_by_constant_zero",
+     "interface f(x) { return x * 1J / 0; }", "f", {2.0}},
+    {"modulo_by_constant_zero", "interface f(x) { return x % 0 * 1J; }", "f",
+     {2.0}},
+    // A concrete energy compared with an abstract one.
+    {"concrete_vs_abstract_comparison",
+     "interface f(x) { return x * 1J < au(\"relu\", x) ? 1J : 2J; }", "f",
+     {2.0}},
+    // Negation of a bool.
+    {"negate_bool", "interface f(x) { let b = x < 3; return -b * 1J; }", "f",
+     {2.0}},
 };
 
 }  // namespace parity
