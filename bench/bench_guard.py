@@ -9,10 +9,13 @@ sanitizer timings would trip the guard on every run, and the recording side
 (bench/record_bench.cmake) refuses debug numbers for the same reason.
 
 Throughput benchmarks (items_per_second in both runs) are compared on
-throughput; everything else on real_time. The factor is deliberately loose
-(default 2x): the snapshot is recorded on a small, noisy container, and the
-guard exists to catch engine-level regressions (an accidental fallback to a
-slower path, a lost cache), not single-digit-percent drift.
+throughput; everything else on real_time. The baseline holds each
+benchmark's median over repetitions spread across the recording
+(bench/record_bench.cmake), so one slow recorded run cannot set it. The
+factor is deliberately loose (default 2x): the snapshot is recorded on a
+small, noisy container, and the guard exists to catch engine-level
+regressions (an accidental fallback to a slower path, a lost cache), not
+single-digit-percent drift.
 
 Usage:
   bench_guard.py --binary <perf_toolkit> --baseline <BENCH_perf_toolkit.json>
@@ -29,16 +32,20 @@ import tempfile
 
 
 def load_benchmarks(doc):
-    """name -> benchmark dict, aggregates excluded.
+    """name -> benchmark dict: the median row of a repeated benchmark, the
+    single run of any other; the other aggregates are dropped.
 
     Runs that errored are kept (they carry "error_occurred"): the caller
     decides whether an error fails the guard.
     """
     out = {}
+    medians = {}
     for bench in doc.get("benchmarks", []):
-        if bench.get("run_type") == "aggregate":
-            continue
-        out[bench["name"]] = bench
+        if bench.get("run_type") != "aggregate":
+            out[bench["name"]] = bench
+        elif bench.get("aggregate_name") == "median":
+            medians[bench["run_name"]] = bench
+    out.update(medians)
     return out
 
 
@@ -52,7 +59,8 @@ def main():
     parser.add_argument("--baseline", required=True)
     parser.add_argument(
         "--filter",
-        default=r"BM_EnumerateFig1|BM_ServiceThroughput/real_time/threads:1$"
+        default=r"BM_EnumerateFig1Warm|BM_EnumerateFig1Cold"
+                r"|BM_ServiceThroughput/real_time/threads:1$"
                 r"|BM_BatchVsSingle|BM_EasScoreBatch|BM_MonteCarloFig1"
                 r"|BM_EnumerateGpt2")
     parser.add_argument("--factor", type=float, default=2.0)

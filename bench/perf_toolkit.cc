@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -62,7 +63,25 @@ void BM_ParseFig1(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseFig1);
 
-void BM_EnumerateFig1(benchmark::State& state) {
+// Parses examples/eil/NAME from the source tree; on failure marks `state`
+// errored and returns nullopt.
+std::optional<Program> LoadExample(const char* name,
+                                   benchmark::State& state) {
+  std::ifstream file(std::string(ECLARITY_SOURCE_DIR "/examples/eil/") + name);
+  std::ostringstream source;
+  source << file.rdbuf();
+  auto program = ParseProgram(source.str());
+  if (!file || !program.ok()) {
+    state.SkipWithError((std::string("examples/eil/") + name +
+                         " did not load").c_str());
+    return std::nullopt;
+  }
+  return std::move(program).value();
+}
+
+// One exact Fig. 1 query repeated on one evaluator: after the first
+// iteration it is a hit in the evaluator's fold slot, not an enumeration.
+void BM_EnumerateFig1Warm(benchmark::State& state) {
   auto program = ParseProgram(kFig1Source);
   Evaluator evaluator(*program);
   const std::vector<Value> args = {Value::Number(50176.0),
@@ -72,7 +91,28 @@ void BM_EnumerateFig1(benchmark::State& state) {
     benchmark::DoNotOptimize(dist.ok());
   }
 }
-BENCHMARK(BM_EnumerateFig1);
+BENCHMARK(BM_EnumerateFig1Warm);
+
+// The exact Fig. 1 query of examples/eil/fig1_webservice.eil with a fresh
+// image size every iteration, so the fold slot misses: the enumeration and
+// fold behind one of cold_manager's Fig. 1 misses (perfbench).
+void BM_EnumerateFig1Cold(benchmark::State& state) {
+  const std::optional<Program> program =
+      LoadExample("fig1_webservice.eil", state);
+  if (!program.has_value()) {
+    return;
+  }
+  Evaluator evaluator(*program);
+  std::vector<Value> args = {Value::Number(1.0), Value::Number(100.0)};
+  double image_size = 1000.0;
+  for (auto _ : state) {
+    args[0] = Value::Number(image_size);
+    image_size += 1.0;
+    auto dist = evaluator.EvalDistribution("E_ml_webservice_handle", args, {});
+    benchmark::DoNotOptimize(dist.ok());
+  }
+}
+BENCHMARK(BM_EnumerateFig1Cold);
 
 // Bytecode compilation of the whole Fig. 1 program (lowering excluded):
 // the one-time cost an evaluator pays at construction to run queries on
@@ -110,7 +150,7 @@ BENCHMARK(BM_SpecializeOnSwap);
 // The same evaluation with tracing attached: measures the full cost of the
 // observability path (the tree walk, which a traced evaluator runs whatever
 // its engine, per-event sink calls, and the fold-slot bypass). Compare
-// against BM_EnumerateFig1 for the overhead; with no sink installed the
+// against BM_EnumerateFig1Warm for the overhead; with no sink installed the
 // bytecode VM serves and carries no event code.
 void BM_TracedEval(benchmark::State& state) {
   // Counts events without storing them, so iterations don't accumulate.
@@ -172,12 +212,9 @@ BENCHMARK(BM_MonteCarloFig1);
 // the bytecode run behind one of cold_manager's GPT-2 misses (one path, no
 // fold, no cache).
 void BM_EnumerateGpt2(benchmark::State& state) {
-  std::ifstream file(ECLARITY_SOURCE_DIR "/examples/eil/gpt2_rtx4090.eil");
-  std::ostringstream source;
-  source << file.rdbuf();
-  auto program = ParseProgram(source.str());
-  if (!file || !program.ok()) {
-    state.SkipWithError("examples/eil/gpt2_rtx4090.eil did not load");
+  const std::optional<Program> program =
+      LoadExample("gpt2_rtx4090.eil", state);
+  if (!program.has_value()) {
     return;
   }
   Evaluator evaluator(*program);

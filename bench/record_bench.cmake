@@ -18,9 +18,19 @@ if(NOT REPO_BUILD_TYPE MATCHES "^(Release|RelWithDebInfo|MinSizeRel)$")
     "-DCMAKE_BUILD_TYPE=Release and re-run.")
 endif()
 
+# Five repetitions per benchmark, of which the snapshot keeps the
+# aggregates: bench_guard.py and toolkit_paragraph.py read the median. The
+# repetitions of all benchmarks run interleaved in random order, each for at
+# least 5 s, so one benchmark's five samples spread over the whole run
+# (about 20 minutes): a shared host's speed drifts by up to 2x over minutes,
+# and five back-to-back repetitions would all land in one phase of it.
 execute_process(
   COMMAND ${BENCH_BIN}
           --benchmark_format=json
+          --benchmark_repetitions=5
+          --benchmark_enable_random_interleaving=true
+          --benchmark_min_time=5
+          --benchmark_report_aggregates_only=true
           --benchmark_out_format=json
           --benchmark_out=${OUT_JSON}
   RESULT_VARIABLE rc)

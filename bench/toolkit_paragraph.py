@@ -3,7 +3,8 @@
 
 The paragraph between the BEGIN and END marker lines defined below is
 generated: the host line from the snapshot's `context`, each figure from
-its benchmark's `real_time`. The bench_json target runs this after recording; the
+its benchmark's `real_time`, read from the benchmark's median row when the
+snapshot was recorded with repetitions. The bench_json target runs this after recording; the
 `experiments_toolkit_paragraph` ctest runs it with --check, which exits 1
 when the paragraph no longer matches the snapshot.
 
@@ -22,9 +23,12 @@ END = "<!-- toolkit-paragraph:end -->"
 # (benchmark name, bullet text); {t} is the benchmark's real_time.
 BULLETS = [
     ("BM_ParseFig1", "parsing Fig. 1, {t}."),
-    ("BM_EnumerateFig1",
+    ("BM_EnumerateFig1Warm",
      "{t}. It repeats one exact query on one evaluator, so it times a hit "
      "in the evaluator's fold slot, not an enumeration."),
+    ("BM_EnumerateFig1Cold",
+     "{t}. The same query with a fresh argument every time: the "
+     "enumeration and fold a cold Fig. 1 query runs."),
     ("BM_SampleFig1", "one sampled evaluation, {t}."),
     ("BM_IntervalFig1", "interval analysis, {t}."),
     ("BM_Gpt2Prediction/200",
@@ -47,9 +51,20 @@ def format_time(nanoseconds):
 
 def render(snapshot):
     context = snapshot["context"]
-    times = {b["name"]: b["real_time"] * NS_PER_UNIT[b.get("time_unit", "ns")]
-             for b in snapshot["benchmarks"]
-             if b.get("run_type", "iteration") == "iteration"}
+    rows = {}
+    medians = {}
+    for b in snapshot["benchmarks"]:
+        if b.get("run_type", "iteration") == "iteration":
+            rows[b["name"]] = b
+        elif b.get("aggregate_name") == "median":
+            medians[b["run_name"]] = b
+    rows.update(medians)
+    times = {name: b["real_time"] * NS_PER_UNIT[b.get("time_unit", "ns")]
+             for name, b in rows.items()}
+    repetitions = max((b.get("repetitions", 1) for b in rows.values()),
+                      default=1)
+    runs = (f"the median of {repetitions} runs per benchmark"
+            if medians else "one run per benchmark")
     intro = (
         "google-benchmark timings for the operations a resource manager "
         "would pay online, quoted by benchmark name from the checked-in "
@@ -59,8 +74,8 @@ def render(snapshot):
         f"{context['mhz_per_cpu']} MHz, from a "
         f"{context.get('repo_build_type', 'unrecorded')} build of the "
         "repository (the benchmark library itself reports "
-        f"`library_build_type: {context['library_build_type']}`), one run "
-        "per benchmark:")
+        f"`library_build_type: {context['library_build_type']}`), "
+        f"{runs}:")
     lines = textwrap.wrap(intro, width=72)
     lines.append("")
     for name, text in BULLETS:

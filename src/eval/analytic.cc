@@ -157,22 +157,9 @@ Result<const EcvSupport*> ResolveSupport(const LStmt& stmt,
       ECLARITY_ASSIGN_OR_RETURN(Value hi_v, EvalDet(*ecv.params[1], frame));
       ECLARITY_ASSIGN_OR_RETURN(double lo_n, lo_v.AsNumber());
       ECLARITY_ASSIGN_OR_RETURN(double hi_n, hi_v.AsNumber());
-      const int64_t lo = static_cast<int64_t>(std::llround(lo_n));
-      const int64_t hi = static_cast<int64_t>(std::llround(hi_n));
-      if (hi < lo) {
-        return InvalidArgumentError("uniform_int with inverted bounds");
-      }
-      const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-      if (span > options.max_ecv_support) {
-        return ResourceExhaustedError("uniform_int support too large");
-      }
-      std::vector<std::pair<Value, double>> outcomes;
-      outcomes.reserve(span);
-      for (int64_t v = lo; v <= hi; ++v) {
-        outcomes.emplace_back(Value::Number(static_cast<double>(v)), 1.0);
-      }
-      ECLARITY_ASSIGN_OR_RETURN(*storage,
-                                EcvSupport::Make(std::move(outcomes)));
+      ECLARITY_ASSIGN_OR_RETURN(
+          *storage,
+          EcvSupport::UniformInt(lo_n, hi_n, options.max_ecv_support, ""));
       return storage;
     }
     case EcvDistKind::kCategorical: {

@@ -31,13 +31,42 @@ inline int64_t CounterBits(const Value& v) {
 // Compiler
 // ---------------------------------------------------------------------------
 
-// Two passes over the lowered program: pass 1 creates every interface record
-// (so calls resolve to indices before any body compiles), pass 2 emits the
-// bodies. Registers are frame-relative; slots [0, frame_size) alias the
-// lowered frame slots and a bump allocator hands out expression temporaries
-// above them. Each expression saves and restores the bump pointer around its
-// own temporaries, so argument registers for calls and builtins come out
-// consecutive by construction.
+namespace {
+
+// The largest callee that inlines: its out-of-line body, its own inlined
+// calls included, in instructions. An inline expansion is that body with
+// its first kStep become kEnter and its kReturns become writes to the
+// call's destination, so every level of nesting adds at least one
+// instruction: the limit also bounds how deep inlined bodies nest, and
+// with it the compiler's recursion through them.
+constexpr size_t kInlineLimit = 64;
+
+// Whether control can run off the end of `block`. Conservative: a return
+// stops it, and so does an if whose branches both stop it.
+bool Completes(const std::vector<LStmtPtr>& block) {
+  for (const LStmtPtr& s : block) {
+    if (s->kind == LStmtKind::kReturn ||
+        (s->kind == LStmtKind::kIf && !Completes(s->then_block) &&
+         !Completes(s->else_block))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+// Two passes over the lowered program. Pass 1 creates every interface
+// record, so calls resolve to indices before any body compiles. Pass 2
+// emits the out-of-line bodies, callees before callers, expanding every
+// call to a callee that inlines in place; right after its body is emitted,
+// an interface is decided to inline when that body makes no interface
+// call and fits kInlineLimit. Registers are frame-relative; slots
+// [0, frame_size) alias the lowered frame slots and a bump allocator hands
+// out expression temporaries above them. Each expression saves and
+// restores the bump pointer around its own temporaries, so argument
+// registers for calls and builtins come out consecutive by construction,
+// and an inlined callee's frame is a block of temporaries.
 class BytecodeCompiler {
  public:
   BytecodeCompiler(const LoweredProgram& lowered,
@@ -63,14 +92,9 @@ class BytecodeCompiler {
       p_->ifaces_.push_back(std::move(f));
       p_->index_.emplace(name, i);
     }
-    for (uint32_t i = 0; i < ifaces.size(); ++i) {
-      cur_ = ifaces[i].get();
-      temp_top_ = static_cast<uint32_t>(cur_->frame_size);
-      max_regs_ = temp_top_;
-      p_->ifaces_[i].entry = static_cast<uint32_t>(p_->code_.size());
-      CompileBlock(cur_->body);
-      Emit({BcOp::kFail, 0, 0, 0, 0, PoolStatus(p_->ifaces_[i].falloff_error)});
-      p_->ifaces_[i].nregs = max_regs_;
+    inlines_.assign(ifaces.size(), false);
+    for (const uint32_t i : CalleesFirst()) {
+      CompileOutOfLine(i);
     }
     if (overflow_) {
       return ResourceExhaustedError(
@@ -85,8 +109,27 @@ class BytecodeCompiler {
   }
 
  private:
+  // Where a slot of the body being emitted lives: a register, or, for a
+  // parameter bound to a constant argument, a constant-pool entry.
+  struct SlotRef {
+    bool pooled = false;
+    uint16_t index = 0;  // register, or constant-pool index when pooled
+  };
+  // The interface whose body is being emitted: out of line (level 0), or
+  // inlined `level` calls below the out-of-line body that contains it.
+  struct Body {
+    const LoweredInterface* iface = nullptr;
+    uint32_t index = 0;  // interface index, recorded per pc
+    uint32_t level = 0;
+    std::vector<SlotRef> slots;
+    uint16_t dst = 0;            // inline: the call's destination register
+    bool enter_pending = false;  // inline: its first step becomes kEnter
+    std::vector<uint32_t> exits; // inline: return jumps, patched to the end
+  };
+
   uint32_t Emit(Instr in) {
     p_->code_.push_back(in);
+    p_->pc_iface_.push_back(body_.index);
     return static_cast<uint32_t>(p_->code_.size() - 1);
   }
   uint32_t Here() const { return static_cast<uint32_t>(p_->code_.size()); }
@@ -99,6 +142,30 @@ class BytecodeCompiler {
     }
     return static_cast<uint16_t>(r);
   }
+
+  // Slots of `f` in registers [base, base + frame_size); temp_top_ moves
+  // above them unless the frame is the out-of-line one (base 0).
+  std::vector<SlotRef> PlaceFrame(const LoweredInterface& f, uint32_t base) {
+    if (base + f.frame_size > 0x10000) {
+      overflow_ = true;
+      return std::vector<SlotRef>(f.frame_size);
+    }
+    std::vector<SlotRef> slots(f.frame_size);
+    for (size_t s = 0; s < slots.size(); ++s) {
+      slots[s].index = static_cast<uint16_t>(base + s);
+    }
+    if (base > 0) {
+      temp_top_ = base + static_cast<uint32_t>(f.frame_size);
+      max_regs_ = std::max(max_regs_, temp_top_);
+    }
+    return slots;
+  }
+
+  // The register of a slot not bound to a constant. Only parameters are
+  // bound in place, and a slot the body writes is never a parameter (EIL
+  // parameters are immutable: an assignment to one lowers to its error),
+  // so every write lands in the body's own frame.
+  uint16_t SlotReg(int slot) const { return body_.slots[slot].index; }
 
   uint32_t PoolConst(const Value& v) {
     std::string key;
@@ -126,7 +193,7 @@ class BytecodeCompiler {
   }
 
   std::string Ctx(int line, int column) const {
-    return PosContext(*cur_->decl, line, column);
+    return PosContext(*body_.iface->decl, line, column);
   }
 
   Status BudgetStatus(const LStmt& stmt) const {
@@ -139,24 +206,186 @@ class BytecodeCompiler {
            stmt.a->kind == LExprKind::kSlot && stmt.a->slot == slot;
   }
 
-  void CompileBlock(const std::vector<LStmtPtr>& block) {
+  // ---- Out-of-line bodies and inlining decisions -------------------------
+
+  // Interface indices `e` calls, with repeats.
+  void Callees(const LExpr& e, std::vector<uint32_t>& out) const {
+    if (e.kind == LExprKind::kCall && e.callee != nullptr &&
+        e.call_error.ok()) {
+      out.push_back(iface_index_.at(e.callee));
+    }
+    for (const LExprPtr& child : e.children) {
+      Callees(*child, out);
+    }
+  }
+  void Callees(const std::vector<LStmtPtr>& block,
+               std::vector<uint32_t>& out) const {
+    for (const LStmtPtr& s : block) {
+      for (const LExpr* e : {s->a.get(), s->b.get()}) {
+        if (e != nullptr) {
+          Callees(*e, out);
+        }
+      }
+      if (s->ecv != nullptr) {
+        for (const LExprPtr& param : s->ecv->params) {
+          Callees(*param, out);
+        }
+      }
+      Callees(s->then_block, out);
+      Callees(s->else_block, out);
+    }
+  }
+
+  // Every interface, each after all it calls, except that a call back into
+  // an interface still being visited (only a recursive interface makes
+  // one) does not wait. A depth-first walk without recursion, so a long
+  // call chain cannot exhaust the stack.
+  std::vector<uint32_t> CalleesFirst() const {
+    const auto& ifaces = lowered_.interfaces();
+    std::vector<uint32_t> order;
+    order.reserve(ifaces.size());
+    std::vector<bool> seen(ifaces.size(), false);
+    std::vector<std::pair<uint32_t, std::vector<uint32_t>>> stack;
+    for (uint32_t root = 0; root < ifaces.size(); ++root) {
+      if (seen[root]) {
+        continue;
+      }
+      seen[root] = true;
+      stack.emplace_back(root, std::vector<uint32_t>());
+      Callees(ifaces[root]->body, stack.back().second);
+      while (!stack.empty()) {
+        std::vector<uint32_t>& pending = stack.back().second;
+        if (pending.empty()) {
+          order.push_back(stack.back().first);
+          stack.pop_back();
+          continue;
+        }
+        const uint32_t next = pending.back();
+        pending.pop_back();
+        if (!seen[next]) {
+          seen[next] = true;
+          stack.emplace_back(next, std::vector<uint32_t>());
+          Callees(ifaces[next]->body, stack.back().second);
+        }
+      }
+    }
+    return order;
+  }
+
+  // Emits interface `i`'s out-of-line body, then decides whether calls to
+  // it inline: it has no entry error and a body, and that body makes no
+  // interface call (a call to an interface not yet decided, which only a
+  // recursive one makes, stays a kCall) and fits kInlineLimit.
+  void CompileOutOfLine(uint32_t i) {
+    const LoweredInterface& src = *lowered_.interfaces()[i];
+    BytecodeProgram::BcIface& f = p_->ifaces_[i];
+    temp_top_ = static_cast<uint32_t>(src.frame_size);
+    max_regs_ = temp_top_;
+    body_ = Body{&src, i, 0, PlaceFrame(src, 0), 0, false, {}};
+    f.entry = Here();
+    CompileBlock(src.body, /*tail=*/false);
+    Emit({BcOp::kFail, 0, 0, 0, 0, PoolStatus(f.falloff_error)});
+    f.nregs = max_regs_;
+    bool inlines = src.entry_error.ok() && !src.body.empty() &&
+                   Here() - f.entry <= kInlineLimit;
+    for (uint32_t pc = f.entry; inlines && pc < Here(); ++pc) {
+      inlines = p_->code_[pc].op != BcOp::kCall;
+    }
+    inlines_[i] = inlines;
+  }
+
+  // ---- Inline expansion ---------------------------------------------------
+
+  // Expands a call to an inlining callee into `dst`: the callee's frame
+  // sits above the caller's temporaries; a slot or constant argument binds
+  // its parameter in place, any other argument is computed straight into
+  // the parameter's register, in argument order.
+  bool TryInline(const LExpr& e, uint16_t dst) {
+    const uint32_t i = iface_index_.at(e.callee);
+    if (!inlines_[i]) {
+      return false;
+    }
+    const LoweredInterface& f = *e.callee;
+    const uint32_t save = temp_top_;
+    std::vector<SlotRef> slots = PlaceFrame(f, temp_top_);
+    for (size_t k = 0; k < e.children.size() && !overflow_; ++k) {
+      const LExpr& arg = *e.children[k];
+      SlotRef& param = slots[f.param_slots[k]];
+      if (arg.kind == LExprKind::kSlot) {
+        param = body_.slots[arg.slot];
+      } else if (PoolOperand(arg, param.index)) {
+        param.pooled = true;
+      } else {
+        CompileExpr(arg, param.index);
+      }
+    }
+    if (!overflow_) {
+      CompileInline(i, dst, std::move(slots));
+    }
+    temp_top_ = save;
+    return true;
+  }
+
+  // Emits interface `i`'s body in place: its slots at `slots`, its first
+  // step checking the call depth (kEnter), and every return writing `dst`,
+  // then leaving for the end unless it is the last thing the body runs.
+  void CompileInline(uint32_t i, uint16_t dst, std::vector<SlotRef> slots) {
+    const LoweredInterface& f = *lowered_.interfaces()[i];
+    Body outer = std::exchange(
+        body_, Body{&f, i, body_.level + 1, std::move(slots), dst, true, {}});
+    const bool completes = Completes(f.body);
+    CompileBlock(f.body, /*tail=*/!completes);
+    if (completes) {
+      Emit({BcOp::kFail, 0, 0, 0, 0, PoolStatus(p_->ifaces_[i].falloff_error)});
+    }
+    for (const uint32_t j : body_.exits) {
+      p_->code_[j].imm = Here();
+    }
+    body_ = std::move(outer);
+  }
+
+  // ---- Statements ---------------------------------------------------------
+
+  // The pooled budget error of statement `s`, rendered once however many
+  // times its body is emitted.
+  uint32_t StepStatus(const LStmt& s) {
+    const auto [it, inserted] = step_status_.emplace(&s, 0);
+    if (inserted) {
+      it->second = PoolStatus(BudgetStatus(s));
+    }
+    return it->second;
+  }
+
+  // A statement's budget step. An inlined body's first step also checks
+  // the call depth at its nesting level, as kCall's entry would (kEnter).
+  void EmitStep(const LStmt& s) {
+    const BcOp op = body_.enter_pending ? BcOp::kEnter : BcOp::kStep;
+    body_.enter_pending = false;
+    Emit({op, 0, static_cast<uint16_t>(body_.level), 0, 0, StepStatus(s)});
+  }
+
+  // `tail`: control leaving the end of `block` reaches the end of the
+  // inlined body without running another instruction but jumps, so a
+  // return there needs no jump of its own.
+  void CompileBlock(const std::vector<LStmtPtr>& block, bool tail) {
     for (size_t i = 0; i < block.size(); ++i) {
       const LStmt& s = *block[i];
-      Emit({BcOp::kStep, 0, 0, 0, 0, PoolStatus(BudgetStatus(s))});
+      EmitStep(s);
       // Superinstruction: an ECV draw immediately guarded by `if <ecv>`
       // fuses draw + budget + branch into one dispatch. Requires a valid
       // slot — rejected bindings must surface their error before the if.
       if (s.kind == LStmtKind::kEcv && s.slot >= 0 &&
           i + 1 < block.size() && IsGuardingIf(*block[i + 1], s.slot)) {
-        CompileEcv(s, block[i + 1].get());
+        CompileEcv(s, block[i + 1].get(), tail && i + 2 == block.size());
         ++i;
         continue;
       }
+      const bool last = tail && i + 1 == block.size();
       switch (s.kind) {
         case LStmtKind::kStore:
         case LStmtKind::kAssign: {
           if (s.slot >= 0) {
-            CompileExpr(*s.a, static_cast<uint16_t>(s.slot));
+            CompileExpr(*s.a, SlotReg(s.slot));
           } else {
             const uint32_t save = temp_top_;
             const uint16_t t = AllocReg();
@@ -167,7 +396,7 @@ class BytecodeCompiler {
           break;
         }
         case LStmtKind::kEcv:
-          CompileEcv(s, nullptr);
+          CompileEcv(s, nullptr, false);
           break;
         case LStmtKind::kIf: {
           const uint32_t save = temp_top_;
@@ -178,11 +407,7 @@ class BytecodeCompiler {
               static_cast<uint32_t>(p_->branch_sites_.size() - 1);
           Emit({BcOp::kBranch, 0, 0, c, 0, site});
           temp_top_ = save;
-          CompileBlock(s.then_block);
-          const uint32_t j = Emit({BcOp::kJump, 0, 0, 0, 0, 0});
-          p_->branch_sites_[site].else_target = Here();
-          CompileBlock(s.else_block);
-          p_->code_[j].imm = Here();
+          CompileIfBlocks(s, site, last);
           break;
         }
         case LStmtKind::kFor: {
@@ -192,53 +417,72 @@ class BytecodeCompiler {
           const uint16_t re = AllocReg();
           CompileExpr(*s.b, re);
           Emit({BcOp::kForPrep, 0, rb, re, 0, 0});
-          p_->for_sites_.push_back({PoolStatus(BudgetStatus(s)), 0});
+          p_->for_sites_.push_back({StepStatus(s), 0});
           const uint32_t site =
               static_cast<uint32_t>(p_->for_sites_.size() - 1);
           const bool bad_slot = s.slot < 0;
-          const uint16_t var =
-              bad_slot ? AllocReg() : static_cast<uint16_t>(s.slot);
+          const uint16_t var = bad_slot ? AllocReg() : SlotReg(s.slot);
           const uint32_t head = Here();
           Emit({BcOp::kForNext, 0, rb, re, var, site});
           if (bad_slot) {
             Emit({BcOp::kFail, 0, 0, 0, 0, PoolStatus(s.error)});
           } else {
-            CompileBlock(s.then_block);
+            CompileBlock(s.then_block, /*tail=*/false);
           }
           Emit({BcOp::kForIncJump, 0, rb, 0, 0, head});
           p_->for_sites_[site].end_target = Here();
           temp_top_ = save;
           break;
         }
-        case LStmtKind::kReturn: {
-          if (s.a->kind == LExprKind::kSlot) {
-            Emit({BcOp::kReturn, 0, static_cast<uint16_t>(s.a->slot), 0, 0,
-                  0});
-          } else {
-            const uint32_t save = temp_top_;
-            const uint16_t t = AllocReg();
-            CompileExpr(*s.a, t);
-            Emit({BcOp::kReturn, 0, t, 0, 0, 0});
-            temp_top_ = save;
-          }
+        case LStmtKind::kReturn:
+          CompileReturn(s, last);
           break;
-        }
       }
     }
+  }
+
+  // The branches of an if statement (or of a kEcvDrawBranch), the else
+  // target recorded in branch site `site`.
+  void CompileIfBlocks(const LStmt& s, uint32_t site, bool tail) {
+    CompileBlock(s.then_block, tail);
+    const uint32_t j = Emit({BcOp::kJump, 0, 0, 0, 0, 0});
+    p_->branch_sites_[site].else_target = Here();
+    CompileBlock(s.else_block, tail);
+    p_->code_[j].imm = Here();
+  }
+
+  void CompileReturn(const LStmt& s, bool tail) {
+    if (body_.level > 0) {
+      CompileExpr(*s.a, body_.dst);
+      if (!tail) {
+        body_.exits.push_back(Emit({BcOp::kJump, 0, 0, 0, 0, 0}));
+      }
+      return;
+    }
+    if (s.a->kind == LExprKind::kSlot) {
+      Emit({BcOp::kReturn, 0, SlotReg(s.a->slot), 0, 0, 0});
+      return;
+    }
+    const uint32_t save = temp_top_;
+    const uint16_t t = AllocReg();
+    CompileExpr(*s.a, t);
+    Emit({BcOp::kReturn, 0, t, 0, 0, 0});
+    temp_top_ = save;
   }
 
   // Emits the resolution + draw sequence for one ECV statement. When
   // `fused_if` is non-null the draw fuses with the guarding if statement
   // into kEcvDrawBranch. Always re-index ecv_sites_ on write: nested blocks
   // push more sites and invalidate references.
-  void CompileEcv(const LStmt& s, const LStmt* fused_if) {
+  void CompileEcv(const LStmt& s, const LStmt* fused_if, bool tail) {
     const LEcv& ecv = *s.ecv;
     const uint32_t site = static_cast<uint32_t>(p_->ecv_sites_.size());
     {
       BytecodeProgram::EcvSite e;
       e.ecv = &ecv;
-      e.slot = s.slot;
-      if (s.slot < 0) {
+      if (s.slot >= 0) {
+        e.slot = SlotReg(s.slot);
+      } else {
         e.redef_error = s.error;
       }
       p_->ecv_sites_.push_back(std::move(e));
@@ -267,10 +511,9 @@ class BytecodeCompiler {
       } else if (ecv.static_support.has_value()) {
         Emit({BcOp::kEcvStatic, 0, 0, 0, 0, site});
       } else {
+        p_->ecv_sites_[site].prefix = Ctx(s.line, s.column) + ": ";
         switch (ecv.dist_kind) {
           case EcvDistKind::kBernoulli: {
-            p_->ecv_sites_[site].range_error = InvalidArgumentError(
-                Ctx(s.line, s.column) + ": bernoulli probability out of [0,1]");
             const uint32_t save = temp_top_;
             const uint16_t rp = CompileOperand(*ecv.params[0]);
             Emit({BcOp::kEcvDynBern, 0, 0, rp, 0, site});
@@ -278,10 +521,6 @@ class BytecodeCompiler {
             break;
           }
           case EcvDistKind::kUniformInt: {
-            p_->ecv_sites_[site].inverted_error = InvalidArgumentError(
-                Ctx(s.line, s.column) + ": uniform_int with inverted bounds");
-            p_->ecv_sites_[site].toolarge_error = ResourceExhaustedError(
-                Ctx(s.line, s.column) + ": uniform_int support too large");
             const uint32_t save = temp_top_;
             const uint16_t rlo = CompileOperand(*ecv.params[0]);
             const uint16_t rhi = CompileOperand(*ecv.params[1]);
@@ -290,7 +529,6 @@ class BytecodeCompiler {
             break;
           }
           case EcvDistKind::kCategorical: {
-            p_->ecv_sites_[site].cat_prefix = Ctx(s.line, s.column) + ": ";
             Emit({BcOp::kEcvCatOpen, 0, 0, 0, 0, 0});
             for (size_t i = 0; i + 1 < ecv.params.size(); i += 2) {
               const uint32_t save = temp_top_;
@@ -307,8 +545,7 @@ class BytecodeCompiler {
     }
     p_->ecv_sites_[site].draw_target = Here();
     if (fused_if != nullptr) {
-      p_->ecv_sites_[site].fused_step_status =
-          PoolStatus(BudgetStatus(*fused_if));
+      p_->ecv_sites_[site].fused_step_status = StepStatus(*fused_if);
       p_->branch_sites_.push_back(
           {Ctx(fused_if->line, fused_if->column) + ": if condition: ", 0});
       const uint32_t bsite =
@@ -316,18 +553,21 @@ class BytecodeCompiler {
       p_->ecv_sites_[site].fused_branch = bsite;
       Emit({BcOp::kEcvDrawBranch, 0, 0, 0, 0, site});
       ++p_->superinstruction_count_;
-      CompileBlock(fused_if->then_block);
-      const uint32_t j = Emit({BcOp::kJump, 0, 0, 0, 0, 0});
-      p_->branch_sites_[bsite].else_target = Here();
-      CompileBlock(fused_if->else_block);
-      p_->code_[j].imm = Here();
+      CompileIfBlocks(*fused_if, bsite, tail);
     } else {
       Emit({BcOp::kEcvDraw, 0, 0, 0, 0, site});
     }
   }
 
-  // A constant whose pool index fits an operand field: sets `index`.
+  // ---- Expressions --------------------------------------------------------
+
+  // A constant, or a parameter bound to one, whose pool index fits an
+  // operand field: sets `index`.
   bool PoolOperand(const LExpr& e, uint16_t& index) {
+    if (e.kind == LExprKind::kSlot && body_.slots[e.slot].pooled) {
+      index = body_.slots[e.slot].index;
+      return true;
+    }
     if (e.kind != LExprKind::kConst) {
       return false;
     }
@@ -339,12 +579,13 @@ class BytecodeCompiler {
     return true;
   }
 
-  // Slots are used in place (expressions never mutate the current frame's
-  // slots, so a slot operand stays valid across later operand evaluation);
+  // Slots are used in place (expressions never write a slot: only
+  // statements do, and an inlined callee's statements write only its own
+  // frame, so a slot operand stays valid across later operand evaluation);
   // anything else lands in a fresh temporary.
   uint16_t CompileOperand(const LExpr& e) {
-    if (e.kind == LExprKind::kSlot) {
-      return static_cast<uint16_t>(e.slot);
+    if (e.kind == LExprKind::kSlot && !body_.slots[e.slot].pooled) {
+      return SlotReg(e.slot);
     }
     const uint16_t t = AllocReg();
     CompileExpr(e, t);
@@ -356,11 +597,15 @@ class BytecodeCompiler {
       case LExprKind::kConst:
         Emit({BcOp::kConst, 0, dst, 0, 0, PoolConst(e.constant)});
         break;
-      case LExprKind::kSlot:
-        if (static_cast<uint16_t>(e.slot) != dst) {
-          Emit({BcOp::kMove, 0, dst, static_cast<uint16_t>(e.slot), 0, 0});
+      case LExprKind::kSlot: {
+        const SlotRef& ref = body_.slots[e.slot];
+        if (ref.pooled) {
+          Emit({BcOp::kConst, 0, dst, 0, 0, ref.index});
+        } else if (ref.index != dst) {
+          Emit({BcOp::kMove, 0, dst, ref.index, 0, 0});
         }
         break;
+      }
       case LExprKind::kError:
         Emit({BcOp::kFail, 0, 0, 0, 0, PoolStatus(e.error)});
         break;
@@ -390,12 +635,22 @@ class BytecodeCompiler {
           break;
         }
         // A constant operand is read from the pool in place (kBinaryRK,
-        // kBinaryKR); no kConst loads it. Lowering folds constant pairs.
+        // kBinaryKR); no kConst loads it. Lowering folds constant pairs
+        // the kernel answers, so a pair of constants here comes from
+        // constant arguments bound in an inlined body: fold it the same way.
         const uint32_t save = temp_top_;
         BcOp op = BcOp::kBinary;
         uint16_t l = 0;
         uint16_t r = 0;
         if (PoolOperand(*e.children[1], r)) {
+          if (PoolOperand(*e.children[0], l)) {
+            Value folded;
+            if (TryApplyBinary(e.bop, p_->const_pool_[l], p_->const_pool_[r],
+                               folded)) {
+              Emit({BcOp::kConst, 0, dst, 0, 0, PoolConst(folded)});
+              break;
+            }
+          }
           op = BcOp::kBinaryRK;
           l = CompileOperand(*e.children[0]);
         } else if (PoolOperand(*e.children[0], l)) {
@@ -424,6 +679,10 @@ class BytecodeCompiler {
       }
       case LExprKind::kBuiltin:
       case LExprKind::kCall: {
+        if (e.kind == LExprKind::kCall && e.call_error.ok() &&
+            TryInline(e, dst)) {
+          break;
+        }
         const uint32_t save = temp_top_;
         const uint16_t rbase = static_cast<uint16_t>(temp_top_);
         if (e.children.size() > 0xFFFF) {
@@ -477,16 +736,15 @@ class BytecodeCompiler {
       BytecodeProgram::FoldStep st;
       st.bop = n.bop;
       st.ctx = PoolCtx(&n.context);
-      if (rhs.kind == LExprKind::kConst) {
-        if (!PoolOperand(rhs, st.src)) {
-          return false;
-        }
+      if (PoolOperand(rhs, st.src)) {
         st.from_pool = true;
-      } else {
-        st.src = static_cast<uint16_t>(rhs.slot);
+      } else if (rhs.kind == LExprKind::kSlot) {
+        st.src = SlotReg(rhs.slot);
         if (st.src == dst) {
           dst_clash = true;
         }
+      } else {
+        return false;  // a constant whose pool index overflows the field
       }
       steps.push_back(st);
     }
@@ -513,7 +771,9 @@ class BytecodeCompiler {
   std::unordered_map<std::string, uint32_t> const_index_;
   std::unordered_map<const std::string*, uint32_t> ctx_index_;
   std::unordered_map<const LoweredInterface*, uint32_t> iface_index_;
-  const LoweredInterface* cur_ = nullptr;
+  std::unordered_map<const LStmt*, uint32_t> step_status_;
+  std::vector<bool> inlines_;  // per interface: calls to it expand in place
+  Body body_;
   uint32_t temp_top_ = 0;
   uint32_t max_regs_ = 0;
   bool overflow_ = false;
@@ -606,7 +866,6 @@ Result<Value> BytecodeInterpreter::Call(uint32_t iface,
   for (size_t i = 0; i < args.size(); ++i) {
     regs_[f.src->param_slots[i]] = args[i];
   }
-  cur_iface_ = iface;
   return Run(f.entry);
 }
 
@@ -648,7 +907,6 @@ Result<Value> BytecodeInterpreter::RunImpl(uint32_t pc) {
     [[maybe_unused]] uint64_t prof_pair_t0 = 0;
     [[maybe_unused]] uint64_t prof_t0 = 0;
     [[maybe_unused]] uint32_t prof_pc = 0;
-    [[maybe_unused]] uint32_t prof_iface = 0;
     [[maybe_unused]] bool prof_timed = false;
     if constexpr (kProfiled) {
       ++local_prof_.dispatches;
@@ -657,7 +915,6 @@ Result<Value> BytecodeInterpreter::RunImpl(uint32_t pc) {
         local_prof_.countdown = prof_interval_;
         prof_timed = true;
         prof_pc = pc - 1;
-        prof_iface = cur_iface_;
         prof_pair_t0 = ObsNowNs();
         prof_t0 = ObsNowNs();
       }
@@ -766,6 +1023,19 @@ Result<Value> BytecodeInterpreter::RunImpl(uint32_t pc) {
           return bc_.status_pool_[in.imm];
         }
         break;
+      case BcOp::kEnter:
+        // An inlined call's entry: kCall's depth check at inline nesting
+        // level a, failing with the depth error of the interface this pc
+        // compiles, then the first statement's budget step.
+        if (depth_ + in.a > options_.max_call_depth) {
+          EvalCounters::Get().budget_depth.Increment();
+          return bc_.ifaces_[bc_.pc_iface_[pc - 1]].depth_error;
+        }
+        if (++steps_ > options_.max_steps) {
+          EvalCounters::Get().budget_steps.Increment();
+          return bc_.status_pool_[in.imm];
+        }
+        break;
       case BcOp::kFail:
         return bc_.status_pool_[in.imm];
       case BcOp::kBuiltin: {
@@ -798,11 +1068,10 @@ Result<Value> BytecodeInterpreter::RunImpl(uint32_t pc) {
         for (size_t i = 0; i < pslots.size(); ++i) {
           callee[pslots[i]] = args[i];
         }
-        frames_.push_back({pc, base_ + in.a, base_, cur_iface_});
+        frames_.push_back({pc, base_ + in.a, base_});
         base_ = cbase;
         R = callee;
         reg_top_ = cbase + f.nregs;
-        cur_iface_ = in.imm;
         pc = f.entry;
         break;
       }
@@ -817,7 +1086,6 @@ Result<Value> BytecodeInterpreter::RunImpl(uint32_t pc) {
         reg_top_ = base_;
         base_ = fr.caller_base;
         R = regs_.data() + base_;
-        cur_iface_ = fr.caller_iface;
         pc = fr.ret_pc;
         regs_[fr.ret_dst] = std::move(v);
         break;
@@ -880,7 +1148,7 @@ Result<Value> BytecodeInterpreter::RunImpl(uint32_t pc) {
             EcvSupport::Make(std::move(cat_stack_.back()));
         cat_stack_.pop_back();
         if (!support.ok()) {
-          return InvalidArgumentError(site.cat_prefix +
+          return InvalidArgumentError(site.prefix +
                                       support.status().message());
         }
         dyn_support_ = std::move(support).value();
@@ -891,7 +1159,8 @@ Result<Value> BytecodeInterpreter::RunImpl(uint32_t pc) {
         const BytecodeProgram::EcvSite& site = bc_.ecv_sites_[in.imm];
         ECLARITY_ASSIGN_OR_RETURN(double p, R[in.b].AsNumber());
         if (p < 0.0 || p > 1.0) {
-          return site.range_error;
+          return InvalidArgumentError(site.prefix +
+                                      "bernoulli probability out of [0,1]");
         }
         dyn_support_ = EcvSupport::Bernoulli(p);
         cur_support_ = &dyn_support_;
@@ -901,22 +1170,10 @@ Result<Value> BytecodeInterpreter::RunImpl(uint32_t pc) {
         const BytecodeProgram::EcvSite& site = bc_.ecv_sites_[in.imm];
         ECLARITY_ASSIGN_OR_RETURN(double lo_n, R[in.b].AsNumber());
         ECLARITY_ASSIGN_OR_RETURN(double hi_n, R[in.c].AsNumber());
-        const int64_t lo = static_cast<int64_t>(std::llround(lo_n));
-        const int64_t hi = static_cast<int64_t>(std::llround(hi_n));
-        if (hi < lo) {
-          return site.inverted_error;
-        }
-        const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-        if (span > options_.max_ecv_support) {
-          return site.toolarge_error;
-        }
-        std::vector<std::pair<Value, double>> outcomes;
-        outcomes.reserve(span);
-        for (int64_t v = lo; v <= hi; ++v) {
-          outcomes.emplace_back(Value::Number(static_cast<double>(v)), 1.0);
-        }
-        ECLARITY_ASSIGN_OR_RETURN(dyn_support_,
-                                  EcvSupport::Make(std::move(outcomes)));
+        ECLARITY_ASSIGN_OR_RETURN(
+            dyn_support_, EcvSupport::UniformInt(lo_n, hi_n,
+                                                 options_.max_ecv_support,
+                                                 site.prefix));
         cur_support_ = &dyn_support_;
         break;
       }
@@ -967,7 +1224,6 @@ Result<Value> BytecodeInterpreter::RunImpl(uint32_t pc) {
         ++local_prof_.samples;
         VmLocalProfile::Site& site = local_prof_.sites[prof_pc];
         site.op = static_cast<uint8_t>(in.op);
-        site.iface = prof_iface;
         ++site.samples;
         site.est_ns += scaled;
       }

@@ -3,10 +3,11 @@
 // The serving execution engine (see DESIGN.md, "Bytecode VM"): LoweredProgram
 // is compiled once into a flat register-based instruction buffer — constant
 // pool, pre-resolved call targets (direct code offsets instead of
-// LoweredInterface* chasing), pre-rendered error statuses, and
-// superinstructions for the hot term shapes (fused sum-of-terms accumulate,
-// guarded ECV-branch select). A dispatch-loop interpreter then executes the
-// buffer over one contiguous, reusable register stack.
+// LoweredInterface* chasing), small call-free callees inlined into their
+// callers, pre-rendered error statuses, and superinstructions for the hot
+// term shapes (fused sum-of-terms accumulate, guarded ECV-branch select). A
+// dispatch-loop interpreter then executes the buffer over one contiguous,
+// reusable register stack.
 //
 // The compiler can additionally *specialize* a program against a fixed
 // EcvProfile: every ECV site whose resolution is decided by the profile
@@ -62,6 +63,7 @@ namespace eclarity {
   X(kCondJump)      /* conditional expr: regs[b] false -> pc = imm */               \
   X(kBranch)        /* if stmt: regs[b] false -> else target */                     \
   X(kStep)          /* ++steps > max_steps -> status_pool[imm] */                   \
+  X(kEnter)         /* inlined body: depth + a > max -> its depth error; kStep */   \
   X(kFail)          /* return status_pool[imm] */                                   \
   X(kBuiltin)       /* regs[a] = builtin(regs[b..b+c)); builtin_sites[imm] */       \
   X(kCall)          /* regs[a] = call ifaces[imm](regs[b..b+c)) */                  \
@@ -85,7 +87,8 @@ namespace eclarity {
 // kBinaryKR) or an argument base/count, `imm` indexes a pool or site table
 // or is an absolute jump target. Registers are frame-relative; slots
 // [0, frame_size) alias the lowered frame slots and expression temporaries
-// live above them. An opcode builds a Status only when it fails: the
+// live above them, with the frames of inlined callees among the
+// temporaries. An opcode builds a Status only when it fails: the
 // operators run the inline kernel (TryApplyBinary, TryApplyUnary) and reach
 // the out-of-line operator only when it declines, and the bool tests check
 // is_bool() in place.
@@ -121,8 +124,10 @@ class BytecodeProgram {
 
   // Compiles every interface of `lowered`, which must outlive the result
   // (instructions reference lowered ECV metadata and pre-rendered operator
-  // contexts in place). Fails only on register overflow; the caller is
-  // expected to fall back to the tree walk.
+  // contexts in place). A call to a callee that inlines (see bytecode.cc,
+  // kInlineLimit) compiles the callee's body in place; every interface
+  // keeps its out-of-line body. Fails only on register overflow; the caller
+  // is expected to fall back to the tree walk.
   static Result<std::shared_ptr<const BytecodeProgram>> Compile(
       const LoweredProgram& lowered, const CompileOptions& options);
   static Result<std::shared_ptr<const BytecodeProgram>> Compile(
@@ -149,7 +154,7 @@ class BytecodeProgram {
  private:
   friend class BytecodeCompiler;
   friend class BytecodeInterpreter;
-  friend class VmProfiler;  // resolves interface names for profile merges
+  friend class VmProfiler;  // resolves pcs to interface names in merges
 
   struct BuiltinSite {
     const CallExpr* call = nullptr;
@@ -171,13 +176,10 @@ class BytecodeProgram {
   };
   struct EcvSite {
     const LEcv* ecv = nullptr;
-    int slot = -1;
+    int slot = -1;          // the register the draw binds
     uint32_t draw_target = 0;
     Status redef_error;     // stmt.error when the binding was rejected
-    Status range_error;     // bernoulli probability out of [0,1]
-    Status inverted_error;  // uniform_int with inverted bounds
-    Status toolarge_error;  // uniform_int support too large
-    std::string cat_prefix; // "in 'iface' at L:C: "
+    std::string prefix;     // "in 'iface' at L:C: ", for dynamic-support errors
     int32_t baked = -1;     // index into baked_supports_ (kEcvBaked)
     uint32_t fused_step_status = 0;  // kEcvDrawBranch: the if's budget error
     uint32_t fused_branch = 0;       // kEcvDrawBranch: branch site
@@ -192,6 +194,9 @@ class BytecodeProgram {
   };
 
   std::vector<Instr> code_;
+  // pc -> index of the interface whose source the instruction compiles; an
+  // inlined body keeps its callee's index.
+  std::vector<uint32_t> pc_iface_;
   std::vector<Value> const_pool_;
   std::vector<Status> status_pool_;
   std::vector<const std::string*> ctx_pool_;  // lowered LExpr contexts
@@ -209,7 +214,8 @@ class BytecodeProgram {
 };
 
 // One execution of a compiled program: a dispatch loop over a flat register
-// stack, with an explicit frame stack for nested interface calls. Mirrors
+// stack, with an explicit frame stack for the interface calls that are not
+// inlined. Mirrors
 // the tree walk observable-step for observable-step. Reusable across runs
 // (Reset()) — registers and frame storage are retained.
 class BytecodeInterpreter {
@@ -234,7 +240,6 @@ class BytecodeInterpreter {
     uint32_t ret_pc = 0;
     uint32_t ret_dst = 0;      // absolute register index
     uint32_t caller_base = 0;
-    uint32_t caller_iface = 0;
   };
 
   // The dispatch loop is compiled twice: the kProfiled=false instantiation
@@ -265,7 +270,6 @@ class BytecodeInterpreter {
   std::vector<CallFrame> frames_;
   uint32_t base_ = 0;
   uint32_t reg_top_ = 0;
-  uint32_t cur_iface_ = 0;
 
   // ECV resolution scratch. Every control path into a draw sets
   // cur_support_ in the immediately preceding instruction, so nested draws

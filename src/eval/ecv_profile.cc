@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <sstream>
 
 namespace eclarity {
 
@@ -41,6 +42,54 @@ EcvSupport EcvSupport::Bernoulli(double p) {
   support.outcomes.emplace_back(Value::Bool(true), p);
   support.outcomes.emplace_back(Value::Bool(false), 1.0 - p);
   return support;
+}
+
+namespace {
+
+// llround(bound) as an int64, or why it has none.
+Result<int64_t> UniformIntBound(double bound, const char* which,
+                                const std::string& prefix) {
+  if (std::isfinite(bound) && bound >= -0x1p63 && bound < 0x1p63) {
+    return static_cast<int64_t>(std::llround(bound));
+  }
+  std::ostringstream os;
+  os << prefix << "uniform_int " << which << " bound ";
+  // Spelled out: the stream would print a NaN's sign bit ("-nan").
+  if (std::isnan(bound)) {
+    os << "NaN";
+  } else {
+    os << bound;
+  }
+  os << (std::isfinite(bound) ? " is outside the int64 range"
+                              : " is not finite");
+  return InvalidArgumentError(os.str());
+}
+
+}  // namespace
+
+Result<EcvSupport> EcvSupport::UniformInt(double lo_n, double hi_n,
+                                          size_t max_support,
+                                          const std::string& prefix) {
+  ECLARITY_ASSIGN_OR_RETURN(const int64_t lo,
+                            UniformIntBound(lo_n, "lower", prefix));
+  ECLARITY_ASSIGN_OR_RETURN(const int64_t hi,
+                            UniformIntBound(hi_n, "upper", prefix));
+  if (hi < lo) {
+    return InvalidArgumentError(prefix + "uniform_int with inverted bounds");
+  }
+  // hi - lo in uint64: the full int64 range spans 2^64 - 1, which int64
+  // arithmetic would overflow.
+  const uint64_t last = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (last >= max_support) {
+    return ResourceExhaustedError(prefix + "uniform_int support too large");
+  }
+  std::vector<std::pair<Value, double>> outcomes;
+  outcomes.reserve(last + 1);
+  for (uint64_t i = 0; i <= last; ++i) {
+    const int64_t v = static_cast<int64_t>(static_cast<uint64_t>(lo) + i);
+    outcomes.emplace_back(Value::Number(static_cast<double>(v)), 1.0);
+  }
+  return Make(std::move(outcomes));
 }
 
 void EcvProfile::SetFixed(const std::string& key, Value value) {

@@ -28,6 +28,15 @@ struct EcvSupport {
   static Result<EcvSupport> Make(std::vector<std::pair<Value, double>> o);
   static EcvSupport Fixed(Value v);
   static EcvSupport Bernoulli(double p);
+  // uniform_int(lo, hi): each integer from llround(lo) to llround(hi),
+  // equally likely. A bound that is not finite or rounds outside the int64
+  // range, and inverted bounds, are InvalidArgument; more than
+  // `max_support` outcomes is ResourceExhausted. `prefix` ("in 'iface' at
+  // L:C: ") starts every message. The one implementation every engine
+  // calls.
+  static Result<EcvSupport> UniformInt(double lo, double hi,
+                                       size_t max_support,
+                                       const std::string& prefix);
 };
 
 class EcvProfile {

@@ -324,25 +324,9 @@ class Execution {
                                   Eval(*stmt.dist.params[1], env, iface));
         ECLARITY_ASSIGN_OR_RETURN(double lo_n, lo_v.AsNumber());
         ECLARITY_ASSIGN_OR_RETURN(double hi_n, hi_v.AsNumber());
-        const int64_t lo = static_cast<int64_t>(std::llround(lo_n));
-        const int64_t hi = static_cast<int64_t>(std::llround(hi_n));
-        if (hi < lo) {
-          return InvalidArgumentError(
-              PosContext(iface, stmt.line, stmt.column) +
-              ": uniform_int with inverted bounds");
-        }
-        const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-        if (span > options_.max_ecv_support) {
-          return ResourceExhaustedError(
-              PosContext(iface, stmt.line, stmt.column) +
-              ": uniform_int support too large");
-        }
-        std::vector<std::pair<Value, double>> outcomes;
-        outcomes.reserve(span);
-        for (int64_t v = lo; v <= hi; ++v) {
-          outcomes.emplace_back(Value::Number(static_cast<double>(v)), 1.0);
-        }
-        return EcvSupport::Make(std::move(outcomes));
+        return EcvSupport::UniformInt(
+            lo_n, hi_n, options_.max_ecv_support,
+            PosContext(iface, stmt.line, stmt.column) + ": ");
       }
       case EcvDistKind::kCategorical: {
         std::vector<std::pair<Value, double>> outcomes;

@@ -360,27 +360,12 @@ class Lowerer {
         if (!lo_n.ok() || !hi_n.ok()) {
           return;
         }
-        const int64_t lo = static_cast<int64_t>(std::llround(lo_n.value()));
-        const int64_t hi = static_cast<int64_t>(std::llround(hi_n.value()));
-        if (hi < lo) {
-          ecv.static_error =
-              InvalidArgumentError(ctx + ": uniform_int with inverted bounds");
-          return;
-        }
-        const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-        if (span > max_ecv_support_) {
-          ecv.static_error =
-              ResourceExhaustedError(ctx + ": uniform_int support too large");
-          return;
-        }
-        std::vector<std::pair<Value, double>> outcomes;
-        outcomes.reserve(span);
-        for (int64_t v = lo; v <= hi; ++v) {
-          outcomes.emplace_back(Value::Number(static_cast<double>(v)), 1.0);
-        }
-        Result<EcvSupport> support = EcvSupport::Make(std::move(outcomes));
+        Result<EcvSupport> support = EcvSupport::UniformInt(
+            lo_n.value(), hi_n.value(), max_ecv_support_, ctx + ": ");
         if (support.ok()) {
           ecv.static_support = std::move(support).value();
+        } else {
+          ecv.static_error = support.status();
         }
         return;
       }

@@ -93,9 +93,8 @@ void VmProfiler::Merge(const VmLocalProfile& local,
       op_costs_[key] += count;
     }
     for (const auto& [pc, site] : local.sites) {
-      const std::string name = site.iface < bc.ifaces_.size()
-                                   ? bc.ifaces_[site.iface].src->decl->name
-                                   : std::string();
+      const std::string& name =
+          bc.ifaces_[bc.pc_iface_[pc]].src->decl->name;
       SiteAgg& agg = sites_[{name, pc}];
       agg.op = site.op;
       agg.samples += site.samples;

@@ -60,7 +60,6 @@ uint32_t VmCostKey(size_t row, uint64_t delta_ns);
 struct VmLocalProfile {
   struct Site {
     uint8_t op = 0;
-    uint32_t iface = 0;  // BytecodeProgram interface index at sample time
     uint64_t samples = 0;
     uint64_t est_ns = 0;  // interval-scaled, overhead-subtracted
   };
@@ -68,7 +67,8 @@ struct VmLocalProfile {
   // VmCostKey(row, delta) -> timed samples; sparse, so an interpreter
   // that times a few ops allocates a few nodes.
   std::unordered_map<uint32_t, uint32_t> op_costs;
-  std::unordered_map<uint32_t, Site> sites;  // keyed by absolute pc
+  // Keyed by absolute pc; the program's pc table names its interface.
+  std::unordered_map<uint32_t, Site> sites;
   uint64_t dispatches = 0;
   uint64_t samples = 0;
   uint32_t countdown = 0;
@@ -123,8 +123,9 @@ class VmProfiler {
   void Reset();
 
   // Folds an interpreter-local profile in (called from the interpreter's
-  // destructor); `bc` resolves interface indices to names. Charges the
-  // sampling cost to the global ObsBudget.
+  // destructor); `bc` names each site's interface through its pc table,
+  // so an inlined body is charged to its callee. Charges the sampling cost
+  // to the global ObsBudget.
   void Merge(const VmLocalProfile& local, const BytecodeProgram& bc);
 
   // Initial countdown for a fresh interpreter, uniform over

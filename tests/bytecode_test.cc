@@ -1,8 +1,9 @@
 // Edge tests for the register bytecode VM (src/eval/bytecode.h) that the
 // engine-parity harnesses cannot see from the outside: constant-pool
 // deduplication, superinstruction parity with the tree walk, register-frame
-// reuse across nested calls, and profile-swap respecialization rekeying the
-// query-service cache. Broad value/error parity with the tree walk lives in
+// reuse across nested calls, inlined calls' budgets and dispatch counts, and
+// profile-swap respecialization rekeying the query-service cache. Broad
+// value/error parity with the tree walk lives in
 // tests/engine_parity_test.cc, tests/differential_test.cc and
 // tests/eval_edge_test.cc.
 
@@ -23,6 +24,7 @@
 #include "src/eval/lower.h"
 #include "src/eval/vm_profile.h"
 #include "src/lang/parser.h"
+#include "src/obs/metrics.h"
 #include "src/svc/query_service.h"
 #include "tests/parity_programs.h"
 
@@ -208,6 +210,153 @@ interface inner(x) {
     EXPECT_EQ(Bits((*reference)[i].probability),
               (*first)[i].probability_bits);
   }
+}
+
+// --- Inlined calls ---------------------------------------------------------
+
+std::string ReadExample(const char* name) {
+  std::ifstream file(std::string(ECLARITY_SOURCE_DIR "/examples/eil/") + name);
+  EXPECT_TRUE(file) << name;
+  std::ostringstream source;
+  source << file.rdbuf();
+  return source.str();
+}
+
+uint64_t OpHits(const VmProfiler::Snapshot& snap, BcOp op) {
+  for (const VmProfiler::OpStat& stat : snap.ops) {
+    if (stat.op == static_cast<uint8_t>(op)) {
+      return stat.hits;
+    }
+  }
+  return 0;
+}
+
+uint64_t BudgetDepthCount() {
+  return MetricsRegistry::Global()
+      .GetCounter("eclarity_eval_budget_depth_exhausted_total")
+      .value();
+}
+
+TEST(BytecodeInlineTest, Fig1MonteCarloSampleMakesNoCall) {
+  // examples/eil/fig1_webservice.eil composes five callees under the
+  // web-service interface, two levels deep; every one expands in place, so
+  // a sample dispatches no kCall and only the entry's kReturn.
+  const Program program = MustParse(ReadExample("fig1_webservice.eil"));
+  EvalOptions options;
+  options.engine = EvalEngine::kBytecode;
+  VmProfiler profiler(/*sample_interval=*/1);
+  options.vm_profiler = &profiler;
+  {
+    Evaluator evaluator(program, options);
+    Rng rng(1);
+    auto mean = evaluator.MonteCarloMean(
+        "E_ml_webservice_handle",
+        {Value::Number(50176.0), Value::Number(10000.0)}, {}, rng, 256);
+    ASSERT_TRUE(mean.ok()) << mean.status().ToString();
+  }
+  const VmProfiler::Snapshot snap = profiler.TakeSnapshot();
+  EXPECT_EQ(OpHits(snap, BcOp::kCall), 0u);
+  EXPECT_EQ(OpHits(snap, BcOp::kReturn), 256u);
+  // Every sample enters at least one inlined callee.
+  EXPECT_GE(OpHits(snap, BcOp::kEnter), 256u);
+}
+
+// Runs `entry(x)` on both engines under `options` and checks that both
+// fail with the same code and message, and count budget_depth alike.
+void ExpectSameBudgetError(const Program& program, EvalOptions options,
+                           double x, const std::string& message,
+                           uint64_t depth_counts) {
+  for (EvalEngine engine : {EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
+    SCOPED_TRACE(engine == EvalEngine::kTreeWalk ? "tree" : "bytecode");
+    options.engine = engine;
+    Evaluator evaluator(program, options);
+    const uint64_t depth_before = BudgetDepthCount();
+    Rng rng(1);
+    auto v = evaluator.EvalSampled("top", {Value::Number(x)}, {}, rng);
+    ASSERT_FALSE(v.ok());
+    EXPECT_EQ(v.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(v.status().message(), message);
+    EXPECT_EQ(BudgetDepthCount() - depth_before, depth_counts);
+  }
+}
+
+TEST(BytecodeInlineTest, BudgetsInsideInlinedBodiesMatchTheTreeWalk) {
+  // `mid` expands into `top` at nesting level 1 and `leaf` into it at
+  // level 2; a sample runs four statements at call depths 1, 2, 3, 3.
+  const Program program = MustParse(R"(
+interface top(x) { return mid(x) + 1mJ; }
+interface mid(a) { return leaf(a) * 2; }
+interface leaf(n) {
+  let m = n + 1;
+  return m * 1mJ;
+}
+)");
+  EvalOptions options;
+  {
+    options.engine = EvalEngine::kBytecode;
+    VmProfiler profiler(/*sample_interval=*/1);
+    options.vm_profiler = &profiler;
+    {
+      Evaluator evaluator(program, options);
+      Rng rng(1);
+      auto v = evaluator.EvalSampled("top", {Value::Number(2.0)}, {}, rng);
+      ASSERT_TRUE(v.ok()) << v.status().ToString();
+      EXPECT_EQ(v.value(), Value::Joules(7e-3));
+    }
+    const VmProfiler::Snapshot snap = profiler.TakeSnapshot();
+    EXPECT_EQ(OpHits(snap, BcOp::kCall), 0u);
+    EXPECT_EQ(OpHits(snap, BcOp::kEnter), 2u);
+    options.vm_profiler = nullptr;
+  }
+  {
+    SCOPED_TRACE("failing call inlined at level 1");
+    EvalOptions depth = options;
+    depth.max_call_depth = 1;
+    ExpectSameBudgetError(program, depth, 2.0,
+                          "interface call depth limit exceeded at 'mid'", 1);
+  }
+  {
+    SCOPED_TRACE("failing call inlined at level 2");
+    EvalOptions depth = options;
+    depth.max_call_depth = 2;
+    ExpectSameBudgetError(program, depth, 2.0,
+                          "interface call depth limit exceeded at 'leaf'", 1);
+  }
+  {
+    SCOPED_TRACE("steps run out at an inlined body's first statement");
+    EvalOptions steps = options;
+    steps.max_steps = 2;
+    ExpectSameBudgetError(program, steps, 2.0,
+                          "statement budget exhausted in 'leaf' at 5:3", 0);
+  }
+  {
+    SCOPED_TRACE("steps run out inside an inlined body");
+    EvalOptions steps = options;
+    steps.max_steps = 3;
+    ExpectSameBudgetError(program, steps, 2.0,
+                          "statement budget exhausted in 'leaf' at 6:3", 0);
+  }
+}
+
+TEST(BytecodeInlineTest, RecursiveCalleesStayOutOfLine) {
+  // rec_top(5) calls rec_fact five times and rec_even/rec_odd six times,
+  // each through kCall; the leaf rec_unit expands into rec_fact's body.
+  const Program program = MustParse(parity::kRecursiveSource);
+  EvalOptions options;
+  options.engine = EvalEngine::kBytecode;
+  VmProfiler profiler(/*sample_interval=*/1);
+  options.vm_profiler = &profiler;
+  {
+    Evaluator evaluator(program, options);
+    auto outcomes = evaluator.Enumerate("rec_top", {Value::Number(5.0)}, {});
+    ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+    ASSERT_EQ(outcomes->size(), 1u);
+    EXPECT_NEAR((*outcomes)[0].value.joules(), 122e-6, 1e-15);
+  }
+  const VmProfiler::Snapshot snap = profiler.TakeSnapshot();
+  EXPECT_EQ(OpHits(snap, BcOp::kCall), 11u);
+  EXPECT_EQ(OpHits(snap, BcOp::kReturn), 12u);
+  EXPECT_EQ(OpHits(snap, BcOp::kEnter), 1u);
 }
 
 TEST(BytecodeSpecializationTest, PrepareSpecializedSwapsFingerprint) {
@@ -398,13 +547,11 @@ TEST(VmProfilerTest, FoldChainIsHottestOpOnBenchShape) {
 TEST(VmProfilerTest, Gpt2GenerateDispatchCount) {
   // One E_gpt2_generate(512, 16) evaluation: a binary operator reads its
   // constant operand straight from the pool, so only call arguments and
-  // stored constants take a kConst. Loading every constant operand with a
-  // kConst again reads 1,066 dispatches, 293 of them kConst.
-  std::ifstream file(ECLARITY_SOURCE_DIR "/examples/eil/gpt2_rtx4090.eil");
-  ASSERT_TRUE(file) << "examples/eil/gpt2_rtx4090.eil";
-  std::ostringstream source;
-  source << file.rdbuf();
-  const Program program = MustParse(source.str());
+  // stored constants take a kConst, and every callee expands in place, so
+  // no call pays a kCall, a parameter copy or a kReturn. Calling them out of
+  // line reads 795 dispatches; loading every constant operand with a kConst
+  // as well reads 1,066, 293 of them kConst.
+  const Program program = MustParse(ReadExample("gpt2_rtx4090.eil"));
   EvalOptions options;
   options.engine = EvalEngine::kBytecode;
   VmProfiler profiler(/*sample_interval=*/1);
@@ -416,14 +563,9 @@ TEST(VmProfilerTest, Gpt2GenerateDispatchCount) {
   ASSERT_EQ(outcomes->size(), 1u);
 
   const VmProfiler::Snapshot snap = profiler.TakeSnapshot();
-  EXPECT_EQ(snap.dispatches, 795u);
-  uint64_t const_loads = 0;
-  for (const VmProfiler::OpStat& op : snap.ops) {
-    if (op.op == static_cast<uint8_t>(BcOp::kConst)) {
-      const_loads = op.hits;
-    }
-  }
-  EXPECT_EQ(const_loads, 22u);
+  EXPECT_EQ(snap.dispatches, 593u);
+  EXPECT_EQ(OpHits(snap, BcOp::kConst), 22u);
+  EXPECT_EQ(OpHits(snap, BcOp::kCall), 0u);
 }
 
 TEST(VmProfilerTest, QueryServiceAttributesCostPerInterface) {
@@ -447,13 +589,17 @@ TEST(VmProfilerTest, QueryServiceAttributesCostPerInterface) {
   const VmProfiler::Snapshot snap = profiler.TakeSnapshot();
   ASSERT_GT(snap.dispatches, 0u);
   ASSERT_FALSE(snap.ifaces.empty());
-  // Every sampled site resolves to a real interface of the program.
+  // Every sampled site resolves to a real interface of the program, and
+  // code inlined into the web-service interface is charged to its callee.
+  bool cache_lookup_charged = false;
   for (const VmProfiler::IfaceStat& iface : snap.ifaces) {
     EXPECT_TRUE(iface.iface == "E_ml_webservice_handle" ||
                 iface.iface == "E_cache_lookup" ||
                 iface.iface == "E_cnn_forward")
         << iface.iface;
+    cache_lookup_charged |= iface.iface == "E_cache_lookup";
   }
+  EXPECT_TRUE(cache_lookup_charged);
   // The formatted report carries the per-interface table.
   const std::string report = FormatVmProfile(snap);
   EXPECT_NE(report.find("E_"), std::string::npos);

@@ -314,6 +314,19 @@ std::string NestedParens(int depth) {
          std::string(depth, ')') + ";\n}\n";
 }
 
+// `w0(x)` calls `w1(x)` and so on down to `w{n-1}(x) { return x * 1J; }`:
+// one call level per interface, each a one-line wrapper the bytecode
+// compiler may expand in place.
+std::string WrapperChain(int n) {
+  std::string source;
+  for (int i = 0; i + 1 < n; ++i) {
+    source += "interface w" + std::to_string(i) + "(x) { return w" +
+              std::to_string(i + 1) + "(x); }\n";
+  }
+  return source + "interface w" + std::to_string(n - 1) +
+         "(x) { return x * 1J; }\n";
+}
+
 TEST(EvalEdgeTest, EveryWalkerRunsAtTheNestingLimit) {
   struct Case {
     std::string deepest;   // the deepest source the parser accepts
@@ -357,6 +370,42 @@ TEST(EvalEdgeTest, EveryWalkerRunsAtTheNestingLimit) {
       EXPECT_LE(std::abs(cd->mean - c.joules), cd->mean_error_bound);
       EXPECT_EQ(eval.analytic_hits(), 1u);
     }
+  }
+
+  // A chain of call levels at the call-depth limit (64 by default) runs
+  // through every walker too; one level more fails alike on both engines.
+  const Program chain = MustParse(WrapperChain(64).c_str());
+  ASSERT_TRUE(CheckProgramOk(chain).ok());
+  EXPECT_NE(PrintProgram(chain).find("interface w63(x)"), std::string::npos);
+  const Program too_long = MustParse(WrapperChain(65).c_str());
+  const std::vector<Value> args = {Value::Number(2.0)};
+  for (EvalEngine engine : {EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
+    SCOPED_TRACE(engine == EvalEngine::kTreeWalk ? "tree" : "bytecode");
+    Evaluator eval(chain, WithEngine(engine));
+    auto outcomes = eval.Enumerate("w0", args, {});
+    ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
+    ASSERT_EQ(outcomes->size(), 1u);
+    EXPECT_EQ((*outcomes)[0].value, Value::Joules(2.0));
+
+    Evaluator deeper(too_long, WithEngine(engine));
+    auto rejected = deeper.Enumerate("w0", args, {});
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(rejected.status().message(),
+              "interface call depth limit exceeded at 'w64'");
+  }
+  auto bounds = IntervalEvaluator(chain).EvalInterval(
+      "w0", {IntervalValue::Number(1.0, 2.0)});
+  ASSERT_TRUE(bounds.ok()) << bounds.status().ToString();
+  EXPECT_TRUE(bounds->Contains(2.0));
+  for (DistMode mode :
+       {DistMode::kAnalyticBounded, DistMode::kAnalyticMoments}) {
+    EvalOptions options;
+    options.dist_mode = mode;
+    Evaluator eval(chain, options);
+    auto cd = eval.EvalCertified("w0", args, {});
+    ASSERT_TRUE(cd.ok()) << cd.status().ToString();
+    EXPECT_LE(std::abs(cd->mean - 2.0), cd->mean_error_bound);
   }
 }
 

@@ -172,6 +172,104 @@ interface nan_results(x) {
 }
 )";
 
+// Calls the bytecode compiler expands in place: small callees that make no
+// interface call once their own calls are expanded.
+//
+// A leaf with a guarded draw and a draw whose support depends on its
+// parameter, so its errors and qualified names must name the leaf.
+inline constexpr char kInlineLeafEcvSource[] = R"(
+interface inl_ecv_top(x) {
+  return inl_ecv_leaf(x) + 1mJ;
+}
+interface inl_ecv_leaf(n) {
+  ecv hit ~ bernoulli(0.4);
+  if (hit) { return n * 1mJ; }
+  ecv burst ~ uniform_int(1, n);
+  return n * burst * 2mJ;
+}
+)";
+// A leaf whose loop returns early for small arguments and runs out for
+// large ones, called twice in one expression.
+inline constexpr char kInlineLoopLeafSource[] = R"(
+interface inl_loop_top(x) {
+  return inl_loop_leaf(x) + inl_loop_leaf(x + 5);
+}
+interface inl_loop_leaf(n) {
+  let mut acc = 0J;
+  for i in 0..8 {
+    if (i >= n) { return acc; }
+    acc = acc + max(i, 1) * 1uJ;
+  }
+  return acc * 2;
+}
+)";
+// Three levels expanded into the entry, each with its own draw or
+// arguments computed into the callee's frame.
+inline constexpr char kInlineChainSource[] = R"(
+interface inl_chain_top(x) {
+  ecv e ~ bernoulli(0.5);
+  return e ? inl_chain1(x) : inl_chain1(x + 1);
+}
+interface inl_chain1(a) { return inl_chain2(a * 2) + 1uJ; }
+interface inl_chain2(b) { return inl_chain3(b, b + 1) * 3; }
+interface inl_chain3(c, d) {
+  ecv f ~ categorical(1: 0.5, 2: 0.25, 3: 0.25);
+  return (c * f + d) * 1uJ;
+}
+)";
+// Parameters bound in place to the caller's variables and to a constant,
+// copied into a mutable local, and shadowed in a nested block; the caller
+// reads its variable after the calls. `z = inl_param_chain(z)` writes the
+// register its parameter reads: a fold chain seeded in that register would
+// read the seed where it should read the parameter.
+inline constexpr char kInlineParamsSource[] = R"(
+interface inl_param_top(x) {
+  let y = x + 1;
+  let mut z = y;
+  z = inl_param_chain(z);
+  return inl_param_leaf(y, 2) + inl_param_leaf(x, y) + (y + z) * 1uJ;
+}
+interface inl_param_chain(p) { return (0 - p) * 2 + p; }
+interface inl_param_leaf(p, q) {
+  let mut m = p;
+  m = m * q;
+  if (m > 10) {
+    let p = m - 10;
+    return p * 1uJ;
+  }
+  return m * 1uJ + p * 1nJ;
+}
+)";
+// One leaf called twice in an expression and once per loop iteration.
+inline constexpr char kInlineLeafTwiceSource[] = R"(
+interface inl_twice_top(x) {
+  let mut t = inl_sq(x) + inl_sq(x + 1) * 2;
+  for i in 0..3 {
+    t = t + inl_sq(i);
+  }
+  return t;
+}
+interface inl_sq(n) { return n * n * 1uJ; }
+)";
+// Recursive callees, direct and mutual, stay out of line; a leaf called
+// from a recursive body still expands.
+inline constexpr char kRecursiveSource[] = R"(
+interface rec_top(x) { return rec_fact(x) + rec_even(x); }
+interface rec_fact(n) {
+  if (n <= 1) { return rec_unit(); }
+  return n * rec_fact(n - 1);
+}
+interface rec_even(n) {
+  if (n <= 0) { return 1uJ; }
+  return rec_odd(n - 1);
+}
+interface rec_odd(n) {
+  if (n <= 0) { return 2uJ; }
+  return rec_even(n - 1);
+}
+interface rec_unit() { return 1uJ; }
+)";
+
 // The happy-path corpus (no profile overrides; those are built in the
 // harnesses because EcvProfile is not constexpr-constructible).
 inline const ParityCase kParityCorpus[] = {
@@ -190,6 +288,13 @@ inline const ParityCase kParityCorpus[] = {
     {"abstract_scaled", kAbstractScaledSource, "abstract_scaled", {5.0}},
     {"signed_zero", kSignedZeroSource, "signed_zero", {7.0}},
     {"nan_results", kNanSource, "nan_results", {7.0}},
+    {"inline_leaf_ecv", kInlineLeafEcvSource, "inl_ecv_top", {3.0}},
+    {"inline_loop_early_return", kInlineLoopLeafSource, "inl_loop_top",
+     {3.0}},
+    {"inline_chain", kInlineChainSource, "inl_chain_top", {4.0}},
+    {"inline_params_in_place", kInlineParamsSource, "inl_param_top", {3.0}},
+    {"inline_leaf_twice", kInlineLeafTwiceSource, "inl_twice_top", {5.0}},
+    {"recursive_not_inlined", kRecursiveSource, "rec_top", {5.0}},
 };
 
 // Programs whose evaluation must FAIL — with the same status code and
@@ -236,6 +341,58 @@ inline const ParityCase kErrorCorpus[] = {
      {2.0}},
     // Negation of a bool.
     {"negate_bool", "interface f(x) { let b = x < 3; return -b * 1J; }", "f",
+     {2.0}},
+    // uniform_int bounds that round outside the int64 range, are not
+    // finite, or span the whole range, dynamic and constant.
+    {"uniform_int_huge_bound",
+     "interface f(x) { ecv e ~ uniform_int(0, x); return e * 1J; }", "f",
+     {1e30}},
+    {"uniform_int_constant_huge_bound",
+     "interface f(x) { ecv e ~ uniform_int(0, 1e30); return e * x * 1J; }",
+     "f",
+     {1.0}},
+    {"uniform_int_infinite_bound",
+     "interface f(x) { let big = x * 1e308; ecv e ~ uniform_int(0, big); "
+     "return e * 1J; }",
+     "f",
+     {10.0}},
+    {"uniform_int_nan_bound",
+     "interface f(x) { let big = x * 1e308; let nan = big - big; "
+     "ecv e ~ uniform_int(nan, 3); return e * 1J; }",
+     "f",
+     {10.0}},
+    {"uniform_int_full_span",
+     "interface f(x) { ecv e ~ uniform_int(0 - x, x); return e * 1J; }", "f",
+     {5e18}},
+    // Failures inside bodies the bytecode compiler expands in place: each
+    // message names the callee.
+    {"inline_assigns_parameter",
+     "interface f(x) { return g(x) + 1J; }\n"
+     "interface g(a) { a = a + 1; return a * 1J; }",
+     "f",
+     {1.0}},
+    {"inline_callee_entry_error",
+     "interface f(x) { return g(x, x) + 1J; }\n"
+     "interface g(a, a) { return a * 1J; }",
+     "f",
+     {1.0}},
+    {"inline_division_by_zero",
+     "interface f(x) { return 1J + g(x, x - 2); }\n"
+     "interface g(n, d) { return n / d * 1J; }",
+     "f",
+     {2.0}},
+    {"inline_uniform_int_inverted",
+     "interface f(x) { return g(x) * 2; }\n"
+     "interface g(n) { ecv e ~ uniform_int(n, 0); return e * 1J; }",
+     "f",
+     {3.0}},
+    {"inline_falls_off_end",
+     "interface f(x) { return g(x) + 1J; }\n"
+     "interface g(n) {\n"
+     "  if (n > 5) { return 1J; }\n"
+     "  for i in 0..n { if (i > 5) { return 2J; } }\n"
+     "}",
+     "f",
      {2.0}},
 };
 
